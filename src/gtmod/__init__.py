@@ -14,8 +14,10 @@ Layers, bottom up:
 * :mod:`gtmod.coeffs`   -- the coefficient functions e_rs / gamma_rs and
   both presentations of the generator action;
 * :mod:`gtmod.lincomb`  -- sparse formal linear combinations;
+* :mod:`gtmod.core`     -- the operations shared by the module families
+  (action on combinations, bracket defects, composed central words);
 * :mod:`gtmod.generic`, :mod:`gtmod.singular`, :mod:`gtmod.finite` -- the
-  three module families;
+  three module families, each supplying only its action on one symbol;
 * :mod:`gtmod.n3`       -- the ten-piece decomposition over the all-equal
   n = 3 base point;
 * :mod:`gtmod.verify`, :mod:`gtmod.cli` -- reportable verification suites.

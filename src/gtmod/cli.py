@@ -6,7 +6,7 @@ Usage:
     verify formulas    --config fixtures/singular_n3.json --seed 7
     verify n3          --config fixtures/all_equal_n3.json --window 4
 
-Exit status is 0 iff every check in the suite passed.
+Exit status is 0 iff the suite ran at least one check and every check passed.
 """
 
 from __future__ import annotations

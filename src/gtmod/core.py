@@ -1,0 +1,52 @@
+"""The module operations shared by every tableau module family.
+
+A family supplies ``act_symbol(l, m, sym)``: E_{lm} on one basis symbol,
+as a :class:`LinComb`.  Everything here is built on that alone and is
+bound into each family's class body (``act = core.act``), so every family
+keeps these names in its own namespace.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from .lincomb import LinComb
+
+__all__ = ["act", "bracket_defect", "crs_via_composition"]
+
+
+def act(self, l: int, m: int, x: LinComb) -> LinComb:
+    """E_{lm} on a linear combination of basis symbols."""
+    return LinComb.sum_terms((key, c * v) for sym, c in x.items()
+                             for key, v in self.act_symbol(l, m, sym).items())
+
+
+def bracket_defect(self, g1: tuple[int, int], g2: tuple[int, int], sym) -> LinComb:
+    """[E_{g1}, E_{g2}] minus its structure-constant value on one symbol;
+    zero iff the commutation relation holds there."""
+    a, b = g1
+    c, d = g2
+    x = LinComb.single(sym)
+    lhs = self.act(a, b, self.act(c, d, x)) - self.act(c, d, self.act(a, b, x))
+    rhs = LinComb.zero()
+    if b == c:
+        rhs = rhs + self.act(a, d, x)
+    if d == a:
+        rhs = rhs - self.act(c, b, x)
+    return lhs - rhs
+
+
+def crs_via_composition(self, r: int, s: int, x: LinComb) -> LinComb:
+    """The central generator c_{rs} as a sum of composed generator words
+    E_{i_1 i_2} E_{i_2 i_3} ... E_{i_s i_1} over all index tuples."""
+
+    def word(tup: tuple[int, ...]) -> LinComb:
+        y = x
+        for l, m in reversed(list(zip(tup, tup[1:] + tup[:1]))):
+            y = self.act(l, m, y)
+            if y.is_zero:
+                break
+        return y
+
+    return LinComb.sum_terms(item for tup in itertools.product(range(1, r + 1), repeat=s)
+                             for item in word(tup).items())

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from . import coeffs
+from . import coeffs, core
 from .lincomb import LinComb
 from .tableaux import ShiftVector, Tableau, is_standard
 
@@ -101,13 +101,11 @@ class FiniteModule:
         if hit is not None:
             return hit
         if abs(l - m) <= 1:
-            out = LinComb.zero()
-            for c, dz in coeffs.classical_action(l, m, self.tableau(z), finite_dim=True):
-                if c:
-                    target = z + dz
-                    if target not in self._basis_set:
-                        raise RuntimeError("standard span was not preserved")
-                    out = out + LinComb.single(target, c)
+            pairs = [(z + dz, c) for c, dz in
+                     coeffs.classical_action(l, m, self.tableau(z), finite_dim=True) if c]
+            if any(target not in self._basis_set for target, _ in pairs):
+                raise RuntimeError("standard span was not preserved")
+            out = LinComb.sum_terms(pairs)
         elif l < m:
             # E_{l,m} = [E_{l,l+1}, E_{l+1,m}]
             out = self._commute((l, l + 1), (l + 1, m), z)
@@ -118,39 +116,14 @@ class FiniteModule:
         return out
 
     def _commute(self, g1, g2, z) -> LinComb:
+        # Not bracket_defect: its rhs act(l, m, x) is the value defined here.
         x = LinComb.single(z)
         return (self.act(g1[0], g1[1], self.act(g2[0], g2[1], x))
                 - self.act(g2[0], g2[1], self.act(g1[0], g1[1], x)))
 
-    def act(self, l: int, m: int, x: LinComb) -> LinComb:
-        out = LinComb.zero()
-        for z, c in x.items():
-            out = out + c * self.act_symbol(l, m, z)
-        return out
-
-    def bracket_defect(self, g1, g2, z: ShiftVector) -> LinComb:
-        a, b = g1
-        c, d = g2
-        x = LinComb.single(z)
-        lhs = self.act(a, b, self.act(c, d, x)) - self.act(c, d, self.act(a, b, x))
-        rhs = LinComb.zero()
-        if b == c:
-            rhs = rhs + self.act(a, d, x)
-        if d == a:
-            rhs = rhs - self.act(c, b, x)
-        return lhs - rhs
+    act = core.act
+    bracket_defect = core.bracket_defect
+    crs_via_composition = core.crs_via_composition
 
     def gamma_eigenvalue(self, r: int, s: int, z: ShiftVector) -> Fraction:
         return coeffs.gamma(r, s, self.tableau(z)).const_value()
-
-    def crs_via_composition(self, r: int, s: int, x: LinComb) -> LinComb:
-        total = LinComb.zero()
-        for tup in itertools.product(range(1, r + 1), repeat=s):
-            pairs = [(tup[a], tup[a + 1]) for a in range(s - 1)] + [(tup[-1], tup[0])]
-            y = x
-            for (l, m) in reversed(pairs):
-                y = self.act(l, m, y)
-                if y.is_zero:
-                    break
-            total = total + y
-        return total

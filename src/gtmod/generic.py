@@ -13,10 +13,9 @@ ever enumerates the (infinite) full basis.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
-from . import coeffs
+from . import coeffs, core
 from .lincomb import LinComb
 from .tableaux import ShiftVector, Tableau, is_generic, omega_plus
 
@@ -43,34 +42,14 @@ class GenericModule:
         if hit is not None:
             return hit
         t = self.base.with_shift(z)
-        out = LinComb.zero()
-        for fn, dz in coeffs.perm_action(l, m, t):
-            c = fn.const_value()
-            if c:
-                out = out + LinComb.single(z + dz, c)
+        out = LinComb.sum_terms((z + dz, c) for fn, dz in coeffs.perm_action(l, m, t)
+                                if (c := fn.const_value()))
         self._act_cache[key] = out
         return out
 
-    def act(self, l: int, m: int, x: LinComb) -> LinComb:
-        out = LinComb.zero()
-        for z, c in x.items():
-            out = out + c * self.act_symbol(l, m, z)
-        return out
-
-    def bracket_defect(self, g1: tuple[int, int], g2: tuple[int, int],
-                       z: ShiftVector) -> LinComb:
-        """[E_{g1}, E_{g2}] minus its structure-constant value on one symbol;
-        zero iff the commutation relation holds there."""
-        a, b = g1
-        c, d = g2
-        x = LinComb.single(z)
-        lhs = self.act(a, b, self.act(c, d, x)) - self.act(c, d, self.act(a, b, x))
-        rhs = LinComb.zero()
-        if b == c:
-            rhs = rhs + self.act(a, d, x)
-        if d == a:
-            rhs = rhs - self.act(c, b, x)
-        return lhs - rhs
+    act = core.act
+    bracket_defect = core.bracket_defect
+    crs_via_composition = core.crs_via_composition
 
     # -- the commutative family ----------------------------------------------
 
@@ -87,20 +66,6 @@ class GenericModule:
         top = max_row if max_row is not None else self.n
         return tuple(self.gamma_eigenvalue(r, s, z)
                      for r in range(1, top + 1) for s in range(1, r + 1))
-
-    def crs_via_composition(self, r: int, s: int, x: LinComb) -> LinComb:
-        """The central generator c_{rs} as a sum of composed generator words
-        E_{i_1 i_2} E_{i_2 i_3} ... E_{i_s i_1} over all index tuples."""
-        total = LinComb.zero()
-        for tup in itertools.product(range(1, r + 1), repeat=s):
-            pairs = [(tup[a], tup[a + 1]) for a in range(s - 1)] + [(tup[-1], tup[0])]
-            y = x
-            for (l, m) in reversed(pairs):
-                y = self.act(l, m, y)
-                if y.is_zero:
-                    break
-            total = total + y
-        return total
 
     def describe(self) -> str:
         return f"n={self.n} generic base={self.base.to_text()}"

@@ -55,11 +55,13 @@ class LinComb:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def __add__(self, other: "LinComb") -> "LinComb":
-        if not isinstance(other, LinComb):
-            return NotImplemented
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
+    @staticmethod
+    def sum_terms(pairs, start: Mapping | None = None) -> "LinComb":
+        """The sum of ``(key, coeff)`` pairs (``Fraction`` coefficients) plus
+        ``start``, accumulated in one dict; a key whose sum cancels to zero
+        is dropped, and comes back if a later pair revives it."""
+        out = dict(start) if start else {}
+        for key, coeff in pairs:
             acc = out.get(key, 0) + coeff
             if acc:
                 out[key] = acc
@@ -68,6 +70,11 @@ class LinComb:
         result = LinComb()
         object.__setattr__(result, "_terms", out)
         return result
+
+    def __add__(self, other: "LinComb") -> "LinComb":
+        if not isinstance(other, LinComb):
+            return NotImplemented
+        return LinComb.sum_terms(other._terms.items(), self._terms)
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         return self + (-other)

@@ -161,9 +161,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def deriv(self) -> "Poly":
-        return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
-
     def reflect(self) -> "Poly":
         """Substitute ``t -> -t``."""
         return Poly([-c if k % 2 else c for k, c in enumerate(self.coeffs)])

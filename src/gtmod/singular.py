@@ -28,11 +28,10 @@ absorbs the (at most simple) poles.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import coeffs
+from . import coeffs, core
 from .lincomb import LinComb
 from .ratfun import RatFun, TWO_T
 from .tableaux import (
@@ -58,9 +57,11 @@ class BasisSymbol:
     kind: str
     shift: ShiftVector
 
-    def __repr__(self) -> str:
+    def to_text(self) -> str:
         tag = "Reg" if self.kind == REG else "Der"
         return f"{tag}{self.shift.to_text()}"
+
+    __repr__ = to_text
 
 
 def canonicalize(kind: str, z: ShiftVector,
@@ -114,64 +115,59 @@ class SingularModule:
 
     # -- single-generator action ----------------------------------------------
 
+    def _phi_sum(self, l: int, m: int, z: ShiftVector, point) -> LinComb:
+        """Sum over sigma in Phi_lm of ``point(e)`` for e = e_lm(sigma(v+z)):
+        ``point`` returns the (Reg, Der) coefficients placed at the shift
+        z + sigma(eps_lm)."""
+        frame = self.frame
+        t = frame.tableau_at(z)
+        eps = epsilon(self.n, l, m)
+        terms = []
+        for sigma in phi_set(l, m, self.n):
+            rc, dc = point(coeffs.coeff_e(l, m, sigma(t)))
+            target = z + sigma(eps)
+            for kind, c in ((REG, rc), (DER, dc)):
+                if c:
+                    sign, sym = canonicalize(kind, target, frame)
+                    if sign:
+                        terms.append((sym, sign * c))
+        return LinComb.sum_terms(terms)
+
     def act_on_regular(self, l: int, m: int, z: ShiftVector) -> LinComb:
         """E_{lm} on Reg(z), through d((x-y) * coefficient) and
         ev((x-y) * coefficient)."""
-        frame = self.frame
-        eps = epsilon(self.n, l, m)
-        out = LinComb.zero()
-        for sigma in phi_set(l, m, self.n):
-            e = coeffs.coeff_e(l, m, sigma(frame.tableau_at(z)))
-            g = RatFun(TWO_T) * e
+        two_t = RatFun(TWO_T)
+
+        def point(e: RatFun) -> tuple[Fraction, Fraction]:
+            g = two_t * e
             if g.pole_order() > 0:
                 raise InvariantViolation(
-                    f"pole of order >= 2 in e_{l}{m} over {frame.describe()} at z={z}")
-            target = z + sigma(eps)
-            rc = g.d()
-            if rc:
-                out = out + self.reg(target, rc)
-            dc = g.ev()
-            if dc:
-                out = out + self.der(target, dc)
-        return out
+                    f"pole of order >= 2 in e_{l}{m} over {self.frame.describe()} at z={z}")
+            return g.d(), g.ev()
+
+        return self._phi_sum(l, m, z, point)
 
     def act_on_derivative(self, l: int, m: int, w: ShiftVector) -> LinComb:
         """E_{lm} on Der(w); requires tau(w) != w."""
-        frame = self.frame
-        if frame.is_tau_fixed(w):
+        if self.frame.is_tau_fixed(w):
             raise ValueError("derivative symbols require a tau-unfixed shift")
-        eps = epsilon(self.n, l, m)
-        out = LinComb.zero()
-        for sigma in phi_set(l, m, self.n):
-            e = coeffs.coeff_e(l, m, sigma(frame.tableau_at(w)))
+
+        def point(e: RatFun) -> tuple[Fraction, Fraction]:
             if e.pole_order() > 0:
                 raise InvariantViolation(
                     f"unexpected pole in e_{l}{m} at tau-unfixed w={w}")
-            target = w + sigma(eps)
-            rc = e.d()
-            if rc:
-                out = out + self.reg(target, rc)
-            dc = e.ev()
-            if dc:
-                out = out + self.der(target, dc)
-        return out
+            return e.d(), e.ev()
+
+        return self._phi_sum(l, m, w, point)
 
     def act_on_regular_by_evaluation(self, l: int, m: int,
                                      z: ShiftVector) -> LinComb:
         """Alternative form of E_{lm} on Reg(z) for tau-unfixed z: plain
         evaluation of every coefficient at t = 0.  Must agree with
         :meth:`act_on_regular`; kept as an independent cross-check path."""
-        frame = self.frame
-        if frame.is_tau_fixed(z):
+        if self.frame.is_tau_fixed(z):
             raise ValueError("the evaluation form needs a tau-unfixed shift")
-        eps = epsilon(self.n, l, m)
-        out = LinComb.zero()
-        for sigma in phi_set(l, m, self.n):
-            e = coeffs.coeff_e(l, m, sigma(frame.tableau_at(z)))
-            c = e.ev()
-            if c:
-                out = out + self.reg(z + sigma(eps), c)
-        return out
+        return self._phi_sum(l, m, z, lambda e: (e.ev(), 0))
 
     def act_symbol(self, l: int, m: int, sym: BasisSymbol) -> LinComb:
         key = (l, m, sym)
@@ -185,24 +181,9 @@ class SingularModule:
         self._act_cache[key] = out
         return out
 
-    def act(self, l: int, m: int, x: LinComb) -> LinComb:
-        out = LinComb.zero()
-        for sym, c in x.items():
-            out = out + c * self.act_symbol(l, m, sym)
-        return out
-
-    def bracket_defect(self, g1: tuple[int, int], g2: tuple[int, int],
-                       sym: BasisSymbol) -> LinComb:
-        a, b = g1
-        c, d = g2
-        x = LinComb.single(sym)
-        lhs = self.act(a, b, self.act(c, d, x)) - self.act(c, d, self.act(a, b, x))
-        rhs = LinComb.zero()
-        if b == c:
-            rhs = rhs + self.act(a, d, x)
-        if d == a:
-            rhs = rhs - self.act(c, b, x)
-        return lhs - rhs
+    act = core.act
+    bracket_defect = core.bracket_defect
+    crs_via_composition = core.crs_via_composition
 
     # -- the commutative family -------------------------------------------------
 
@@ -231,28 +212,13 @@ class SingularModule:
     def gamma_action(self, r: int, s: int, x: LinComb) -> LinComb:
         """c_{rs} in closed form: eigenvalue on Reg, a 2x2 upper-triangular
         contribution Der -> Der + Reg."""
-        out = LinComb.zero()
+        terms = []
         for sym, c in x.items():
-            value = self.gamma_value(r, s, sym.shift)
-            if value:
-                out = out + LinComb.single(sym, c * value)
+            terms.append((sym, c * self.gamma_value(r, s, sym.shift)))
             if sym.kind == DER:
-                dval = self.gamma_dvalue(r, s, sym.shift)
-                if dval:
-                    out = out + self.reg(sym.shift, c * dval)
-        return out
-
-    def crs_via_composition(self, r: int, s: int, x: LinComb) -> LinComb:
-        total = LinComb.zero()
-        for tup in itertools.product(range(1, r + 1), repeat=s):
-            pairs = [(tup[a], tup[a + 1]) for a in range(s - 1)] + [(tup[-1], tup[0])]
-            y = x
-            for (l, m) in reversed(pairs):
-                y = self.act(l, m, y)
-                if y.is_zero:
-                    break
-            total = total + y
-        return total
+                _, reg = canonicalize(REG, sym.shift, self.frame)
+                terms.append((reg, c * self.gamma_dvalue(r, s, sym.shift)))
+        return LinComb.sum_terms(terms)
 
     def character_classes(self, bound: int) -> dict[tuple, list[BasisSymbol]]:
         """Window symbols grouped by their full eigenvalue tuple."""

@@ -39,21 +39,20 @@ from pathlib import Path
 
 from . import coeffs
 from .finite import FiniteModule, standard_tableaux, weyl_dimension
+from .fixtures import random_generic_tableau, random_shift
 from .generic import GenericModule
 from .lincomb import LinComb
 from .n3 import classify_shift, loewy_layer, weight_key
 from .ratfun import RatFun, TWO_T
 from .singular import (
-    DER, REG, BasisSymbol, SingularModule, canonical_window, canonicalize,
-    connecting_shift, generation_witnesses, irreducibility_hypothesis,
+    REG, SingularModule, canonical_window, canonicalize, connecting_shift,
+    generation_witnesses, irreducibility_hypothesis,
 )
-from .tableaux import (
-    PermTuple, ShiftVector, SingularFrame, Tableau, phi_set, tau_star,
-    window_shifts,
-)
+from .tableaux import PermTuple, SingularFrame, Tableau, phi_set, tau_star, window_shifts
 
 __all__ = [
     "Config", "VerificationReport", "SUITES", "run_suite",
+    "module_for", "window_symbols",
     "check_commutators", "check_gamma", "check_formulas", "check_n3",
     "Tally", "sweep_classical_vs_perm", "sweep_finite_dim", "sweep_coefficient_identities",
     "export_action", "build_action_matrix", "load_action_matrix",
@@ -76,7 +75,8 @@ class VerificationReport:
 
     @property
     def ok(self) -> bool:
-        return self.failed == 0
+        """Every check passed, and there was at least one."""
+        return self.failed == 0 and self.checked > 0
 
     def to_dict(self) -> dict:
         return {
@@ -196,21 +196,18 @@ def _qn(n: int) -> int:
     return out
 
 
-def _random_generic_tableau(rng: random.Random, n: int) -> Tableau:
-    rows = []
-    for r in range(n, 0, -1):
-        if r == n:
-            rows.append([rng.randint(-3, 3) for _ in range(r)])
-        else:
-            fracs = rng.sample(range(1, 97), r)
-            rows.append([rng.randint(-3, 3) + Fraction(u, 97) for u in fracs])
-    return Tableau.from_rows(rows)
+def module_for(cfg: Config) -> GenericModule | SingularModule:
+    """The module a config describes: singular over its frame, else generic."""
+    if cfg.frame is not None:
+        return SingularModule(cfg.frame)
+    return GenericModule(cfg.base)
 
 
-def _random_shift(rng: random.Random, n: int, bound: int) -> ShiftVector:
-    return ShiftVector(n, tuple(
-        tuple(rng.randint(-bound, bound) for _ in range(r))
-        for r in range(n - 1, 0, -1)))
+def window_symbols(cfg: Config) -> list:
+    """The basis symbols of :func:`module_for` whose shift lies in the window."""
+    if cfg.frame is not None:
+        return canonical_window(cfg.frame, cfg.window)
+    return list(window_shifts(cfg.n, cfg.window))
 
 
 # ---------------------------------------------------------------------------
@@ -222,21 +219,12 @@ def check_commutators(cfg: Config) -> VerificationReport:
     tally = Tally()
     gens = _generators(cfg.n)
     pairs = list(itertools.combinations(gens, 2))
-    if cfg.frame is not None:
-        mod = SingularModule(cfg.frame)
-        symbols = canonical_window(cfg.frame, cfg.window)
-        for sym in symbols:
-            for g1, g2 in pairs:
-                defect = mod.bracket_defect(g1, g2, sym)
-                tally.check(defect.is_zero, "bracket", lambda s=sym, a=g1, b=g2, d=defect: {
-                    "input": f"[E{a}, E{b}] on {s!r}", "defect": repr(d)})
-    else:
-        mod = GenericModule(cfg.base)
-        for z in window_shifts(cfg.n, cfg.window):
-            for g1, g2 in pairs:
-                defect = mod.bracket_defect(g1, g2, z)
-                tally.check(defect.is_zero, "bracket", lambda z_=z, a=g1, b=g2, d=defect: {
-                    "input": f"[E{a}, E{b}] on {z_!r}", "defect": repr(d)})
+    mod = module_for(cfg)
+    for sym in window_symbols(cfg):
+        for g1, g2 in pairs:
+            defect = mod.bracket_defect(g1, g2, sym)
+            tally.check(defect.is_zero, "bracket", lambda s=sym, a=g1, b=g2, d=defect: {
+                "input": f"[E{a}, E{b}] on {s!r}", "defect": repr(d)})
     return tally.report("commutators", cfg.describe(), cfg.window, cfg.seed, started)
 
 
@@ -262,10 +250,10 @@ def check_gamma(cfg: Config) -> VerificationReport:
     started = time.perf_counter()
     tally = Tally()
     rng = random.Random(cfg.seed)
+    mod = module_for(cfg)
+    window = window_symbols(cfg)
 
     if cfg.frame is None:
-        mod = GenericModule(cfg.base)
-        window = list(window_shifts(cfg.n, cfg.window))
         for (r, s) in _gamma_pairs(cfg.n):
             for _ in range(20):
                 z = rng.choice(window)
@@ -285,8 +273,6 @@ def check_gamma(cfg: Config) -> VerificationReport:
         return tally.report("gamma", cfg.describe(), cfg.window, cfg.seed, started)
 
     frame = cfg.frame
-    mod = SingularModule(frame)
-    window = canonical_window(frame, cfg.window)
     k = frame.k
 
     # composed words against the closed-form action
@@ -305,7 +291,7 @@ def check_gamma(cfg: Config) -> VerificationReport:
     a_lead = _gamma_k2_leading_coefficient(frame)
     seen = 0
     while seen < 20:
-        z = _random_shift(rng, cfg.n, max(cfg.window, 2))
+        z = random_shift(rng, cfg.n, max(cfg.window, 2))
         if frame.is_tau_fixed(z):
             continue
         seen += 1
@@ -368,7 +354,7 @@ def check_gamma(cfg: Config) -> VerificationReport:
     if irreducibility_hypothesis(frame):
         seen = 0
         while seen < 10:
-            z = _random_shift(rng, cfg.n, max(cfg.window, 2))
+            z = random_shift(rng, cfg.n, max(cfg.window, 2))
             if frame.is_tau_fixed(z):
                 continue
             seen += 1
@@ -409,7 +395,7 @@ def sweep_classical_vs_perm(tally: Tally, rng: random.Random, samples: int = 100
     tableaux of sizes 2..4, term for term."""
     for _ in range(samples):
         n = rng.randint(2, 4)
-        t = _random_generic_tableau(rng, n)
+        t = random_generic_tableau(rng, n)
         for kk in range(1, n):
             for (l, m) in ((kk, kk + 1), (kk + 1, kk), (kk, kk)):
                 classical = {}
@@ -580,36 +566,28 @@ def check_n3(cfg: Config) -> VerificationReport:
 def build_action_matrix(cfg: Config, kind: str, indices: tuple[int, int]) -> dict:
     """Window-restricted matrix of a generator (kind 'E') or central word
     (kind 'c') in the canonical basis; JSON-ready, entries as 'p/q'."""
-    if cfg.frame is not None:
-        mod = SingularModule(cfg.frame)
-        columns = canonical_window(cfg.frame, cfg.window)
-        key_of = repr
-        single = lambda sym: LinComb.single(sym)
-    else:
-        mod = GenericModule(cfg.base)
-        columns = list(window_shifts(cfg.n, cfg.window))
-        key_of = lambda z: z.to_text()
-        single = lambda z: LinComb.single(z)
+    mod = module_for(cfg)
+    columns = window_symbols(cfg)
     a, b = indices
     entries: dict[str, dict[str, str]] = {}
     for col in columns:
         if kind == "E":
-            out = mod.act(a, b, single(col))
+            out = mod.act(a, b, LinComb.single(col))
         elif kind == "c":
-            out = mod.crs_via_composition(a, b, single(col))
+            out = mod.crs_via_composition(a, b, LinComb.single(col))
         else:
             raise ValueError(f"unknown operator kind {kind!r}")
         if out.is_zero:
             continue
-        entries[key_of(col)] = {
-            key_of(row): str(c)
-            for row, c in sorted(out.items(), key=lambda kv: key_of(kv[0]))
+        entries[col.to_text()] = {
+            row.to_text(): str(c)
+            for row, c in sorted(out.items(), key=lambda kv: kv[0].to_text())
         }
     return {
         "operator": f"{kind}({a},{b})",
         "frame": cfg.describe(),
         "window": cfg.window,
-        "basis": [key_of(col) for col in columns],
+        "basis": [col.to_text() for col in columns],
         "entries": entries,
     }
 

@@ -1,58 +1,10 @@
-"""Shared fixtures: reference frames and random tableau generators."""
-
-import random
-from fractions import Fraction
+"""Shared fixtures: the reference frames of :mod:`gtmod.fixtures`."""
 
 import pytest
 
-from gtmod.fixtures import frame_all_equal, frame_n3 as _frame_n3, frame_n4 as _frame_n4
-from gtmod.fixtures import frame_n4_row3 as _frame_n4_row3, generic_base_n3
-from gtmod.tableaux import ShiftVector, Tableau
-
-F = Fraction
-
-make_frame_n3 = _frame_n3
-make_frame_all_equal = frame_all_equal
-make_frame_n4 = _frame_n4
-make_frame_n4_row3 = _frame_n4_row3
-make_generic_base_n3 = generic_base_n3
-
-
-def random_generic_tableau(rng: random.Random, n: int) -> Tableau:
-    """Random tableau whose same-row differences (rows <= n-1) are all
-    nonintegers: fractional parts are distinct multiples of 1/97 per row."""
-    rows = []
-    for r in range(n, 0, -1):
-        if r == n:
-            rows.append([rng.randint(-3, 3) for _ in range(r)])
-        else:
-            fracs = rng.sample(range(1, 97), r)
-            rows.append([rng.randint(-3, 3) + F(u, 97) for u in fracs])
-    return Tableau.from_rows(rows)
-
-
-def random_shift(rng: random.Random, n: int, bound: int = 3) -> ShiftVector:
-    return ShiftVector(n, tuple(
-        tuple(rng.randint(-bound, bound) for _ in range(r))
-        for r in range(n - 1, 0, -1)
-    ))
+from gtmod import fixtures
 
 
 @pytest.fixture
 def frame_n3():
-    return make_frame_n3()
-
-
-@pytest.fixture
-def frame_all_equal():
-    return make_frame_all_equal()
-
-
-@pytest.fixture
-def frame_n4():
-    return make_frame_n4()
-
-
-@pytest.fixture
-def generic_base_n3():
-    return make_generic_base_n3()
+    return fixtures.frame_n3()

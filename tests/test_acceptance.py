@@ -11,8 +11,8 @@ from fractions import Fraction
 
 import pytest
 
+from gtmod import fixtures
 from gtmod.finite import FiniteModule, standard_tableaux, weyl_dimension
-from gtmod.fixtures import frame_all_equal, frame_n3, generic_base_n3
 from gtmod.generic import GenericModule
 from gtmod.lincomb import LinComb
 from gtmod.n3 import classify_shift, weight_key
@@ -26,8 +26,6 @@ from gtmod.verify import (
     sweep_coefficient_identities, sweep_finite_dim,
 )
 
-from conftest import random_shift
-
 SEED = 20240601
 
 
@@ -40,17 +38,17 @@ def _announce(num, description, started, ok):
 
 @pytest.fixture(scope="module")
 def singular_mod():
-    return SingularModule(frame_n3())
+    return SingularModule(fixtures.frame_n3())
 
 
 @pytest.fixture(scope="module")
 def all_equal_mod():
-    return SingularModule(frame_all_equal(0))
+    return SingularModule(fixtures.frame_all_equal(0))
 
 
 def test_criterion_1_bracket_suite_generic():
     started = time.perf_counter()
-    cfg = Config(n=3, base=generic_base_n3(), frame=None, window=2, seed=SEED)
+    cfg = Config(n=3, base=fixtures.generic_base_n3(), frame=None, window=2, seed=SEED)
     report = check_commutators(cfg)
     ok = report.ok and report.checked == 125 * 36
     _announce(1, "generic bracket relations, n=3, window 2, all 36 pairs",
@@ -60,7 +58,7 @@ def test_criterion_1_bracket_suite_generic():
 def test_criterion_2_bracket_suite_singular():
     started = time.perf_counter()
     ok = True
-    for frame in (frame_all_equal(0), frame_n3()):
+    for frame in (fixtures.frame_all_equal(0), fixtures.frame_n3()):
         cfg = Config(n=3, base=frame.vbar, frame=frame, window=2, seed=SEED)
         report = check_commutators(cfg)
         ok = ok and report.ok and report.checked == 125 * 36
@@ -80,10 +78,10 @@ def test_criterion_4_central_family(singular_mod):
     started = time.perf_counter()
     rng = random.Random(SEED)
     ok = True
-    gen = GenericModule(generic_base_n3())
+    gen = GenericModule(fixtures.generic_base_n3())
     for (r, s) in [(r, s) for r in range(1, 4) for s in range(1, r + 1)]:
         for _ in range(20):
-            z = random_shift(rng, 3, bound=2)
+            z = fixtures.random_shift(rng, 3, bound=2)
             got = gen.crs_via_composition(r, s, LinComb.single(z))
             ok = ok and got == LinComb.single(z, gen.gamma_eigenvalue(r, s, z))
     window = canonical_window(singular_mod.frame, 2)
@@ -105,7 +103,7 @@ def test_criterion_5_jordan_cell(singular_mod):
     ok = True
     seen = 0
     while seen < 20:
-        z = random_shift(rng, 3, bound=3)
+        z = fixtures.random_shift(rng, 3, bound=3)
         if frame.is_tau_fixed(z):
             continue
         seen += 1
@@ -134,7 +132,7 @@ def test_criterion_6_multiplicity_bound(singular_mod):
 
 def test_criterion_7_ten_piece_decomposition():
     started = time.perf_counter()
-    frame = frame_all_equal(0)
+    frame = fixtures.frame_all_equal(0)
     cfg = Config(n=3, base=frame.vbar, frame=frame, window=4, seed=SEED)
     report = check_n3(cfg)
     ok = report.ok
@@ -161,7 +159,7 @@ def test_criterion_8_finite_dimensional_regression():
 
 def test_criterion_9_coefficient_identities():
     started = time.perf_counter()
-    frame = frame_n3()
+    frame = fixtures.frame_n3()
     cfg = Config(n=3, base=frame.vbar, frame=frame, window=2, seed=SEED)
     tally = Tally()
     sweep_coefficient_identities(cfg, tally)
@@ -172,12 +170,12 @@ def test_criterion_9_coefficient_identities():
 
 def test_criterion_10_generation_witnesses():
     started = time.perf_counter()
-    frame = frame_n3()
+    frame = fixtures.frame_n3()
     ok = irreducibility_hypothesis(frame)
     rng = random.Random(SEED)
     seen = 0
     while seen < 20:
-        z = random_shift(rng, 3, bound=3)
+        z = fixtures.random_shift(rng, 3, bound=3)
         if frame.is_tau_fixed(z):
             continue
         seen += 1

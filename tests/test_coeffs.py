@@ -6,15 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from gtmod import fixtures
 from gtmod.coeffs import classical_action, coeff_e, gamma, perm_action
 from gtmod.ratfun import ONE, Poly, RatFun, TWO_T
 from gtmod.tableaux import (
     PermTuple, ShiftVector, Tableau, phi_set, tau_perm, tau_star, window_shifts,
-)
-
-from conftest import (
-    make_frame_all_equal, make_frame_n3, make_frame_n4, make_frame_n4_row3,
-    random_generic_tableau,
 )
 
 F = Fraction
@@ -28,12 +24,12 @@ def test_e12_n2_direct_substitution():
 def test_e21_is_one():
     rng = random.Random(1)
     for _ in range(10):
-        w = random_generic_tableau(rng, rng.randint(2, 4))
+        w = fixtures.random_generic_tableau(rng, rng.randint(2, 4))
         assert coeff_e(2, 1, w) == RatFun.const(1)
 
 
 def test_e32_on_singular_line():
-    frame = make_frame_all_equal(0)
+    frame = fixtures.frame_all_equal(0)
     w = frame.tableau_at(ShiftVector.zero(3))
     assert coeff_e(3, 2, w) == RatFun.const(F(1, 2))  # t / 2t
 
@@ -41,7 +37,7 @@ def test_e32_on_singular_line():
 def test_gamma_closed_forms():
     rng = random.Random(5)
     for _ in range(20):
-        w = random_generic_tableau(rng, 3)
+        w = fixtures.random_generic_tableau(rng, 3)
         w11, w21, w22 = w.base(1, 1), w.base(2, 1), w.base(2, 2)
         assert gamma(1, 1, w) == RatFun.const(w11)
         assert gamma(2, 1, w) == RatFun.const(w21 + w22 + 1)
@@ -50,7 +46,7 @@ def test_gamma_closed_forms():
 
 
 def test_gamma_pole_cancels_on_singular_line():
-    frame = make_frame_n3()
+    frame = fixtures.frame_n3()
     for z in window_shifts(3, 2):
         w = frame.tableau_at(z)
         for r in range(1, 4):
@@ -89,7 +85,7 @@ def test_perm_matches_classical_on_random_generic():
     checked = 0
     for _ in range(100):
         n = rng.randint(2, 4)
-        t = random_generic_tableau(rng, n)
+        t = fixtures.random_generic_tableau(rng, n)
         for k in range(1, n):
             for (l, m) in ((k, k + 1), (k + 1, k), (k, k)):
                 classical = {dz: c for c, dz in classical_action(l, m, t) if c}
@@ -105,14 +101,14 @@ def test_perm_matches_classical_on_random_generic():
 
 def test_perm_action_diagonal_single_term():
     rng = random.Random(2)
-    t = random_generic_tableau(rng, 3)
+    t = fixtures.random_generic_tableau(rng, 3)
     pairs = perm_action(2, 2, t)
     assert len(pairs) == 1
     assert pairs[0][1] == ShiftVector.zero(3)
 
 
 def test_perm_action_e32_pairs_on_singular_line():
-    frame = make_frame_all_equal(0)
+    frame = fixtures.frame_all_equal(0)
     w = frame.tableau_at(ShiftVector.zero(3))
     pairs = perm_action(3, 2, w)
     shifts = sorted(p[1].to_text() for p in pairs)
@@ -147,23 +143,23 @@ def _pole_bound_sweep(frame, bound):
 
 
 def test_pole_bound_n3_window2():
-    _pole_bound_sweep(make_frame_n3(), 2)
+    _pole_bound_sweep(fixtures.frame_n3(), 2)
 
 
 def test_pole_bound_all_equal_frame():
-    _pole_bound_sweep(make_frame_all_equal(0), 2)
+    _pole_bound_sweep(fixtures.frame_all_equal(0), 2)
 
 
 def test_pole_bound_n4_window1():
-    _pole_bound_sweep(make_frame_n4(), 1)
+    _pole_bound_sweep(fixtures.frame_n4(), 1)
 
 
 def test_pole_bound_n4_row3_pair_window1():
-    _pole_bound_sweep(make_frame_n4_row3(), 1)
+    _pole_bound_sweep(fixtures.frame_n4_row3(), 1)
 
 
 def test_pole_bound_n4_window2_sampled():
-    frame = make_frame_n4()
+    frame = fixtures.frame_n4()
     n, k = 4, frame.k
     rng = random.Random(99)
     zs = []
@@ -194,7 +190,7 @@ def _sigma_is_special(sigma, frame):
 
 
 def test_parity_outside_special_set():
-    frame = make_frame_n3()
+    frame = fixtures.frame_n3()
     n = frame.n
     rng = random.Random(17)
     two_t = RatFun(TWO_T)
@@ -219,7 +215,7 @@ def test_parity_outside_special_set():
 def test_parity_on_special_set():
     """On the special set the twisted permutation matches composing with the
     singular swap: e(tau*sigma (v+z)) = e(sigma tau (v+z)) as functions."""
-    for frame in (make_frame_n3(), make_frame_all_equal(0)):
+    for frame in (fixtures.frame_n3(), fixtures.frame_all_equal(0)):
         n = frame.n
         tau = tau_perm(n, frame.k, frame.i, frame.j)
         rng = random.Random(23)
@@ -249,7 +245,7 @@ def test_parity_on_special_set():
 def test_parity_twisted_conjugation_branch():
     """Same twist identity on a frame whose singular pair avoids position 1,
     so the twist is a genuine conjugation."""
-    frame = make_frame_n4_row3()
+    frame = fixtures.frame_n4_row3()
     n, k = 4, frame.k
     tau = tau_perm(n, k, frame.i, frame.j)
     two_t = RatFun(TWO_T)
@@ -315,7 +311,7 @@ def test_gamma_polynomial_extension_matches_sum():
 
 
 def test_gamma_symbolic_linear():
-    frame = make_frame_n3()
+    frame = fixtures.frame_n3()
     w = frame.tableau_at(ShiftVector.zero(3))
     # gamma_{21} on the line: (1/3 + t) + (1/3 - t) + 1 = 5/3, constant in t
     assert gamma(2, 1, w) == RatFun.const(F(5, 3))

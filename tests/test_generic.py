@@ -4,17 +4,16 @@ import itertools
 import random
 from fractions import Fraction
 
+from gtmod import fixtures
 from gtmod.generic import GenericModule, irreducible_membership, submodule_membership
 from gtmod.lincomb import LinComb
 from gtmod.tableaux import ShiftVector, Tableau, window_shifts
-
-from conftest import make_generic_base_n3, random_generic_tableau, random_shift
 
 F = Fraction
 
 
 def test_diagonal_generators_are_eigen():
-    mod = GenericModule(make_generic_base_n3())
+    mod = GenericModule(fixtures.generic_base_n3())
     z = ShiftVector.from_text(3, "(1,-1|0)")
     x = LinComb.single(z)
     shifted = mod.base.with_shift(z)
@@ -37,38 +36,38 @@ def test_sl2_triple_relation_n2():
 
 
 def test_action_is_linear():
-    mod = GenericModule(make_generic_base_n3())
+    mod = GenericModule(fixtures.generic_base_n3())
     rng = random.Random(31)
     for _ in range(100):
         l, m = rng.randint(1, 3), rng.randint(1, 3)
-        x = LinComb.single(random_shift(rng, 3), F(rng.randint(-5, 5), rng.randint(1, 4)))
-        y = LinComb.single(random_shift(rng, 3), F(rng.randint(-5, 5), rng.randint(1, 4)))
+        x = LinComb.single(fixtures.random_shift(rng, 3), F(rng.randint(-5, 5), rng.randint(1, 4)))
+        y = LinComb.single(fixtures.random_shift(rng, 3), F(rng.randint(-5, 5), rng.randint(1, 4)))
         assert mod.act(l, m, x + y) == mod.act(l, m, x) + mod.act(l, m, y)
 
 
 def test_bracket_relations_sampled_n3():
-    mod = GenericModule(make_generic_base_n3())
+    mod = GenericModule(fixtures.generic_base_n3())
     rng = random.Random(41)
     gens = [(a, b) for a in range(1, 4) for b in range(1, 4)]
     for _ in range(60):
         g1, g2 = rng.sample(gens, 2)
-        z = random_shift(rng, 3, bound=2)
+        z = fixtures.random_shift(rng, 3, bound=2)
         assert mod.bracket_defect(g1, g2, z).is_zero
 
 
 def test_bracket_relations_sampled_n4():
     rng = random.Random(43)
-    mod = GenericModule(random_generic_tableau(rng, 4))
+    mod = GenericModule(fixtures.random_generic_tableau(rng, 4))
     gens = [(a, b) for a in range(1, 5) for b in range(1, 5)]
     for _ in range(25):
         g1, g2 = rng.sample(gens, 2)
-        z = random_shift(rng, 4, bound=1)
+        z = fixtures.random_shift(rng, 4, bound=1)
         assert mod.bracket_defect(g1, g2, z).is_zero
 
 
 def test_composite_equals_nested_commutator_window_n3():
     """E_13 agrees with [E_12, E_23] as operators, exhaustively on a window."""
-    mod = GenericModule(make_generic_base_n3())
+    mod = GenericModule(fixtures.generic_base_n3())
     for z in window_shifts(3, 1):
         x = LinComb.single(z)
         direct = mod.act(1, 3, x)
@@ -83,38 +82,38 @@ def test_composite_equals_nested_commutator_window_n3():
 
 def test_bracket_relations_sampled_n5():
     rng = random.Random(47)
-    mod = GenericModule(random_generic_tableau(rng, 5))
+    mod = GenericModule(fixtures.random_generic_tableau(rng, 5))
     gens = [(a, b) for a in range(1, 6) for b in range(1, 6)]
     for _ in range(10):
         g1, g2 = rng.sample(gens, 2)
-        z = random_shift(rng, 5, bound=1)
+        z = fixtures.random_shift(rng, 5, bound=1)
         assert mod.bracket_defect(g1, g2, z).is_zero
 
 
 def test_gamma_eigenvalue_closed_forms():
-    mod = GenericModule(make_generic_base_n3())
+    mod = GenericModule(fixtures.generic_base_n3())
     rng = random.Random(53)
     for _ in range(20):
-        z = random_shift(rng, 3)
+        z = fixtures.random_shift(rng, 3)
         t = mod.base.with_shift(z)
         assert mod.gamma_eigenvalue(1, 1, z) == t.base(1, 1)
         assert mod.gamma_eigenvalue(2, 1, z) == t.base(2, 1) + t.base(2, 2) + 1
 
 
 def test_character_separates_shifts():
-    mod = GenericModule(make_generic_base_n3())
+    mod = GenericModule(fixtures.generic_base_n3())
     rng = random.Random(59)
     shifts = set()
     while len(shifts) < 50:
-        shifts.add(random_shift(rng, 3, bound=4))
+        shifts.add(fixtures.random_shift(rng, 3, bound=4))
     chars = {mod.character(z) for z in shifts}
     assert len(chars) == 50
 
 
 def test_crs_composition_small_cases():
-    mod = GenericModule(make_generic_base_n3())
+    mod = GenericModule(fixtures.generic_base_n3())
     rng = random.Random(61)
-    z = random_shift(rng, 3)
+    z = fixtures.random_shift(rng, 3)
     x = LinComb.single(z)
     # c_11 = E_11
     assert mod.crs_via_composition(1, 1, x) == mod.act(1, 1, x)
@@ -123,31 +122,31 @@ def test_crs_composition_small_cases():
 
 
 def test_crs_composition_matches_gamma_c22():
-    mod = GenericModule(make_generic_base_n3())
+    mod = GenericModule(fixtures.generic_base_n3())
     rng = random.Random(67)
     for _ in range(20):
-        z = random_shift(rng, 3, bound=2)
+        z = fixtures.random_shift(rng, 3, bound=2)
         x = LinComb.single(z)
         got = mod.crs_via_composition(2, 2, x)
         assert got == LinComb.single(z, mod.gamma_eigenvalue(2, 2, z))
 
 
 def test_crs_composition_matches_gamma_row3():
-    mod = GenericModule(make_generic_base_n3())
+    mod = GenericModule(fixtures.generic_base_n3())
     rng = random.Random(71)
     for (r, s) in ((3, 1), (3, 2), (3, 3)):
         for _ in range(4):
-            z = random_shift(rng, 3, bound=1)
+            z = fixtures.random_shift(rng, 3, bound=1)
             x = LinComb.single(z)
             assert mod.crs_via_composition(r, s, x) == LinComb.single(
                 z, mod.gamma_eigenvalue(r, s, z))
 
 
 def test_central_family_commutes():
-    mod = GenericModule(make_generic_base_n3())
+    mod = GenericModule(fixtures.generic_base_n3())
     rng = random.Random(73)
     for _ in range(5):
-        z = random_shift(rng, 3, bound=1)
+        z = fixtures.random_shift(rng, 3, bound=1)
         x = LinComb.single(z)
         a = mod.crs_via_composition(2, 2, mod.crs_via_composition(3, 1, x))
         b = mod.crs_via_composition(3, 1, mod.crs_via_composition(2, 2, x))

@@ -37,3 +37,18 @@ def test_scalar_action_is_bilinear(a, b, x, y):
 def test_no_zero_coefficients_stored(x):
     assert all(c != 0 for _, c in x.items())
     assert x.coeff("nothing-here") == Fraction(0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(keys, scalars), max_size=8),
+       st.lists(st.tuples(keys, scalars), max_size=8))
+def test_sum_terms_is_the_fold_of_addition(first, later):
+    # every term of ``first`` is cancelled, then ``later`` may revive its keys
+    terms = first + [(key, -c) for key, c in first] + later
+    fold = LinComb.zero()
+    for key, c in terms:
+        fold = fold + LinComb.single(key, c)
+    total = LinComb.sum_terms(terms)
+    assert total == fold
+    assert list(total.items()) == list(fold.items())
+    assert all(c != 0 for _, c in total.items())

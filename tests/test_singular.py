@@ -6,17 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+from gtmod import coeffs, fixtures
 from gtmod.lincomb import LinComb
+from gtmod.ratfun import Poly, RatFun
 from gtmod.singular import (
-    DER, REG, BasisSymbol, SingularModule, canonical_window, canonicalize,
-    connecting_shift, generation_witnesses, irreducibility_hypothesis,
+    DER, REG, BasisSymbol, InvariantViolation, SingularModule, canonical_window,
+    canonicalize, connecting_shift, generation_witnesses, irreducibility_hypothesis,
 )
 from gtmod.tableaux import ShiftVector, window_shifts
-
-from conftest import (
-    make_frame_all_equal, make_frame_n3, make_frame_n4, make_frame_n4_row3,
-    random_shift,
-)
 
 F = Fraction
 
@@ -37,7 +34,7 @@ def test_canonicalize_relations(frame_n3):
 
 
 def test_act_on_regular_lowering_examples():
-    mod = SingularModule(make_frame_all_equal(0))
+    mod = SingularModule(fixtures.frame_all_equal(0))
     z0 = sv3(0, 0, 0)
     out = mod.act(2, 1, LinComb.single(BasisSymbol(REG, z0)))
     assert out == LinComb.single(BasisSymbol(REG, sv3(0, 0, -1)))
@@ -70,13 +67,35 @@ def test_act_on_derivative_requires_tau_unfixed(frame_n3):
         mod.act_on_derivative(1, 2, sv3(0, 0, 1))
 
 
+def _divide_coefficients_by_t(monkeypatch, order: int):
+    """Divide every coefficient e_lm by t**order."""
+    real = coeffs.coeff_e
+    factor = RatFun(1, Poly([0] * order + [1]))
+    monkeypatch.setattr(coeffs, "coeff_e", lambda l, m, w: factor * real(l, m, w))
+
+
+def test_double_pole_on_regular_line_is_an_invariant_violation(frame_n3, monkeypatch):
+    mod = SingularModule(frame_n3)
+    _divide_coefficients_by_t(monkeypatch, 2)
+    with pytest.raises(InvariantViolation):
+        mod.act_on_regular(2, 1, sv3(1, 0, 0))
+
+
+def test_pole_on_derivative_line_is_an_invariant_violation(frame_n3, monkeypatch):
+    mod = SingularModule(frame_n3)
+    _divide_coefficients_by_t(monkeypatch, 1)
+    mod.act_on_regular(2, 1, sv3(1, 0, 0))  # 2t absorbs a simple pole
+    with pytest.raises(InvariantViolation):
+        mod.act_on_derivative(2, 1, sv3(1, 0, 0))
+
+
 def test_evaluation_form_cross_check():
-    for frame in (make_frame_n3(), make_frame_all_equal(0)):
+    for frame in (fixtures.frame_n3(), fixtures.frame_all_equal(0)):
         mod = SingularModule(frame)
         rng = random.Random(83)
         count = 0
         while count < 60:
-            z = random_shift(rng, 3, bound=2)
+            z = fixtures.random_shift(rng, 3, bound=2)
             if frame.is_tau_fixed(z):
                 continue
             l, m = rng.randint(1, 3), rng.randint(1, 3)
@@ -86,11 +105,11 @@ def test_evaluation_form_cross_check():
 
 def test_compatibility_across_the_swap():
     """The regular action is tau-even, the derivative action tau-odd."""
-    for frame in (make_frame_n3(), make_frame_all_equal(0)):
+    for frame in (fixtures.frame_n3(), fixtures.frame_all_equal(0)):
         mod = SingularModule(frame)
         rng = random.Random(89)
         for _ in range(80):
-            z = random_shift(rng, 3, bound=2)
+            z = fixtures.random_shift(rng, 3, bound=2)
             l, m = rng.randint(1, 3), rng.randint(1, 3)
             tz = frame.tau(z)
             assert mod.act_on_regular(l, m, z) == mod.act_on_regular(l, m, tz)
@@ -112,7 +131,7 @@ def test_linearity_of_singular_action(frame_n3):
 
 def test_bracket_relations_window1_both_frames():
     gens = [(a, b) for a in range(1, 4) for b in range(1, 4)]
-    for frame in (make_frame_n3(), make_frame_all_equal(0)):
+    for frame in (fixtures.frame_n3(), fixtures.frame_all_equal(0)):
         mod = SingularModule(frame)
         for sym in canonical_window(frame, 1):
             for g1, g2 in itertools.combinations(gens, 2):
@@ -120,11 +139,11 @@ def test_bracket_relations_window1_both_frames():
 
 
 def test_bracket_relations_sampled_n4():
-    mod = SingularModule(make_frame_n4())
+    mod = SingularModule(fixtures.frame_n4())
     rng = random.Random(101)
     gens = [(a, b) for a in range(1, 5) for b in range(1, 5)]
     for _ in range(20):
-        z = random_shift(rng, 4, bound=1)
+        z = fixtures.random_shift(rng, 4, bound=1)
         kind = REG if z.get(2, 1) <= z.get(2, 2) else DER
         sym = BasisSymbol(kind, z)
         g1, g2 = rng.sample(gens, 2)
@@ -134,12 +153,12 @@ def test_bracket_relations_sampled_n4():
 def test_bracket_relations_sampled_n4_row3_pair():
     """Frame whose singular pair avoids position 1: the twisted-permutation
     branch of the coefficients is on the critical path here."""
-    frame = make_frame_n4_row3()
+    frame = fixtures.frame_n4_row3()
     mod = SingularModule(frame)
     rng = random.Random(211)
     gens = [(a, b) for a in range(1, 5) for b in range(1, 5)]
     for _ in range(20):
-        z = random_shift(rng, 4, bound=1)
+        z = fixtures.random_shift(rng, 4, bound=1)
         kind = REG if z.get(frame.k, frame.i) <= z.get(frame.k, frame.j) else DER
         sym = BasisSymbol(kind, z)
         g1, g2 = rng.sample(gens, 2)
@@ -154,7 +173,7 @@ def test_bracket_relations_sampled_n5():
     rng = random.Random(307)
     gens = [(a, b) for a in range(1, 6) for b in range(1, 6)]
     for _ in range(10):
-        z = random_shift(rng, 5, bound=1)
+        z = fixtures.random_shift(rng, 5, bound=1)
         kind = REG if z.get(2, 1) <= z.get(2, 2) else DER
         sym = BasisSymbol(kind, z)
         g1, g2 = rng.sample(gens, 2)
@@ -162,13 +181,13 @@ def test_bracket_relations_sampled_n5():
 
 
 def test_jordan_and_compatibility_n4_row3_pair():
-    frame = make_frame_n4_row3()
+    frame = fixtures.frame_n4_row3()
     mod = SingularModule(frame)
     rng = random.Random(223)
     k = frame.k
     seen = 0
     while seen < 5:
-        z = random_shift(rng, 4, bound=1)
+        z = fixtures.random_shift(rng, 4, bound=1)
         if frame.is_tau_fixed(z):
             continue
         seen += 1
@@ -191,7 +210,7 @@ def test_gamma_action_reg_is_eigen(frame_n3):
     mod = SingularModule(frame_n3)
     rng = random.Random(103)
     for _ in range(20):
-        z = random_shift(rng, 3, bound=3)
+        z = fixtures.random_shift(rng, 3, bound=3)
         x = mod.reg(z)
         for (r, s) in ((1, 1), (2, 1), (2, 2), (3, 2)):
             assert mod.gamma_action(r, s, x) == mod.gamma_value(r, s, z) * x
@@ -201,7 +220,7 @@ def test_gamma_action_jordan_offdiagonal(frame_n3):
     mod = SingularModule(frame_n3)
     rng = random.Random(107)
     for _ in range(20):
-        z = random_shift(rng, 3, bound=3)
+        z = fixtures.random_shift(rng, 3, bound=3)
         if frame_n3.is_tau_fixed(z):
             continue
         # the off-diagonal coefficient of c_22 on Der(z) is z_21 - z_22
@@ -226,7 +245,7 @@ def test_jordan_cell_nilpotency(frame_n3):
     k = frame_n3.k
     seen = 0
     while seen < 20:
-        z = random_shift(rng, 3, bound=3)
+        z = fixtures.random_shift(rng, 3, bound=3)
         if frame_n3.is_tau_fixed(z):
             continue
         seen += 1
@@ -242,7 +261,7 @@ def test_central_family_commutes_singular(frame_n3):
     mod = SingularModule(frame_n3)
     rng = random.Random(127)
     for _ in range(4):
-        z = random_shift(rng, 3, bound=1)
+        z = fixtures.random_shift(rng, 3, bound=1)
         x = mod.der(z) if not frame_n3.is_tau_fixed(z) else mod.reg(z)
         a = mod.crs_via_composition(2, 2, mod.crs_via_composition(2, 1, x))
         b = mod.crs_via_composition(2, 1, mod.crs_via_composition(2, 2, x))
@@ -265,7 +284,7 @@ def test_multiplicity_classes_window2(frame_n3):
 
 
 def test_subcharacters_separate_below_singular_row():
-    for frame in (make_frame_n3(), make_frame_all_equal(0)):
+    for frame in (fixtures.frame_n3(), fixtures.frame_all_equal(0)):
         mod = SingularModule(frame)
         k = frame.k
         by_low: dict = {}
@@ -281,7 +300,7 @@ def test_subcharacters_separate_below_singular_row():
 
 
 def test_connecting_shift_produces_nonzero_coefficient():
-    for frame in (make_frame_n3(), make_frame_all_equal(0)):
+    for frame in (fixtures.frame_n3(), fixtures.frame_all_equal(0)):
         mod = SingularModule(frame)
         k = frame.k
         for z in window_shifts(3, 2):
@@ -294,23 +313,23 @@ def test_connecting_shift_produces_nonzero_coefficient():
 
 
 def test_connecting_shift_uses_the_chain_on_integral_frames():
-    frame = make_frame_all_equal(0)
+    frame = fixtures.frame_all_equal(0)
     t, zrep, zbar = connecting_shift(frame, sv3(0, 0, 1))
     assert t == 1  # the row-1 entry sits exactly one above the singular pair
     assert zbar == sv3(1, 0, 2)
 
 
 def test_irreducibility_hypothesis_frames():
-    assert irreducibility_hypothesis(make_frame_n3())
-    assert not irreducibility_hypothesis(make_frame_all_equal(0))
-    assert irreducibility_hypothesis(make_frame_n4())
+    assert irreducibility_hypothesis(fixtures.frame_n3())
+    assert not irreducibility_hypothesis(fixtures.frame_all_equal(0))
+    assert irreducibility_hypothesis(fixtures.frame_n4())
 
 
 def test_generation_witnesses_nonzero(frame_n3):
     rng = random.Random(131)
     seen = 0
     while seen < 10:
-        z = random_shift(rng, 3, bound=3)
+        z = fixtures.random_shift(rng, 3, bound=3)
         if frame_n3.is_tau_fixed(z):
             continue
         seen += 1

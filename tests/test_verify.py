@@ -8,11 +8,12 @@ from fractions import Fraction
 import pytest
 
 import gtmod.coeffs as coeffs
+from gtmod import singular
 from gtmod.cli import main as cli_main
-from gtmod.ratfun import RatFun
+from gtmod.ratfun import T, RatFun
 from gtmod.verify import (
-    Config, build_action_matrix, check_commutators, check_gamma, check_n3,
-    export_action, load_action_matrix, run_suite,
+    Config, build_action_matrix, check_commutators, check_formulas, check_gamma,
+    check_n3, export_action, load_action_matrix, run_suite,
 )
 
 FIXTURES = "fixtures"
@@ -86,6 +87,14 @@ def test_corrupted_coefficient_is_caught(monkeypatch):
     assert "input" in report.exemplars[0]
 
 
+def test_dropped_prefactor_fails_the_evaluation_crosscheck(monkeypatch):
+    monkeypatch.setattr(singular, "TWO_T", T)  # (x - y) taken as t, not 2t
+    report = check_formulas(_cfg("singular_n3.json", window=1))
+    assert not report.ok
+    assert report.failed == 162
+    assert {ex["check"] for ex in report.exemplars} == {"regular-action-ev-crosscheck"}
+
+
 def test_export_diagonal_generator_is_diagonal():
     cfg = _cfg("generic_n3.json", window=1)
     matrix = build_action_matrix(cfg, "E", (1, 1))
@@ -145,6 +154,14 @@ def test_cli_pass_and_fail_exit_codes(tmp_path, monkeypatch):
     code = cli_main(["commutators", "--config", f"{FIXTURES}/singular_n3.json",
                      "--window", "1"])
     assert code == 1
+
+
+def test_cli_empty_window_is_not_a_pass(capsys):
+    code = cli_main(["commutators", "--config", f"{FIXTURES}/singular_n3.json",
+                     "--window", "-1"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "checked=0" in out and out.rstrip().endswith("FAIL")
 
 
 def test_cli_subprocess_smoke():
