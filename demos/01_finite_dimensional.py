@@ -26,8 +26,8 @@ assert mod.dimension == weyl_dimension(lam)
 print("\nmatrix of the lowering generator E_21 in the standard basis:")
 for col in mod.basis:
     out = mod.act_symbol(2, 1, col)
-    terms = ", ".join(f"{c} * {mod.tableau(z).to_text()}" for z, c in out.items()) or "0"
-    print(f"   E_21 {mod.tableau(col).to_text()} = {terms}")
+    terms = ", ".join(f"{c} * {mod.tableau_at(z).to_text()}" for z, c in out.items()) or "0"
+    print(f"   E_21 {mod.tableau_at(col).to_text()} = {terms}")
 
 print("\nchecking all 36 bracket relations on all 8 basis vectors ...")
 gens = [(a, b) for a in range(1, 4) for b in range(1, 4)]

@@ -15,7 +15,8 @@ Layers, bottom up:
   both presentations of the generator action;
 * :mod:`gtmod.lincomb`  -- sparse formal linear combinations;
 * :mod:`gtmod.core`     -- the operations shared by the module families
-  (action on combinations, bracket defects, composed central words);
+  (action on combinations, bracket defects, composed central words, the
+  memoized closed-form gamma_rs);
 * :mod:`gtmod.generic`, :mod:`gtmod.singular`, :mod:`gtmod.finite` -- the
   three module families, each supplying only its action on one symbol;
 * :mod:`gtmod.n3`       -- the ten-piece decomposition over the all-equal

@@ -6,12 +6,14 @@ Usage:
     verify formulas    --config fixtures/singular_n3.json --seed 7
     verify n3          --config fixtures/all_equal_n3.json --window 4
 
-Exit status is 0 iff the suite ran at least one check and every check passed.
+Exit status is 0 iff the suite ran at least one check and every check
+passed, 1 when a check failed or none ran, and 2 on a usage or config error.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .verify import SUITES, Config, run_suite
@@ -42,8 +44,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = Config.from_file(args.config).with_overrides(
-        window=args.window, seed=args.seed)
+    try:
+        cfg = Config.from_file(args.config)
+    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        msg = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        print(f"error: {args.config}: {msg}", file=sys.stderr)
+        return 2
+    cfg = cfg.with_overrides(window=args.window, seed=args.seed)
     report = run_suite(args.suite, cfg)
     print(report.summary())
     for ex in report.exemplars:

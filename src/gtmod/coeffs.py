@@ -28,7 +28,9 @@ and the symmetric functions
 
     gamma_{rs}(w) = sum_{i=1}^r (w_ri + r - 1)^s prod_{j != i} (1 - 1/(w_ri - w_rj)),
 
-which always simplify to polynomials in the row-r entries.
+which always simplify to polynomials in the row-r entries; they are
+computed from that polynomial (:func:`gamma_at_point`), never from the
+displayed sum.
 """
 
 from __future__ import annotations
@@ -91,40 +93,28 @@ def _coeff_e_diagonal(r: int, w: Tableau) -> RatFun:
 
 
 def gamma(r: int, s: int, w: Tableau) -> RatFun:
-    """The symmetric function gamma_{rs} on the row-r entries of w:
+    """The symmetric function gamma_{rs} on the row-r entries of w, as a
+    polynomial in t, interpolated from :func:`gamma_at_point` at t = 0..d
+    (d = s if some row-r entry carries t, else 0); repeated entries need no
+    special case.
 
-        sum_i (w_ri + r - 1)^s  prod_{j != i} (1 - 1/(w_ri - w_rj)).
-
-    The sum is a polynomial in the entries; when two row-r entries of w
-    coincide identically (so the sum itself is 0/0) the polynomial
-    extension is evaluated instead, through :func:`gamma_at_point`.
+    gamma_{rs} has total degree <= s in the entries, since reducing
+    g(x) (P(x - 1) - P(x)) mod P(x) keeps weighted degree <= s + r - 1; so
+    it has degree <= s in t.
     """
     n = w.n
     if not (1 <= s and 1 <= r <= n):
         raise ValueError(f"gamma({r},{s}) out of range for n={n}")
-    entry_polys = [w.poly(r, idx) for idx in range(1, r + 1)]
-    if any((entry_polys[a] - entry_polys[b]).is_zero
-           for a in range(r) for b in range(a + 1, r)):
-        # confluent entries: interpolate the (degree <= s in t) polynomial
-        points = []
-        for q in range(s + 1):
-            tq = Fraction(q)
-            points.append((tq, gamma_at_point(r, s, [p(tq) for p in entry_polys])))
-        return RatFun(_lagrange(points))
-    shift = Fraction(r - 1)
-    total = RatFun(0)
-    for idx in range(1, r + 1):
-        p = entry_polys[idx - 1] + shift
-        num = p ** s
-        den = Poly([1])
-        for j in range(1, r + 1):
-            if j == idx:
-                continue
-            d = entry_polys[idx - 1] - entry_polys[j - 1]
-            num = num * (d - 1)
-            den = den * d
-        total = total + RatFun(num, den)
-    return total
+    row = w.rows[n - r]
+    ys = [gamma_at_point(r, s, [b + c * q for b, c in row])
+          for q in range(s + 1 if any(c for _, c in row) else 1)]
+    # Newton's forward-difference form on the samples t = 0, 1, ...
+    total, falling = Poly(), Poly([1])
+    for q in range(len(ys)):
+        total = total + falling * ys[0]
+        ys = [b - a for a, b in zip(ys, ys[1:])]
+        falling = falling * Poly([Fraction(-q, q + 1), Fraction(1, q + 1)])
+    return RatFun(total)
 
 
 def gamma_at_point(r: int, s: int, entries: list[Fraction]) -> Fraction:
@@ -136,27 +126,11 @@ def gamma_at_point(r: int, s: int, entries: list[Fraction]) -> Fraction:
     the x^{r-1} coefficient of g(x) P(x - 1) mod P(x); the remainder form
     needs no distinctness.
     """
-    p = Poly([1])
-    shifted = Poly([1])
-    for e in entries:
-        p = p * Poly([-e, 1])
-        shifted = shifted * Poly([-(e + 1), 1])
+    p = _prod(Poly([-e, 1]) for e in entries)
+    shifted = _prod(Poly([-(e + 1), 1]) for e in entries)
     g = Poly([r - 1, 1]) ** s
     rem = (g * shifted) % p
     return -rem.coefficient(r - 1)
-
-
-def _lagrange(points: list[tuple[Fraction, Fraction]]) -> Poly:
-    total = Poly()
-    for i, (xi, yi) in enumerate(points):
-        num = Poly([1])
-        den = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j != i:
-                num = num * Poly([-xj, 1])
-                den *= xi - xj
-        total = total + num * (yi / den)
-    return total
 
 
 def classical_action(l: int, m: int, t: Tableau,

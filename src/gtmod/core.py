@@ -1,18 +1,22 @@
 """The module operations shared by every tableau module family.
 
 A family supplies ``act_symbol(l, m, sym)``: E_{lm} on one basis symbol,
-as a :class:`LinComb`.  Everything here is built on that alone and is
-bound into each family's class body (``act = core.act``), so every family
-keeps these names in its own namespace.
+as a :class:`LinComb`, and ``tableau_at(z)``: the basis tableau at shift
+z.  Everything here is built on those alone and is bound into each
+family's class body (``act = core.act``), so every family keeps these
+names in its own namespace.  The closed-form gamma_{rs} is memoized per
+module, keyed by the row r it reads.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from . import coeffs
 from .lincomb import LinComb
+from .ratfun import RatFun
 
-__all__ = ["act", "bracket_defect", "crs_via_composition"]
+__all__ = ["act", "bracket_defect", "crs_via_composition", "gamma", "character", "gamma_action"]
 
 
 def act(self, l: int, m: int, x: LinComb) -> LinComb:
@@ -50,3 +54,25 @@ def crs_via_composition(self, r: int, s: int, x: LinComb) -> LinComb:
 
     return LinComb.sum_terms(item for tup in itertools.product(range(1, r + 1), repeat=s)
                              for item in word(tup).items())
+
+
+def gamma(self, r: int, s: int, z) -> RatFun:
+    """gamma_{rs} at the basis tableau of shift z, as a polynomial in t."""
+    w = self.tableau_at(z)
+    key = (r, s, w.rows[w.n - r])
+    hit = self._gamma_cache.get(key)
+    if hit is None:
+        hit = self._gamma_cache[key] = coeffs.gamma(r, s, w)
+    return hit
+
+
+def character(self, z, max_row: int | None = None) -> tuple:
+    """The values gamma_{rs} at t = 0 of shift z, for 1 <= s <= r <= max_row."""
+    top = max_row if max_row is not None else self.n
+    return tuple(self.gamma(r, s, z).ev()
+                 for r in range(1, top + 1) for s in range(1, r + 1))
+
+
+def gamma_action(self, r: int, s: int, x: LinComb) -> LinComb:
+    """c_{rs} in closed form, on a family where it acts by ``gamma_eigenvalue``."""
+    return LinComb.sum_terms((z, c * self.gamma_eigenvalue(r, s, z)) for z, c in x.items())

@@ -87,12 +87,13 @@ class FiniteModule:
         self.basis: tuple[ShiftVector, ...] = tuple(shifts)
         self._basis_set = frozenset(shifts)
         self._act_cache: dict = {}
+        self._gamma_cache: dict = {}
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
-    def tableau(self, z: ShiftVector) -> Tableau:
+    def tableau_at(self, z: ShiftVector) -> Tableau:
         return self.base.with_shift(z)
 
     def act_symbol(self, l: int, m: int, z: ShiftVector) -> LinComb:
@@ -102,7 +103,7 @@ class FiniteModule:
             return hit
         if abs(l - m) <= 1:
             pairs = [(z + dz, c) for c, dz in
-                     coeffs.classical_action(l, m, self.tableau(z), finite_dim=True) if c]
+                     coeffs.classical_action(l, m, self.tableau_at(z), finite_dim=True) if c]
             if any(target not in self._basis_set for target, _ in pairs):
                 raise RuntimeError("standard span was not preserved")
             out = LinComb.sum_terms(pairs)
@@ -125,5 +126,8 @@ class FiniteModule:
     bracket_defect = core.bracket_defect
     crs_via_composition = core.crs_via_composition
 
+    gamma = core.gamma
+    gamma_action = core.gamma_action
+
     def gamma_eigenvalue(self, r: int, s: int, z: ShiftVector) -> Fraction:
-        return coeffs.gamma(r, s, self.tableau(z)).const_value()
+        return self.gamma(r, s, z).const_value()

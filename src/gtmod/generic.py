@@ -33,6 +33,9 @@ class GenericModule:
         self._act_cache: dict = {}
         self._gamma_cache: dict = {}
 
+    def tableau_at(self, z: ShiftVector) -> Tableau:
+        return self.base.with_shift(z)
+
     # -- generator action ----------------------------------------------------
 
     def act_symbol(self, l: int, m: int, z: ShiftVector) -> LinComb:
@@ -41,7 +44,7 @@ class GenericModule:
         hit = self._act_cache.get(key)
         if hit is not None:
             return hit
-        t = self.base.with_shift(z)
+        t = self.tableau_at(z)
         out = LinComb.sum_terms((z + dz, c) for fn, dz in coeffs.perm_action(l, m, t)
                                 if (c := fn.const_value()))
         self._act_cache[key] = out
@@ -53,19 +56,12 @@ class GenericModule:
 
     # -- the commutative family ----------------------------------------------
 
-    def gamma_eigenvalue(self, r: int, s: int, z: ShiftVector) -> Fraction:
-        key = (r, s, z)
-        hit = self._gamma_cache.get(key)
-        if hit is None:
-            hit = coeffs.gamma(r, s, self.base.with_shift(z)).const_value()
-            self._gamma_cache[key] = hit
-        return hit
+    gamma = core.gamma
+    character = core.character
+    gamma_action = core.gamma_action
 
-    def character(self, z: ShiftVector, max_row: int | None = None) -> tuple:
-        """The eigenvalue tuple (gamma_{rs}) for 1 <= s <= r <= max_row."""
-        top = max_row if max_row is not None else self.n
-        return tuple(self.gamma_eigenvalue(r, s, z)
-                     for r in range(1, top + 1) for s in range(1, r + 1))
+    def gamma_eigenvalue(self, r: int, s: int, z: ShiftVector) -> Fraction:
+        return self.gamma(r, s, z).const_value()
 
     def describe(self) -> str:
         return f"n={self.n} generic base={self.base.to_text()}"

@@ -35,7 +35,7 @@ from . import coeffs, core
 from .lincomb import LinComb
 from .ratfun import RatFun, TWO_T
 from .tableaux import (
-    PermTuple, ShiftVector, SingularFrame, epsilon, phi_set, window_shifts,
+    PermTuple, ShiftVector, SingularFrame, Tableau, epsilon, phi_set, window_shifts,
 )
 
 __all__ = [
@@ -100,6 +100,9 @@ class SingularModule:
         self.n = frame.n
         self._act_cache: dict = {}
         self._gamma_cache: dict = {}
+
+    def tableau_at(self, z: ShiftVector) -> Tableau:
+        return self.frame.tableau_at(z)
 
     # -- canonical single-term combinations ----------------------------------
 
@@ -187,37 +190,24 @@ class SingularModule:
 
     # -- the commutative family -------------------------------------------------
 
-    def _gamma_ratfun(self, r: int, s: int, z: ShiftVector) -> RatFun:
-        key = (r, s, z)
-        hit = self._gamma_cache.get(key)
-        if hit is None:
-            hit = coeffs.gamma(r, s, self.frame.tableau_at(z))
-            if hit.pole_order() > 0:
-                raise InvariantViolation(
-                    f"gamma_{r}{s} failed to cancel its pole at z={z}")
-            self._gamma_cache[key] = hit
-        return hit
+    gamma = core.gamma
+    character = core.character
 
     def gamma_value(self, r: int, s: int, z: ShiftVector) -> Fraction:
-        return self._gamma_ratfun(r, s, z).ev()
+        return self.gamma(r, s, z).ev()
 
     def gamma_dvalue(self, r: int, s: int, z: ShiftVector) -> Fraction:
-        return self._gamma_ratfun(r, s, z).d()
-
-    def character(self, z: ShiftVector, max_row: int | None = None) -> tuple:
-        top = max_row if max_row is not None else self.n
-        return tuple(self.gamma_value(r, s, z)
-                     for r in range(1, top + 1) for s in range(1, r + 1))
+        return self.gamma(r, s, z).d()
 
     def gamma_action(self, r: int, s: int, x: LinComb) -> LinComb:
         """c_{rs} in closed form: eigenvalue on Reg, a 2x2 upper-triangular
         contribution Der -> Der + Reg."""
         terms = []
         for sym, c in x.items():
-            terms.append((sym, c * self.gamma_value(r, s, sym.shift)))
+            g = self.gamma(r, s, sym.shift)
+            terms.append((sym, c * g.ev()))
             if sym.kind == DER:
-                _, reg = canonicalize(REG, sym.shift, self.frame)
-                terms.append((reg, c * self.gamma_dvalue(r, s, sym.shift)))
+                terms.append((canonicalize(REG, sym.shift, self.frame)[1], c * g.d()))
         return LinComb.sum_terms(terms)
 
     def character_classes(self, bound: int) -> dict[tuple, list[BasisSymbol]]:

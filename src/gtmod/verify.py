@@ -33,7 +33,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -79,17 +79,7 @@ class VerificationReport:
         return self.failed == 0 and self.checked > 0
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "frame": self.frame,
-            "window": self.window,
-            "checked": self.checked,
-            "passed": self.passed,
-            "failed": self.failed,
-            "exemplars": self.exemplars,
-            "seed": self.seed,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -156,10 +146,14 @@ class Config:
         if data.get("frame"):
             k, i, j = (int(x) for x in data["frame"])
             frame = SingularFrame(k, i, j, base)
+        suites = tuple(data.get("suites", ("commutators", "gamma", "formulas")))
+        unknown = [name for name in suites if name not in SUITES]
+        if unknown:
+            raise ValueError(f"unknown suite(s) {unknown}; expected some of {sorted(SUITES)}")
         return Config(
             n=n, base=base, frame=frame,
             window=int(data.get("window", 2)),
-            suites=tuple(data.get("suites", ("commutators", "gamma", "formulas"))),
+            suites=suites,
             seed=int(data.get("seed", 20240601)),
             out_dir=str(data.get("out_dir", "reports")),
             export_generators=tuple(tuple(g) for g in data.get("export_generators", ())),
@@ -241,9 +235,17 @@ def _gamma_k2_leading_coefficient(frame: SingularFrame) -> Fraction:
     """Coefficient of the square of the (k,i) entry in gamma_{k,2}, read off
     a probe tableau that varies only that entry."""
     probe = frame.vbar.with_tcoefs({(frame.k, frame.i): 1})
-    g = coeffs.gamma(frame.k, 2, probe)
-    assert g.den.degree == 0
-    return g.num.coefficient(2)
+    return coeffs.gamma(frame.k, 2, probe).num.coefficient(2)
+
+
+def _check_central_word(tally: Tally, kind: str, mod, r: int, s: int, sym) -> None:
+    """c_{rs} on one basis symbol: the composed generator words against the
+    closed-form ``gamma_action``."""
+    x = LinComb.single(sym)
+    got = mod.crs_via_composition(r, s, x)
+    want = mod.gamma_action(r, s, x)
+    tally.check(got == want, kind, lambda: {
+        "input": f"c({r},{s}) on {sym!r}", "lhs": repr(got), "rhs": repr(want)})
 
 
 def check_gamma(cfg: Config) -> VerificationReport:
@@ -256,13 +258,8 @@ def check_gamma(cfg: Config) -> VerificationReport:
     if cfg.frame is None:
         for (r, s) in _gamma_pairs(cfg.n):
             for _ in range(20):
-                z = rng.choice(window)
-                got = mod.crs_via_composition(r, s, LinComb.single(z))
-                want = LinComb.single(z, mod.gamma_eigenvalue(r, s, z))
-                tally.check(got == want, "composition-eigenvalue",
-                            lambda z_=z, r_=r, s_=s, g=got, w=want: {
-                                "input": f"c({r_},{s_}) on {z_!r}",
-                                "lhs": repr(g), "rhs": repr(w)})
+                _check_central_word(tally, "composition-eigenvalue", mod, r, s,
+                                    rng.choice(window))
         chars = {}
         for z in window:
             chars.setdefault(mod.character(z), []).append(z)
@@ -278,14 +275,7 @@ def check_gamma(cfg: Config) -> VerificationReport:
     # composed words against the closed-form action
     for (r, s) in _gamma_pairs(cfg.n):
         for _ in range(20):
-            sym = rng.choice(window)
-            x = LinComb.single(sym)
-            got = mod.crs_via_composition(r, s, x)
-            want = mod.gamma_action(r, s, x)
-            tally.check(got == want, "composition-jordan",
-                        lambda sym_=sym, r_=r, s_=s, g=got, w=want: {
-                            "input": f"c({r_},{s_}) on {sym_!r}",
-                            "lhs": repr(g), "rhs": repr(w)})
+            _check_central_word(tally, "composition-jordan", mod, r, s, rng.choice(window))
 
     # the 2x2 nilpotent structure on derivative symbols
     a_lead = _gamma_k2_leading_coefficient(frame)
@@ -433,12 +423,7 @@ def sweep_finite_dim(tally: Tally):
             tally.check(mod.bracket_defect(g1, g2, z).is_zero, "finite-dim-bracket",
                         lambda z_=z, a=g1, b=g2: {"input": f"[E{a},E{b}] on {z_!r}"})
         for (r, s) in _gamma_pairs(3):
-            got = mod.crs_via_composition(r, s, LinComb.single(z))
-            want = LinComb.single(z, mod.gamma_eigenvalue(r, s, z))
-            tally.check(got == want, "finite-dim-gamma",
-                        lambda z_=z, r_=r, s_=s, g=got, w=want: {
-                            "input": f"c({r_},{s_}) on {z_!r}",
-                            "lhs": repr(g), "rhs": repr(w)})
+            _check_central_word(tally, "finite-dim-gamma", mod, r, s, z)
 
 
 def sweep_coefficient_identities(cfg: Config, tally: Tally):
@@ -597,14 +582,11 @@ def export_action(cfg: Config) -> list[Path]:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for (a, b) in (cfg.export_generators or tuple(_generators(cfg.n))):
-        matrix = build_action_matrix(cfg, "E", (a, b))
-        path = out_dir / f"E_{a}_{b}.json"
-        path.write_text(json.dumps(matrix, indent=2, sort_keys=True), encoding="utf-8")
-        paths.append(path)
-    for (r, s) in cfg.export_crs:
-        matrix = build_action_matrix(cfg, "c", (r, s))
-        path = out_dir / f"c_{r}_{s}.json"
+    operators = ([("E", g) for g in cfg.export_generators or _generators(cfg.n)]
+                 + [("c", rs) for rs in cfg.export_crs])
+    for kind, (a, b) in operators:
+        path = out_dir / f"{kind}_{a}_{b}.json"
+        matrix = build_action_matrix(cfg, kind, (a, b))
         path.write_text(json.dumps(matrix, indent=2, sort_keys=True), encoding="utf-8")
         paths.append(path)
     return paths

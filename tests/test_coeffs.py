@@ -45,15 +45,36 @@ def test_gamma_closed_forms():
         assert gamma(2, 2, w) == RatFun.const(expected)
 
 
-def test_gamma_pole_cancels_on_singular_line():
-    frame = fixtures.frame_n3()
-    for z in window_shifts(3, 2):
+def _displayed_gamma(r, s, w):
+    """The displayed sum sum_i (w_ri + r - 1)^s prod_{j != i} (1 - 1/(w_ri - w_rj))
+    as a rational function of t; needs pairwise distinct row-r entries."""
+    entries = [w.poly(r, idx) for idx in range(1, r + 1)]
+    total = RatFun(0)
+    for i, e in enumerate(entries):
+        num = (e + (r - 1)) ** s
+        den = Poly([1])
+        for j, other in enumerate(entries):
+            if j != i:
+                num = num * (e - other - 1)
+                den = den * (e - other)
+        total = total + RatFun(num, den)
+    return total
+
+
+def test_gamma_pole_cancels_on_singular_line(frame_n3):
+    """The displayed sum is a polynomial on the line (its poles at t = 0
+    cancel), and it is the polynomial that gamma interpolates."""
+    cases = [(frame_n3, z, 3) for z in window_shifts(3, 2)]
+    rng = random.Random(48)
+    for frame in (fixtures.frame_n4(), fixtures.frame_n4_row3()):
+        cases += [(frame, fixtures.random_shift(rng, 4, 2), 4) for _ in range(20)]
+    for frame, z, top in cases:
         w = frame.tableau_at(z)
-        for r in range(1, 4):
+        for r in range(1, top + 1):
             for s in range(1, r + 1):
-                g = gamma(r, s, w)
-                assert g.den == ONE  # symmetric-function cancellation
-                assert g.pole_order() == 0
+                displayed = _displayed_gamma(r, s, w)
+                assert displayed.den == ONE  # symmetric-function cancellation
+                assert displayed == gamma(r, s, w)
 
 
 def test_classical_highest_weight_n2():

@@ -1,12 +1,15 @@
 """Verification harness: suites, reports, determinism, export, CLI."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import gtmod
 import gtmod.coeffs as coeffs
 from gtmod import singular
 from gtmod.cli import main as cli_main
@@ -165,10 +168,14 @@ def test_cli_empty_window_is_not_a_pass(capsys):
 
 
 def test_cli_subprocess_smoke():
+    # the child imports the same gtmod as this process, installed or not
+    src = str(Path(gtmod.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "gtmod.cli", "gamma",
          "--config", f"{FIXTURES}/singular_n3.json", "--window", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "[gamma]" in proc.stdout and "PASS" in proc.stdout
 
@@ -178,3 +185,50 @@ def test_config_validation():
         Config.from_dict({"n": 4, "base": "(0,0,0|0,0|0)"})
     with pytest.raises(ValueError):
         run_suite("nonsense", _cfg("generic_n3.json"))
+
+
+def test_planted_gamma_defect_is_caught(monkeypatch):
+    original = coeffs.gamma_at_point
+
+    def planted(r, s, entries):
+        value = original(r, s, entries)
+        return value + 1 if (r, s) == (2, 2) else value
+
+    monkeypatch.setattr(coeffs, "gamma_at_point", planted)
+    for name, kind in (("singular_n3.json", "composition-jordan"),
+                       ("generic_n3.json", "composition-eigenvalue")):
+        report = check_gamma(_cfg(name, window=1))
+        assert not report.ok
+        assert report.exemplars[0]["check"] == kind
+        assert report.exemplars[0]["input"].startswith("c(2,2) on ")
+
+
+def _cli_config_error(capsys, path):
+    code = cli_main(["gamma", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+def test_cli_missing_config_exits_2(tmp_path, capsys):
+    line = _cli_config_error(capsys, tmp_path / "absent.json")
+    assert "No such file" in line
+
+
+def test_cli_bad_json_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("{\"n\": 3,", encoding="utf-8")
+    _cli_config_error(capsys, path)
+
+
+def test_unknown_suite_in_config_is_rejected(tmp_path, capsys):
+    data = json.loads(open(f"{FIXTURES}/generic_n3.json", encoding="utf-8").read())
+    data["suites"] = ["gamma", "bogus"]
+    with pytest.raises(ValueError, match="bogus"):
+        Config.from_dict(data)
+    path = tmp_path / "bogus.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert "bogus" in _cli_config_error(capsys, path)
