@@ -11,8 +11,8 @@ Layers, bottom up:
   point operators at t = 0;
 * :mod:`gtmod.tableaux` -- tableaux, shift vectors, row permutations,
   singular frames;
-* :mod:`gtmod.coeffs`   -- the coefficient functions e_rs / gamma_rs and
-  both presentations of the generator action;
+* :mod:`gtmod.coeffs`   -- the coefficient functions e_rs / gamma_rs, the
+  permutation form every family acts by, and the classical oracle;
 * :mod:`gtmod.lincomb`  -- sparse formal linear combinations;
 * :mod:`gtmod.core`     -- the operations shared by the module families
   (action on combinations, bracket defects, composed central words, the

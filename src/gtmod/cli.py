@@ -7,12 +7,14 @@ Usage:
     verify n3          --config fixtures/all_equal_n3.json --window 4
 
 Exit status is 0 iff the suite ran at least one check and every check
-passed, 1 when a check failed or none ran, and 2 on a usage or config error.
+passed, 1 when a check failed or none ran, and 2 on a usage or config error
+or an unwritable ``--json`` path.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -44,20 +46,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    path = args.config
     try:
-        cfg = Config.from_file(args.config)
+        cfg = Config.from_file(path)
+        # opened before the suite runs, so an unwritable path costs no run
+        path = args.json
+        out = open(path, "w", encoding="utf-8") if path else None
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         msg = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        print(f"error: {args.config}: {msg}", file=sys.stderr)
+        print(f"error: {path}: {msg}", file=sys.stderr)
         return 2
-    cfg = cfg.with_overrides(window=args.window, seed=args.seed)
-    report = run_suite(args.suite, cfg)
-    print(report.summary())
-    for ex in report.exemplars:
-        print(f"  exemplar: {ex}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
+    with out or contextlib.nullcontext():
+        report = run_suite(args.suite, cfg.with_overrides(window=args.window, seed=args.seed))
+        print(report.summary())
+        for ex in report.exemplars:
+            print(f"  exemplar: {ex}")
+        if out:
+            out.write(report.to_json() + "\n")
     return 0 if report.ok else 1
 
 

@@ -2,16 +2,19 @@
 
 Two presentations of the gl(n) action on tableaux live here:
 
-* ``classical_action`` -- the Gelfand-Tsetlin formulas for the adjacent
-  generators E_{k,k+1}, E_{k+1,k} and the diagonal E_{kk}, with plain
-  rational coefficients;
-
 * ``perm_action`` -- the permutation form, valid for every E_{lm}: one
   summand per sigma in Phi_{lm}, with coefficient ``e_{lm}(sigma(w))`` and
   target shift ``sigma(epsilon_{lm})``.  Coefficients come back as
   :class:`~gtmod.ratfun.RatFun`, so the same code path serves plain
   tableaux (constant functions) and t-carrying tableaux over a singular
-  frame (genuine rational functions of t).
+  frame (genuine rational functions of t).  It is the one action
+  algorithm: the generic, finite-dimensional and singular modules all
+  read their generator action from it.
+
+* ``classical_action`` -- the Gelfand-Tsetlin formulas for the adjacent
+  generators E_{k,k+1}, E_{k+1,k} and the diagonal E_{kk}, with plain
+  rational coefficients; no module uses it, it is the independent oracle
+  the ``formulas`` suite compares ``perm_action`` against.
 
 The closed forms, with empty products equal to 1:
 
@@ -38,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .ratfun import Poly, RatFun
-from .tableaux import ShiftVector, Tableau, epsilon, is_standard, phi_set
+from .tableaux import ShiftVector, Tableau, epsilon, phi_set
 
 __all__ = ["coeff_e", "gamma", "gamma_at_point", "classical_action", "perm_action"]
 
@@ -133,15 +136,12 @@ def gamma_at_point(r: int, s: int, entries: list[Fraction]) -> Fraction:
     return -rem.coefficient(r - 1)
 
 
-def classical_action(l: int, m: int, t: Tableau,
-                     finite_dim: bool = False) -> list[tuple[Fraction, ShiftVector]]:
+def classical_action(l: int, m: int, t: Tableau) -> list[tuple[Fraction, ShiftVector]]:
     """Summands of the Gelfand-Tsetlin formulas for an adjacent or diagonal
     generator on a plain tableau.
 
     Returns one ``(coefficient, shift)`` pair per displayed summand,
-    including zero coefficients.  With ``finite_dim`` the summands whose
-    target tableau is not standard are dropped (the finite-dimensional
-    convention); otherwise no summand is ever discarded.
+    including zero coefficients; no summand is ever discarded.
     """
     if not t.is_plain:
         raise ValueError("classical formulas act on plain tableaux")
@@ -177,8 +177,6 @@ def classical_action(l: int, m: int, t: Tableau,
                 num *= t.base(k, i) - t.base(k - 1, j)
             coeff = num / den
             shift = -ShiftVector.delta(n, k, i)
-        if finite_dim and not is_standard(t.with_shift(shift)):
-            continue
         out.append((coeff, shift))
     return out
 
@@ -187,9 +185,5 @@ def perm_action(l: int, m: int, t: Tableau) -> list[tuple[RatFun, ShiftVector]]:
     """Permutation form of the generator action: one
     ``(e_{lm}(sigma(w)), sigma(epsilon_{lm}))`` pair per sigma in Phi_{lm}.
     """
-    n = t.n
-    eps = epsilon(n, l, m)
-    out = []
-    for sigma in phi_set(l, m, n):
-        out.append((coeff_e(l, m, sigma(t)), sigma(eps)))
-    return out
+    eps = epsilon(t.n, l, m)
+    return [(coeff_e(l, m, sigma(t)), sigma(eps)) for sigma in phi_set(l, m, t.n)]

@@ -1,11 +1,12 @@
 """Finite-dimensional highest-weight modules as standard-tableau spans.
 
 For a dominant integral weight the standard tableaux with the fixed top
-row ``(lam_1, lam_2 - 1, ..., lam_n - n + 1)`` form a basis; the adjacent
-generators act by the classical formulas with the convention that a
-summand whose target leaves the standard set is zero.  Non-adjacent
-generators are taken as nested commutators of adjacent ones, which is what
-makes the composed central words computable here.
+row ``(lam_1, lam_2 - 1, ..., lam_n - n + 1)`` form a basis.  Every
+generator E_{lm} acts by the permutation form of :mod:`gtmod.coeffs`, the
+same one the generic module uses, with the convention that a summand
+whose target tableau is not standard is zero.  The classical adjacent
+formulas are not used here; they stay in :mod:`gtmod.coeffs` as the
+oracle the ``formulas`` suite compares the permutation form against.
 
 The dimension has an independent oracle in the Weyl product formula; the
 enumeration and the formula are compared in the regression suite.
@@ -97,30 +98,23 @@ class FiniteModule:
         return self.base.with_shift(z)
 
     def act_symbol(self, l: int, m: int, z: ShiftVector) -> LinComb:
+        """E_{lm} at shift z: the permutation form, keeping the summands
+        whose target tableau is standard.  No denominator vanishes, since
+        every row of a standard tableau is strictly decreasing here."""
         key = (l, m, z)
         hit = self._act_cache.get(key)
         if hit is not None:
             return hit
-        if abs(l - m) <= 1:
-            pairs = [(z + dz, c) for c, dz in
-                     coeffs.classical_action(l, m, self.tableau_at(z), finite_dim=True) if c]
-            if any(target not in self._basis_set for target, _ in pairs):
-                raise RuntimeError("standard span was not preserved")
-            out = LinComb.sum_terms(pairs)
-        elif l < m:
-            # E_{l,m} = [E_{l,l+1}, E_{l+1,m}]
-            out = self._commute((l, l + 1), (l + 1, m), z)
-        else:
-            # E_{l,m} = [E_{l,l-1}, E_{l-1,m}]
-            out = self._commute((l, l - 1), (l - 1, m), z)
+        terms = []
+        for fn, dz in coeffs.perm_action(l, m, self.tableau_at(z)):
+            target = z + dz
+            if is_standard(self.tableau_at(target)):
+                if target not in self._basis_set:
+                    raise RuntimeError("standard span was not preserved")
+                terms.append((target, fn.const_value()))
+        out = LinComb.sum_terms(terms)
         self._act_cache[key] = out
         return out
-
-    def _commute(self, g1, g2, z) -> LinComb:
-        # Not bracket_defect: its rhs act(l, m, x) is the value defined here.
-        x = LinComb.single(z)
-        return (self.act(g1[0], g1[1], self.act(g2[0], g2[1], x))
-                - self.act(g2[0], g2[1], self.act(g1[0], g1[1], x)))
 
     act = core.act
     bracket_defect = core.bracket_defect

@@ -25,8 +25,8 @@ __all__ = ["GenericModule", "submodule_membership", "irreducible_membership"]
 class GenericModule:
     """gl(n) acting on shifts of one generic tableau."""
 
-    def __init__(self, base: Tableau, validate: bool = True):
-        if validate and not is_generic(base):
+    def __init__(self, base: Tableau):
+        if not is_generic(base):
             raise ValueError("base tableau is not generic")
         self.base = base
         self.n = base.n

@@ -35,7 +35,7 @@ from . import coeffs, core
 from .lincomb import LinComb
 from .ratfun import RatFun, TWO_T
 from .tableaux import (
-    PermTuple, ShiftVector, SingularFrame, Tableau, epsilon, phi_set, window_shifts,
+    PermTuple, ShiftVector, SingularFrame, Tableau, window_shifts,
 )
 
 __all__ = [
@@ -119,16 +119,14 @@ class SingularModule:
     # -- single-generator action ----------------------------------------------
 
     def _phi_sum(self, l: int, m: int, z: ShiftVector, point) -> LinComb:
-        """Sum over sigma in Phi_lm of ``point(e)`` for e = e_lm(sigma(v+z)):
+        """Sum over the permutation form of E_lm at v+z of ``point(e)``:
         ``point`` returns the (Reg, Der) coefficients placed at the shift
         z + sigma(eps_lm)."""
         frame = self.frame
-        t = frame.tableau_at(z)
-        eps = epsilon(self.n, l, m)
         terms = []
-        for sigma in phi_set(l, m, self.n):
-            rc, dc = point(coeffs.coeff_e(l, m, sigma(t)))
-            target = z + sigma(eps)
+        for e, dz in coeffs.perm_action(l, m, frame.tableau_at(z)):
+            rc, dc = point(e)
+            target = z + dz
             for kind, c in ((REG, rc), (DER, dc)):
                 if c:
                     sign, sym = canonicalize(kind, target, frame)
@@ -268,8 +266,7 @@ def generation_witnesses(frame: SingularFrame, z: ShiftVector) -> dict:
     closed = _derivative_coefficient_closed_form(frame, z)
 
     # tau-fixed neighbour for the regular-to-derivative step
-    zfix = ShiftVector.of(n, {pos: val for pos, val in z.items()})
-    zfix = zfix + ShiftVector.of(n, {(k, j): z.get(k, i) - z.get(k, j)})
+    zfix = z + ShiftVector.of(n, {(k, j): z.get(k, i) - z.get(k, j)})
     sigma_i = PermTuple.row_transposition(n, k, 1, i)
     e = coeffs.coeff_e(k + 1, k, sigma_i(frame.tableau_at(zfix)))
     step2_ev = (RatFun(TWO_T) * e).ev()
@@ -278,14 +275,9 @@ def generation_witnesses(frame: SingularFrame, z: ShiftVector) -> dict:
     for q in range(1, k):
         step2_num *= w.base(k, i) - w.base(k - 1, q)
 
-    step3 = {}
-    for l in range(1, n + 1):
-        for m in range(1, n + 1):
-            if l == m:
-                continue
-            for idx, sigma in enumerate(phi_set(l, m, n)):
-                val = coeffs.coeff_e(l, m, sigma(frame.tableau_at(z))).ev()
-                step3[(l, m, idx)] = val
+    step3 = {(l, m, idx): e.ev()
+             for l in range(1, n + 1) for m in range(1, n + 1) if l != m
+             for idx, (e, _) in enumerate(coeffs.perm_action(l, m, frame.tableau_at(z)))}
 
     return {
         "hypothesis": irreducibility_hypothesis(frame),

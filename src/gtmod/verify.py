@@ -150,14 +150,19 @@ class Config:
         unknown = [name for name in suites if name not in SUITES]
         if unknown:
             raise ValueError(f"unknown suite(s) {unknown}; expected some of {sorted(SUITES)}")
+        window = int(data.get("window", 2))
+        gens = tuple((int(a), int(b)) for a, b in data.get("export_generators", ()))
+        crs = tuple((int(r), int(s)) for r, s in data.get("export_crs", ()))
+        bad = (([f"window={window}"] if window < 0 else [])
+               + [f"E{g}" for g in gens if not (1 <= min(g) and max(g) <= n)]
+               + [f"c{g}" for g in crs if not (1 <= g[0] <= n and g[1] >= 1)])
+        if bad:
+            raise ValueError(f"out of range for n={n}: {', '.join(bad)}")
         return Config(
-            n=n, base=base, frame=frame,
-            window=int(data.get("window", 2)),
-            suites=suites,
+            n=n, base=base, frame=frame, window=window, suites=suites,
             seed=int(data.get("seed", 20240601)),
             out_dir=str(data.get("out_dir", "reports")),
-            export_generators=tuple(tuple(g) for g in data.get("export_generators", ())),
-            export_crs=tuple(tuple(g) for g in data.get("export_crs", ())),
+            export_generators=gens, export_crs=crs,
         )
 
     @staticmethod
@@ -388,15 +393,10 @@ def sweep_classical_vs_perm(tally: Tally, rng: random.Random, samples: int = 100
         t = random_generic_tableau(rng, n)
         for kk in range(1, n):
             for (l, m) in ((kk, kk + 1), (kk + 1, kk), (kk, kk)):
-                classical = {}
-                for c, dz in coeffs.classical_action(l, m, t):
-                    if c:
-                        classical[dz] = classical.get(dz, 0) + c
-                perm = {}
-                for fn, dz in coeffs.perm_action(l, m, t):
-                    v = fn.const_value()
-                    if v:
-                        perm[dz] = perm.get(dz, 0) + v
+                classical = LinComb.sum_terms(
+                    (dz, c) for c, dz in coeffs.classical_action(l, m, t))
+                perm = LinComb.sum_terms(
+                    (dz, fn.const_value()) for fn, dz in coeffs.perm_action(l, m, t))
                 tally.check(classical == perm, "classical-vs-permutation",
                             lambda t_=t, l_=l, m_=m, c_=classical, p_=perm: {
                                 "input": f"E({l_},{m_}) on {t_.to_text()}",

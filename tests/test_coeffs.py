@@ -92,15 +92,6 @@ def test_classical_highest_weight_n2():
     assert e22 == (1 + (-1 + 1)) - 1
 
 
-def test_classical_finite_dim_drops_nonstandard():
-    top = [1, -1]
-    t1 = Tableau.from_rows([top, [1]])
-    # raising from the highest weight: target not standard, summand dropped
-    assert classical_action(1, 2, t1, finite_dim=True) == []
-    kept = classical_action(2, 1, t1, finite_dim=True)
-    assert len(kept) == 1
-
-
 def test_perm_matches_classical_on_random_generic():
     rng = random.Random(20240601)
     checked = 0

@@ -15,8 +15,8 @@ from gtmod import singular
 from gtmod.cli import main as cli_main
 from gtmod.ratfun import T, RatFun
 from gtmod.verify import (
-    Config, build_action_matrix, check_commutators, check_formulas, check_gamma,
-    check_n3, export_action, load_action_matrix, run_suite,
+    Config, Tally, build_action_matrix, check_commutators, check_formulas, check_gamma,
+    check_n3, export_action, load_action_matrix, run_suite, sweep_finite_dim,
 )
 
 FIXTURES = "fixtures"
@@ -203,8 +203,8 @@ def test_planted_gamma_defect_is_caught(monkeypatch):
         assert report.exemplars[0]["input"].startswith("c(2,2) on ")
 
 
-def _cli_config_error(capsys, path):
-    code = cli_main(["gamma", "--config", str(path)])
+def _cli_error(capsys, path, *extra):
+    code = cli_main(["gamma", "--config", str(path), *extra])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -214,14 +214,14 @@ def _cli_config_error(capsys, path):
 
 
 def test_cli_missing_config_exits_2(tmp_path, capsys):
-    line = _cli_config_error(capsys, tmp_path / "absent.json")
+    line = _cli_error(capsys, tmp_path / "absent.json")
     assert "No such file" in line
 
 
 def test_cli_bad_json_config_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{\"n\": 3,", encoding="utf-8")
-    _cli_config_error(capsys, path)
+    _cli_error(capsys, path)
 
 
 def test_unknown_suite_in_config_is_rejected(tmp_path, capsys):
@@ -231,4 +231,42 @@ def test_unknown_suite_in_config_is_rejected(tmp_path, capsys):
         Config.from_dict(data)
     path = tmp_path / "bogus.json"
     path.write_text(json.dumps(data), encoding="utf-8")
-    assert "bogus" in _cli_config_error(capsys, path)
+    assert "bogus" in _cli_error(capsys, path)
+
+
+def test_cli_unwritable_json_fails_before_the_suite(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    line = _cli_error(capsys, f"{FIXTURES}/generic_n3.json",
+                             "--window", "0", "--json", str(out))
+    assert line.startswith(f"error: {out}: ")
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("window", -1),
+    ("export_generators", [[1, 2], [0, 1]]),
+    ("export_crs", [[4, 2]]),
+    ("export_crs", [[2, 0]]),
+], ids=["negative-window", "generator-index", "crs-r", "crs-s"])
+def test_config_range_is_checked(tmp_path, capsys, key, value):
+    data = json.loads(open(f"{FIXTURES}/generic_n3.json", encoding="utf-8").read())
+    data[key] = value
+    with pytest.raises(ValueError, match="out of range"):
+        Config.from_dict(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert "out of range" in _cli_error(capsys, path)
+
+
+def test_planted_sign_flip_fails_the_finite_dim_sweep(monkeypatch):
+    original = coeffs.coeff_e
+
+    def corrupted(r, s, w):
+        value = original(r, s, w)
+        return -value if s == r + 1 else value
+
+    monkeypatch.setattr(coeffs, "coeff_e", corrupted)
+    tally = Tally()
+    sweep_finite_dim(tally)
+    assert tally.failed > 0
+    assert {ex["check"] for ex in tally.exemplars} == {"finite-dim-bracket", "finite-dim-gamma"}
