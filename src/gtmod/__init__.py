@@ -8,10 +8,11 @@ algebraic identity with zero tolerance.
 Layers, bottom up:
 
 * :mod:`gtmod.ratfun`   -- univariate rational functions over Q and the
-  point operators at t = 0;
+  point operators at t = 0 (the oracle form of a coefficient);
 * :mod:`gtmod.tableaux` -- tableaux, shift vectors, row permutations,
   singular frames;
-* :mod:`gtmod.coeffs`   -- the coefficient functions e_rs / gamma_rs, the
+* :mod:`gtmod.coeffs`   -- the coefficient functions e_rs (as 2-jets at
+  t = 0, and as whole functions for the oracles) / gamma_rs, the
   permutation form every family acts by, and the classical oracle;
 * :mod:`gtmod.lincomb`  -- sparse formal linear combinations;
 * :mod:`gtmod.core`     -- the operations shared by the module families
@@ -31,7 +32,7 @@ from .tableaux import (
     closest_representative, epsilon, is_generic, is_standard, omega_plus,
     phi_set, singular_pairs, tau_perm, tau_star, window_shifts,
 )
-from .coeffs import classical_action, coeff_e, gamma, perm_action
+from .coeffs import Jet, classical_action, coeff_e, coeff_ratfun, gamma, perm_action
 from .generic import GenericModule, irreducible_membership, submodule_membership
 from .singular import (
     DER, REG, BasisSymbol, InvariantViolation, SingularModule,

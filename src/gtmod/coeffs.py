@@ -4,19 +4,23 @@ Two presentations of the gl(n) action on tableaux live here:
 
 * ``perm_action`` -- the permutation form, valid for every E_{lm}: one
   summand per sigma in Phi_{lm}, with coefficient ``e_{lm}(sigma(w))`` and
-  target shift ``sigma(epsilon_{lm})``.  Coefficients come back as
-  :class:`~gtmod.ratfun.RatFun`, so the same code path serves plain
-  tableaux (constant functions) and t-carrying tableaux over a singular
-  frame (genuine rational functions of t).  It is the one action
-  algorithm: the generic, finite-dimensional and singular modules all
-  read their generator action from it.
+  target shift ``sigma(epsilon_{lm})``.  Each coefficient comes back as
+  its 2-jet at t = 0 (:class:`Jet`), which is all any module reads.  It
+  is the one action algorithm: the generic, finite-dimensional and
+  singular modules all read their generator action from it.
+
+* ``coeff_ratfun`` -- the same coefficient as a whole
+  :class:`~gtmod.ratfun.RatFun`, from the same factors; only the
+  ``formulas`` oracles read it.
 
 * ``classical_action`` -- the Gelfand-Tsetlin formulas for the adjacent
   generators E_{k,k+1}, E_{k+1,k} and the diagonal E_{kk}, with plain
   rational coefficients; no module uses it, it is the independent oracle
   the ``formulas`` suite compares ``perm_action`` against.
 
-The closed forms, with empty products equal to 1:
+The closed forms, with empty products equal to 1 (every factor is linear
+in t, so :func:`coeff_e` folds them into a jet with no polynomial
+arithmetic and no gcd -- forward-mode truncated Taylor arithmetic):
 
     e_t^+(w)      = prod_{j=2}^{t+1} (w_t1 - w_{t+1,j}) / prod_{j=2}^{t} (w_t1 - w_tj)
     e_{t+1}^-(w)  = prod_{j=2}^{t-1} (w_t1 - w_{t-1,j}) / prod_{j=2}^{t} (w_t1 - w_tj)
@@ -39,11 +43,18 @@ displayed sum.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
-from .ratfun import Poly, RatFun
+from .ratfun import PoleError, Poly, RatFun
 from .tableaux import ShiftVector, Tableau, epsilon, phi_set
 
-__all__ = ["coeff_e", "gamma", "gamma_at_point", "classical_action", "perm_action"]
+__all__ = ["Jet", "coeff_e", "coeff_ratfun", "gamma", "gamma_at_point",
+           "classical_action", "perm_action"]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+Factor = tuple[Fraction, int]  # the linear function b + c*t
 
 
 def _prod(factors) -> Poly:
@@ -53,46 +64,123 @@ def _prod(factors) -> Poly:
     return out
 
 
-def _diff(w: Tableau, r1: int, s1: int, r2: int, s2: int) -> Poly:
-    return w.poly(r1, s1) - w.poly(r2, s2)
+class Jet(NamedTuple):
+    """The 2-jet t^v * (u0 + u1*t + O(t^2)) of a coefficient at t = 0.
+
+    u0 != 0 unless the coefficient is identically zero, which is the jet
+    (0, 0, 0); so v is the order of vanishing (a pole when v < 0).
+    """
+
+    v: int
+    u0: Fraction
+    u1: Fraction
+
+    def __neg__(self) -> "Jet":
+        return Jet(self.v, -self.u0, -self.u1)
+
+    def d_ev(self) -> tuple[Fraction, Fraction]:
+        """The half-derivative f'(0)/2 and the value f(0); raises
+        :class:`~gtmod.ratfun.PoleError` on a pole."""
+        v = self.v
+        if v == 0:
+            return self.u1 / 2, self.u0
+        if v == 1:
+            return self.u0 / 2, _ZERO
+        if v > 1:
+            return _ZERO, _ZERO
+        raise PoleError(f"pole of order {-v} at t=0: {self!r}")
+
+    def const_value(self) -> Fraction:
+        """u0, for a coefficient read on a plain tableau (v = 0, u1 = 0)."""
+        if self.v or self.u1:
+            raise ValueError(f"{self!r} is not constant")
+        return self.u0
 
 
-def coeff_e(r: int, s: int, w: Tableau) -> RatFun:
-    """The coefficient function e_{rs} evaluated on the tableau w."""
+def _diffs(w: Tableau, a: int, b: int, lo: int, hi: int) -> list[Factor]:
+    """The factors w_{a1} - w_{bj} for lo <= j < hi (none when lo >= hi,
+    where row b may not exist)."""
+    if lo >= hi:
+        return []
+    b1, c1 = w.rows[w.n - a][0]
+    return [(b1 - b2, c1 - c2) for b2, c2 in w.rows[w.n - b][lo - 1:hi - 1]]
+
+
+def _factors(r: int, s: int, w: Tableau) -> tuple[list[Factor], list[Factor]]:
+    """e_{rs}(w) as ``prod(num) / prod(den)`` over factors linear in t; the
+    diagonal e_{rr} is a single numerator factor."""
     n = w.n
     if not (1 <= r <= n and 1 <= s <= n):
         raise ValueError(f"coeff_e({r},{s}) out of range for n={n}")
     if r == s:
-        return _coeff_e_diagonal(r, w)
-
-    num_factors: list[Poly] = []
-    den_factors: list[Poly] = []
-    sign = 1
+        # sum_i (w_ri + i - 1) - sum_i (w_{r-1,i} + i - 1); the index parts
+        # telescope to the constant r - 1.
+        row, below = w.rows[n - r], w.rows[n - r + 1] if r > 1 else ()
+        return [(r - 1 + sum(b for b, _ in row) - sum(b for b, _ in below),
+                 sum(c for _, c in row) - sum(c for _, c in below))], []
+    num: list[Factor] = []
+    den: list[Factor] = []
     if r < s:
         for q in range(r, s - 1):  # e_q^+ for q = r..s-2
-            num_factors += [_diff(w, q, 1, q + 1, j) for j in range(2, q + 2)]
-            den_factors += [_diff(w, q, 1, q, j) for j in range(2, q + 1)]
-        sign = -1  # leading minus of e_{s-1,s}
-        num_factors += [_diff(w, s - 1, 1, s, j) for j in range(1, s + 1)]
-        den_factors += [_diff(w, s - 1, 1, s - 1, j) for j in range(2, s)]
-    else:
-        num_factors += [_diff(w, s, 1, s - 1, j) for j in range(1, s)]
-        den_factors += [_diff(w, s, 1, s, j) for j in range(2, s + 1)]
-        for q in range(s + 2, r + 1):  # e_q^- for q = s+2..r, acting on row q-1
-            num_factors += [_diff(w, q - 1, 1, q - 2, j) for j in range(2, q - 1)]
-            den_factors += [_diff(w, q - 1, 1, q - 1, j) for j in range(2, q)]
-    return RatFun(sign * _prod(num_factors), _prod(den_factors))
+            num += _diffs(w, q, q + 1, 2, q + 2)
+            den += _diffs(w, q, q, 2, q + 1)
+        # e_{s-1,s}, with its leading minus as the constant factor -1
+        num += [(-1, 0)] + _diffs(w, s - 1, s, 1, s + 1)
+        den += _diffs(w, s - 1, s - 1, 2, s)
+        return num, den
+    num += _diffs(w, s, s - 1, 1, s)
+    den += _diffs(w, s, s, 2, s + 1)
+    for q in range(s + 2, r + 1):  # e_q^- for q = s+2..r, acting on row q-1
+        num += _diffs(w, q - 1, q - 2, 2, q - 1)
+        den += _diffs(w, q - 1, q - 1, 2, q)
+    return num, den
 
 
-def _coeff_e_diagonal(r: int, w: Tableau) -> RatFun:
-    # sum_i (w_ri + i - 1) - sum_i (w_{r-1,i} + i - 1); the index parts
-    # telescope to the constant r - 1.
-    acc = Poly([r - 1])
-    for idx in range(1, r + 1):
-        acc = acc + w.poly(r, idx)
-    for idx in range(1, r):
-        acc = acc - w.poly(r - 1, idx)
-    return RatFun(acc)
+def _fold_jet(factors: list[Factor]) -> tuple[int, Fraction, Fraction] | None:
+    """The 2-jet (v, u0, u1) of a product of linear factors b + c*t; None
+    when some factor is identically zero."""
+    v, u0, u1 = 0, _ONE, _ZERO
+    for b, c in factors:
+        if not b:
+            if not c:
+                return None
+            v, b, c = v + 1, c, 0  # the factor c*t is t times the constant c
+        if c:
+            u1 = u1 * b + u0 * c
+        elif u1:
+            u1 = u1 * b
+        u0 = u0 * b
+    return v, u0, u1
+
+
+def coeff_e(r: int, s: int, w: Tableau) -> Jet:
+    """The 2-jet at t = 0 of the coefficient function e_{rs} on the tableau
+    w, folded from its linear factors; raises ``ZeroDivisionError`` when a
+    denominator factor vanishes identically."""
+    num, den = _factors(r, s, w)
+    d = _fold_jet(den)
+    if d is None:
+        raise ZeroDivisionError("zero denominator in coefficient function")
+    f = _fold_jet(num)
+    if f is None:
+        return Jet(0, _ZERO, _ZERO)
+    v, u0, u1 = f
+    dv, d0, d1 = d
+    # (u0 + u1 t) / (d0 + d1 t) = u0/d0 + (u1 - (u0/d0) d1)/d0 * t + O(t^2)
+    if d0 != 1:
+        u0 = u0 / d0
+        if u1:
+            u1 = u1 / d0
+    if d1:
+        u1 = u1 - u0 * d1 / d0
+    return Jet(v - dv, u0, u1)
+
+
+def coeff_ratfun(r: int, s: int, w: Tableau) -> RatFun:
+    """The coefficient function e_{rs} on the tableau w as a whole rational
+    function of t: the same factors as :func:`coeff_e`, multiplied out."""
+    num, den = _factors(r, s, w)
+    return RatFun(_prod(map(Poly, num)), _prod(map(Poly, den)))
 
 
 def gamma(r: int, s: int, w: Tableau) -> RatFun:
@@ -181,7 +269,7 @@ def classical_action(l: int, m: int, t: Tableau) -> list[tuple[Fraction, ShiftVe
     return out
 
 
-def perm_action(l: int, m: int, t: Tableau) -> list[tuple[RatFun, ShiftVector]]:
+def perm_action(l: int, m: int, t: Tableau) -> list[tuple[Jet, ShiftVector]]:
     """Permutation form of the generator action: one
     ``(e_{lm}(sigma(w)), sigma(epsilon_{lm}))`` pair per sigma in Phi_{lm}.
     """

@@ -4,14 +4,16 @@ Every coefficient that appears in a tableau formula, once all tableau
 entries are substituted, becomes a rational function of a single formal
 variable ``t`` (the direction transverse to the singular hyperplane: the
 two singular entries are ``a + t`` and ``a - t``, everything else is an
-exact rational constant).  This module provides that substrate:
+exact rational constant).  The module action reads coefficients as
+2-jets (:class:`gtmod.coeffs.Jet`); this module holds the whole functions,
+which the central characters gamma_rs and the ``formulas`` oracles need:
 
 * :class:`Poly` -- dense univariate polynomials with ``Fraction``
   coefficients,
 * :class:`RatFun` -- normalized quotients of two such polynomials
   (gcd cancelled, monic denominator), so equal functions have equal
   representations,
-* the four point operators used by the tableau engines: evaluation at
+* the four point operators the oracles compare: evaluation at
   ``t = 0``, the half-derivative ``f -> f'(0)/2``, the reflection
   ``t -> -t``, and the divided difference ``(f - f(-t)) / (2t)``.
 
@@ -155,12 +157,6 @@ class Poly:
 
     # -- analytic helpers --------------------------------------------------
 
-    def __call__(self, x: Scalar) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def reflect(self) -> "Poly":
         """Substitute ``t -> -t``."""
         return Poly([-c if k % 2 else c for k, c in enumerate(self.coeffs)])
@@ -247,10 +243,6 @@ class RatFun:
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFun is immutable")
-
-    @staticmethod
-    def const(c: Scalar) -> "RatFun":
-        return RatFun(Poly([c]))
 
     # -- field operations --------------------------------------------------
 

@@ -12,8 +12,9 @@ where tau exchanges the shift entries on the singular pair; in particular
 symbols.
 
 The generator action is computed on the line through the base point
-(singular entries ``a + t`` and ``a - t``): write every coefficient as a
-rational function of t, then
+(singular entries ``a + t`` and ``a - t``): every coefficient is a
+rational function of t, read through its 2-jet at t = 0
+(:class:`~gtmod.coeffs.Jet`), and
 
     E_lm Reg(z) = sum_sigma  d[(2t) e_lm(sigma(v+z))] Reg(z')
                            + ev[(2t) e_lm(sigma(v+z))] Der(z'),
@@ -23,7 +24,10 @@ rational function of t, then
 with z' = z + sigma(eps_lm), ev the value at t = 0 and d the
 half-derivative there.  The derivative line requires tau(z) != z, which
 keeps every coefficient smooth; on the regular line the prefactor 2t
-absorbs the (at most simple) poles.
+absorbs the (at most simple) poles.  For a jet t^v (u0 + u1 t + ...) that
+is: on the regular line (d, ev) = (u1, 2 u0) at v = -1, (u0, 0) at v = 0
+and 0 above; on the derivative line (u1/2, u0) at v = 0, (u0/2, 0) at
+v = 1 and 0 above.  A larger pole is an :class:`InvariantViolation`.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from fractions import Fraction
 
 from . import coeffs, core
 from .lincomb import LinComb
-from .ratfun import RatFun, TWO_T
 from .tableaux import (
     PermTuple, ShiftVector, SingularFrame, Tableau, window_shifts,
 )
@@ -46,6 +49,9 @@ __all__ = [
 
 REG = "reg"
 DER = "der"
+
+# x - y = XY_SLOPE * t on the line x = a + t, y = a - t
+XY_SLOPE = 2
 
 
 class InvariantViolation(RuntimeError):
@@ -62,6 +68,11 @@ class BasisSymbol:
         return f"{tag}{self.shift.to_text()}"
 
     __repr__ = to_text
+
+
+def _times_x_minus_y(e: coeffs.Jet) -> coeffs.Jet:
+    """The jet of (x - y) * e on the line."""
+    return coeffs.Jet(e.v + 1, XY_SLOPE * e.u0, XY_SLOPE * e.u1)
 
 
 def canonicalize(kind: str, z: ShiftVector,
@@ -125,6 +136,8 @@ class SingularModule:
         frame = self.frame
         terms = []
         for e, dz in coeffs.perm_action(l, m, frame.tableau_at(z)):
+            if not e.u0:
+                continue
             rc, dc = point(e)
             target = z + dz
             for kind, c in ((REG, rc), (DER, dc)):
@@ -137,14 +150,11 @@ class SingularModule:
     def act_on_regular(self, l: int, m: int, z: ShiftVector) -> LinComb:
         """E_{lm} on Reg(z), through d((x-y) * coefficient) and
         ev((x-y) * coefficient)."""
-        two_t = RatFun(TWO_T)
-
-        def point(e: RatFun) -> tuple[Fraction, Fraction]:
-            g = two_t * e
-            if g.pole_order() > 0:
+        def point(e: coeffs.Jet) -> tuple[Fraction, Fraction]:
+            if e.v < -1:
                 raise InvariantViolation(
                     f"pole of order >= 2 in e_{l}{m} over {self.frame.describe()} at z={z}")
-            return g.d(), g.ev()
+            return _times_x_minus_y(e).d_ev()
 
         return self._phi_sum(l, m, z, point)
 
@@ -153,11 +163,11 @@ class SingularModule:
         if self.frame.is_tau_fixed(w):
             raise ValueError("derivative symbols require a tau-unfixed shift")
 
-        def point(e: RatFun) -> tuple[Fraction, Fraction]:
-            if e.pole_order() > 0:
+        def point(e: coeffs.Jet) -> tuple[Fraction, Fraction]:
+            if e.v < 0:
                 raise InvariantViolation(
                     f"unexpected pole in e_{l}{m} at tau-unfixed w={w}")
-            return e.d(), e.ev()
+            return e.d_ev()
 
         return self._phi_sum(l, m, w, point)
 
@@ -168,7 +178,7 @@ class SingularModule:
         :meth:`act_on_regular`; kept as an independent cross-check path."""
         if self.frame.is_tau_fixed(z):
             raise ValueError("the evaluation form needs a tau-unfixed shift")
-        return self._phi_sum(l, m, z, lambda e: (e.ev(), 0))
+        return self._phi_sum(l, m, z, lambda e: (e.d_ev()[1], 0))
 
     def act_symbol(self, l: int, m: int, sym: BasisSymbol) -> LinComb:
         key = (l, m, sym)
@@ -262,20 +272,20 @@ def generation_witnesses(frame: SingularFrame, z: ShiftVector) -> dict:
     k, i, j = frame.k, frame.i, frame.j
     n = frame.n
 
-    d_coeff = coeffs.coeff_e(k - 1, k, frame.tableau_at(z)).d()
+    d_coeff = coeffs.coeff_e(k - 1, k, frame.tableau_at(z)).d_ev()[0]
     closed = _derivative_coefficient_closed_form(frame, z)
 
     # tau-fixed neighbour for the regular-to-derivative step
     zfix = z + ShiftVector.of(n, {(k, j): z.get(k, i) - z.get(k, j)})
     sigma_i = PermTuple.row_transposition(n, k, 1, i)
     e = coeffs.coeff_e(k + 1, k, sigma_i(frame.tableau_at(zfix)))
-    step2_ev = (RatFun(TWO_T) * e).ev()
+    step2_ev = _times_x_minus_y(e).d_ev()[1]
     step2_num = Fraction(1)
     w = frame.point_at(zfix)
     for q in range(1, k):
         step2_num *= w.base(k, i) - w.base(k - 1, q)
 
-    step3 = {(l, m, idx): e.ev()
+    step3 = {(l, m, idx): e.d_ev()[1]
              for l in range(1, n + 1) for m in range(1, n + 1) if l != m
              for idx, (e, _) in enumerate(coeffs.perm_action(l, m, frame.tableau_at(z)))}
 

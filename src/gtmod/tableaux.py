@@ -6,7 +6,9 @@ of the formal variable ``t``: an entry is a pair ``(base, tcoef)`` meaning
 ``base + tcoef*t``.  Plain tableaux (all ``tcoef == 0``) represent actual
 points; a singular frame produces tableaux carrying ``t = +1`` and
 ``t = -1`` on its two singular positions, which is how every coefficient
-function is pushed down to a univariate :class:`~gtmod.ratfun.RatFun`.
+function is pushed down to a univariate function of t: a product of
+factors linear in t, read as a jet or as a
+:class:`~gtmod.ratfun.RatFun` by :mod:`gtmod.coeffs`.
 
 The integer lattice of shifts leaves the top row fixed, so a
 :class:`ShiftVector` has rows n-1, ..., 1 only.
@@ -24,8 +26,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
-
-from .ratfun import Poly
 
 Entry = tuple[Fraction, int]  # base + tcoef * t
 
@@ -76,10 +76,6 @@ class Tableau:
 
     def base(self, r: int, s: int) -> Fraction:
         return self.rows[self.n - r][s - 1][0]
-
-    def poly(self, r: int, s: int) -> Poly:
-        b, c = self.rows[self.n - r][s - 1]
-        return Poly([b, c])
 
     @property
     def is_plain(self) -> bool:
@@ -294,9 +290,6 @@ class PermTuple:
     def row(self, r: int) -> tuple[int, ...]:
         return self.perms[r - 1]
 
-    def apply_row(self, r: int, x: int) -> int:
-        return self.perms[r - 1][x - 1]
-
     def is_identity_row(self, r: int) -> bool:
         return self.perms[r - 1] == _identity(r)
 
@@ -318,25 +311,17 @@ class PermTuple:
 
     def __call__(self, w):
         """Row-wise position action on a Tableau or ShiftVector."""
-        inv = self.inverse()
+        inv = self.inverse().perms
         if isinstance(w, Tableau):
-            n = w.n
-            new = []
-            for ridx in range(n):
-                r = n - ridx
-                row = w.rows[ridx]
-                new.append(tuple(row[inv.apply_row(r, s) - 1] for s in range(1, r + 1)))
-            return Tableau(tuple(new))
+            # rows[ridx] is row n - ridx, permuted by inv[n - ridx - 1]
+            return Tableau(tuple(tuple(row[x - 1] for x in inv[w.n - ridx - 1])
+                                 for ridx, row in enumerate(w.rows)))
         if isinstance(w, ShiftVector):
-            n = w.n
-            if not self.is_identity_row(n):
+            if not self.is_identity_row(w.n):
                 raise ValueError("permutation moves the fixed top row")
-            new = []
-            for ridx in range(n - 1):
-                r = n - 1 - ridx
-                row = w.rows[ridx]
-                new.append(tuple(row[inv.apply_row(r, s) - 1] for s in range(1, r + 1)))
-            return ShiftVector(n, tuple(new))
+            # rows[ridx] is row n - 1 - ridx
+            return ShiftVector(w.n, tuple(tuple(row[x - 1] for x in inv[w.n - ridx - 2])
+                                          for ridx, row in enumerate(w.rows)))
         raise TypeError(f"cannot permute {w!r}")
 
     def __repr__(self) -> str:

@@ -15,7 +15,8 @@ Suites:
   derivative symbols, character multiplicities and separation, and the
   generation-witness coefficients;
 * ``formulas``    -- the coefficient-level identities: classical versus
-  permutation presentation, pole-order bound, parity relations, the
+  permutation presentation, each coefficient's jet against its whole
+  rational function, pole-order bound, parity relations, the
   point-operator exchange rules, the evaluation cross-check, and the
   finite-dimensional regression;
 * ``n3``          -- the ten-piece decomposition over the all-equal n = 3
@@ -43,7 +44,7 @@ from .fixtures import random_generic_tableau, random_shift
 from .generic import GenericModule
 from .lincomb import LinComb
 from .n3 import classify_shift, loewy_layer, weight_key
-from .ratfun import RatFun, TWO_T
+from .ratfun import T, RatFun, TWO_T
 from .singular import (
     REG, SingularModule, canonical_window, canonicalize, connecting_shift,
     generation_witnesses, irreducibility_hypothesis,
@@ -417,13 +418,24 @@ def sweep_finite_dim(tally: Tally):
         for l, m in gens:
             out = mod.act_symbol(l, m, z)  # raises if the span is left
             for key in out.keys():
-                tally.check(key in set(mod.basis), "finite-dim-span",
+                tally.check(key in mod._basis_set, "finite-dim-span",
                             lambda k_=key: {"input": repr(k_)})
         for g1, g2 in itertools.combinations(gens, 2):
             tally.check(mod.bracket_defect(g1, g2, z).is_zero, "finite-dim-bracket",
                         lambda z_=z, a=g1, b=g2: {"input": f"[E{a},E{b}] on {z_!r}"})
         for (r, s) in _gamma_pairs(3):
             _check_central_word(tally, "finite-dim-gamma", mod, r, s, z)
+
+
+def _jet_matches(jet: coeffs.Jet, e: RatFun) -> bool:
+    """The jet (v, u0, u1) is the 2-jet of the whole function e at t = 0:
+    the same zero-ness and pole order, and the same value and half-derivative
+    once the pole is multiplied away (of e itself when there is none)."""
+    poles = e.pole_order()
+    if e.is_zero != (not jet.u0) or max(-jet.v, 0) != poles:
+        return False
+    smooth = RatFun(T ** poles) * e if poles else e
+    return jet._replace(v=jet.v + poles).d_ev() == (smooth.d(), smooth.ev())
 
 
 def sweep_coefficient_identities(cfg: Config, tally: Tally):
@@ -443,7 +455,13 @@ def sweep_coefficient_identities(cfg: Config, tally: Tally):
             for m in range(1, n + 1):
                 inside = min(l, m) <= k <= max(l, m) - 1
                 for sigma in phi_set(l, m, n):
-                    e = coeffs.coeff_e(l, m, sigma(frame.tableau_at(z)))
+                    w = sigma(frame.tableau_at(z))
+                    e = coeffs.coeff_ratfun(l, m, w)
+                    jet = coeffs.coeff_e(l, m, w)
+                    tally.check(_jet_matches(jet, e), "jet-vs-ratfun",
+                                lambda j_=jet, e_=e, s_=sigma, l_=l, m_=m: {
+                                    "input": f"e({l_},{m_}) at {s_!r}(v+{z!r})",
+                                    "lhs": repr(j_), "rhs": repr(e_)})
                     special = sigma.row(k) in special_rows
                     if fixed:
                         # pole-order bound, and smoothness off the special set
@@ -465,15 +483,15 @@ def sweep_coefficient_identities(cfg: Config, tally: Tally):
                             tally.check(h.ev() == 2 * e.d(), "divided-difference",
                                         lambda e_=e: {"input": repr(e_)})
                     # parity across the swap
-                    e_t = coeffs.coeff_e(l, m, sigma(frame.tableau_at(tz)))
+                    e_t = coeffs.coeff_ratfun(l, m, sigma(frame.tableau_at(tz)))
                     if not special and l != m:
                         tally.check(e_t.ev() == e.ev() and e_t.d() == -e.d(),
                                     "parity-plain", lambda e_=e: {"input": repr(e_)})
                     if special and l != m:
                         star = tau_star(sigma, k, frame.i, frame.j)
                         taup = PermTuple.row_transposition(n, k, frame.i, frame.j)
-                        lhs = coeffs.coeff_e(l, m, star(frame.tableau_at(z)))
-                        rhs = coeffs.coeff_e(l, m, (sigma * taup)(frame.tableau_at(z)))
+                        lhs = coeffs.coeff_ratfun(l, m, star(frame.tableau_at(z)))
+                        rhs = coeffs.coeff_ratfun(l, m, (sigma * taup)(frame.tableau_at(z)))
                         tally.check(lhs == rhs, "parity-twisted",
                                     lambda a=lhs, b=rhs: {"lhs": repr(a), "rhs": repr(b)})
 

@@ -5,10 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtmod import fixtures
-from gtmod.coeffs import classical_action, coeff_e, gamma, perm_action
-from gtmod.ratfun import ONE, Poly, RatFun, TWO_T
+from gtmod.coeffs import Jet, classical_action, coeff_e, coeff_ratfun, gamma, perm_action
+from gtmod.ratfun import ONE, Poly, RatFun, T, TWO_T
 from gtmod.tableaux import (
     PermTuple, ShiftVector, Tableau, phi_set, tau_perm, tau_star, window_shifts,
 )
@@ -18,20 +20,20 @@ F = Fraction
 
 def test_e12_n2_direct_substitution():
     w = Tableau.from_rows([[3, 0], [1]])
-    assert coeff_e(1, 2, w) == RatFun.const(2)  # -(1-3)(1-0)
+    assert coeff_e(1, 2, w) == Jet(0, 2, 0)  # -(1-3)(1-0)
 
 
 def test_e21_is_one():
     rng = random.Random(1)
     for _ in range(10):
         w = fixtures.random_generic_tableau(rng, rng.randint(2, 4))
-        assert coeff_e(2, 1, w) == RatFun.const(1)
+        assert coeff_e(2, 1, w) == Jet(0, 1, 0)
 
 
 def test_e32_on_singular_line():
     frame = fixtures.frame_all_equal(0)
     w = frame.tableau_at(ShiftVector.zero(3))
-    assert coeff_e(3, 2, w) == RatFun.const(F(1, 2))  # t / 2t
+    assert coeff_e(3, 2, w) == Jet(0, F(1, 2), 0)  # t / 2t
 
 
 def test_gamma_closed_forms():
@@ -39,16 +41,16 @@ def test_gamma_closed_forms():
     for _ in range(20):
         w = fixtures.random_generic_tableau(rng, 3)
         w11, w21, w22 = w.base(1, 1), w.base(2, 1), w.base(2, 2)
-        assert gamma(1, 1, w) == RatFun.const(w11)
-        assert gamma(2, 1, w) == RatFun.const(w21 + w22 + 1)
+        assert gamma(1, 1, w) == RatFun(w11)
+        assert gamma(2, 1, w) == RatFun(w21 + w22 + 1)
         expected = (w21 + 1) ** 2 + (w22 + 1) ** 2 - (w21 + w22 + 2)
-        assert gamma(2, 2, w) == RatFun.const(expected)
+        assert gamma(2, 2, w) == RatFun(expected)
 
 
 def _displayed_gamma(r, s, w):
     """The displayed sum sum_i (w_ri + r - 1)^s prod_{j != i} (1 - 1/(w_ri - w_rj))
     as a rational function of t; needs pairwise distinct row-r entries."""
-    entries = [w.poly(r, idx) for idx in range(1, r + 1)]
+    entries = [Poly(w.entry(r, idx)) for idx in range(1, r + 1)]
     total = RatFun(0)
     for i, e in enumerate(entries):
         num = (e + (r - 1)) ** s
@@ -126,7 +128,48 @@ def test_perm_action_e32_pairs_on_singular_line():
     shifts = sorted(p[1].to_text() for p in pairs)
     assert shifts == ["(-1,0|0)", "(0,-1|0)"]
     for fn, _ in pairs:
-        assert fn == RatFun.const(F(1, 2))
+        assert fn == Jet(0, F(1, 2), 0)
+
+
+@st.composite
+def t_tableaux(draw):
+    """A tableau of size 2..5 with +t and -t on one same-row pair; entries
+    come from a small pool, so equal entries (identically zero numerator
+    and denominator factors) are common, and the pair's bases are often
+    equal, as on a singular frame."""
+    n = draw(st.integers(2, 5))
+    pool = st.sampled_from([F(0), F(1), F(-1), F(1, 2)])
+    rows = [[draw(pool) for _ in range(r)] for r in range(n, 0, -1)]
+    k = draw(st.integers(2, n))
+    i, j = sorted(draw(st.lists(st.integers(1, k), min_size=2, max_size=2, unique=True)))
+    if draw(st.booleans()):
+        rows[n - k][j - 1] = rows[n - k][i - 1]
+    c = draw(st.sampled_from([1, -1]))
+    return Tableau.from_rows(rows).with_tcoefs({(k, i): c, (k, j): -c})
+
+
+@settings(max_examples=300, deadline=None)
+@given(t_tableaux())
+def test_jet_is_the_2_jet_of_the_whole_coefficient(w):
+    """coeff_e(r, s, w) = (v, u0, u1) means coeff_ratfun(r, s, w) =
+    t^v (u0 + u1 t + O(t^2)) with u0 != 0, or both are zero; a vanishing
+    denominator raises in both."""
+    for r in range(1, w.n + 1):
+        for s in range(1, w.n + 1):
+            try:
+                e = coeff_ratfun(r, s, w)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    coeff_e(r, s, w)
+                continue
+            jet = coeff_e(r, s, w)
+            if e.is_zero:
+                assert jet == (0, 0, 0)
+                continue
+            v, u0, u1 = jet
+            f = e * (RatFun(ONE, T ** v) if v >= 0 else RatFun(T ** -v))
+            assert f.pole_order() == 0
+            assert (f.ev(), f.d()) == (u0, u1 / 2) and u0 != 0
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +186,7 @@ def _pole_bound_sweep(frame, bound):
             for m in range(1, n + 1):
                 inside = min(l, m) <= k <= max(l, m) - 1
                 for sigma in phi_set(l, m, n):
-                    e = coeff_e(l, m, sigma(frame.tableau_at(z)))
+                    e = coeff_ratfun(l, m, sigma(frame.tableau_at(z)))
                     order = e.pole_order()
                     assert order <= 1
                     special = sigma.row(k) in (
@@ -185,7 +228,7 @@ def test_pole_bound_n4_window2_sampled():
             for m in range(1, n + 1):
                 inside = min(l, m) <= k <= max(l, m) - 1
                 for sigma in phi_set(l, m, n):
-                    e = coeff_e(l, m, sigma(frame.tableau_at(z)))
+                    e = coeff_ratfun(l, m, sigma(frame.tableau_at(z)))
                     assert e.pole_order() <= 1
                     if not inside:
                         assert e.pole_order() == 0
@@ -212,8 +255,8 @@ def test_parity_outside_special_set():
         tz = frame.tau(z)
         l, m = rng.choice([(a, b) for a in range(1, 4) for b in range(1, 4) if a != b])
         for sigma in phi_set(l, m, n):
-            e_z = coeff_e(l, m, sigma(frame.tableau_at(z)))
-            e_tz = coeff_e(l, m, sigma(frame.tableau_at(tz)))
+            e_z = coeff_ratfun(l, m, sigma(frame.tableau_at(z)))
+            e_tz = coeff_ratfun(l, m, sigma(frame.tableau_at(tz)))
             if _sigma_is_special(sigma, frame):
                 continue
             assert e_tz.ev() == e_z.ev()
@@ -241,12 +284,12 @@ def test_parity_on_special_set():
                 if not _sigma_is_special(sigma, frame):
                     continue
                 star = tau_star(sigma, frame.k, frame.i, frame.j)
-                lhs = coeff_e(l, m, star(frame.tableau_at(z)))
-                rhs = coeff_e(l, m, (sigma * tau)(frame.tableau_at(z)))
+                lhs = coeff_ratfun(l, m, star(frame.tableau_at(z)))
+                rhs = coeff_ratfun(l, m, (sigma * tau)(frame.tableau_at(z)))
                 assert lhs == rhs
                 # specializations across tau(z)
-                e_z = coeff_e(l, m, sigma(frame.tableau_at(z)))
-                e_star_tz = coeff_e(l, m, star(frame.tableau_at(tz)))
+                e_z = coeff_ratfun(l, m, sigma(frame.tableau_at(z)))
+                e_star_tz = coeff_ratfun(l, m, star(frame.tableau_at(tz)))
                 if not frame.is_tau_fixed(z):
                     assert e_star_tz.ev() == e_z.ev()
                     assert e_star_tz.d() == -e_z.d()
@@ -271,11 +314,11 @@ def test_parity_twisted_conjugation_branch():
             if not _sigma_is_special(sigma, frame):
                 continue
             star = tau_star(sigma, k, frame.i, frame.j)
-            lhs = coeff_e(l, m, star(frame.tableau_at(z)))
-            rhs = coeff_e(l, m, (sigma * tau)(frame.tableau_at(z)))
+            lhs = coeff_ratfun(l, m, star(frame.tableau_at(z)))
+            rhs = coeff_ratfun(l, m, (sigma * tau)(frame.tableau_at(z)))
             assert lhs == rhs
-            e_z = coeff_e(l, m, sigma(frame.tableau_at(z)))
-            e_star_tz = coeff_e(l, m, star(frame.tableau_at(tz)))
+            e_z = coeff_ratfun(l, m, sigma(frame.tableau_at(z)))
+            e_star_tz = coeff_ratfun(l, m, star(frame.tableau_at(tz)))
             if not frame.is_tau_fixed(z):
                 assert e_star_tz.ev() == e_z.ev()
                 assert e_star_tz.d() == -e_z.d()
@@ -296,14 +339,14 @@ def test_gamma_polynomial_extension_matches_sum():
         entries = []
         while len(set(entries)) != r:
             entries = [F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(r)]
-        direct = RatFun.const(0)
+        direct = RatFun(0)
         for i in range(r):
-            term = RatFun.const((entries[i] + r - 1) ** s)
+            term = RatFun((entries[i] + r - 1) ** s)
             for j in range(r):
                 if j != i:
-                    term = term * RatFun.const(1 - 1 / (entries[i] - entries[j]))
+                    term = term * RatFun(1 - 1 / (entries[i] - entries[j]))
             direct = direct + term
-        assert direct == RatFun.const(gamma_at_point(r, s, entries))
+        assert direct == RatFun(gamma_at_point(r, s, entries))
 
     # repeated entries: perturb by distinct multiples of a formal u and let u -> 0
     for entries, r, s in (([F(0), F(0), F(0)], 3, 2), ([F(1), F(1), F(-2)], 3, 3),
@@ -326,7 +369,7 @@ def test_gamma_symbolic_linear():
     frame = fixtures.frame_n3()
     w = frame.tableau_at(ShiftVector.zero(3))
     # gamma_{21} on the line: (1/3 + t) + (1/3 - t) + 1 = 5/3, constant in t
-    assert gamma(2, 1, w) == RatFun.const(F(5, 3))
+    assert gamma(2, 1, w) == RatFun(F(5, 3))
     # gamma_{22} keeps a t^2 term
     g = gamma(2, 2, w)
     assert g.den == ONE

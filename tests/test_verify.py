@@ -13,7 +13,6 @@ import gtmod
 import gtmod.coeffs as coeffs
 from gtmod import singular
 from gtmod.cli import main as cli_main
-from gtmod.ratfun import T, RatFun
 from gtmod.verify import (
     Config, Tally, build_action_matrix, check_commutators, check_formulas, check_gamma,
     check_n3, export_action, load_action_matrix, run_suite, sweep_finite_dim,
@@ -91,11 +90,28 @@ def test_corrupted_coefficient_is_caught(monkeypatch):
 
 
 def test_dropped_prefactor_fails_the_evaluation_crosscheck(monkeypatch):
-    monkeypatch.setattr(singular, "TWO_T", T)  # (x - y) taken as t, not 2t
+    monkeypatch.setattr(singular, "XY_SLOPE", 1)  # (x - y) taken as t, not 2t
     report = check_formulas(_cfg("singular_n3.json", window=1))
     assert not report.ok
     assert report.failed == 162
     assert {ex["check"] for ex in report.exemplars} == {"regular-action-ev-crosscheck"}
+
+
+def test_planted_valuation_off_by_one_is_caught(monkeypatch):
+    original = coeffs.coeff_e
+
+    def planted(r, s, w):  # a pure-t denominator factor left out of v
+        jet = original(r, s, w)
+        return jet._replace(v=jet.v + 1) if jet.v < 0 else jet
+
+    monkeypatch.setattr(coeffs, "coeff_e", planted)
+    cfg = _cfg("singular_n3.json", window=1)
+    formulas = check_formulas(cfg)
+    assert formulas.failed > 0
+    assert {ex["check"] for ex in formulas.exemplars} == {"jet-vs-ratfun"}
+    commutators = check_commutators(cfg)
+    assert commutators.failed > 0
+    assert {ex["check"] for ex in commutators.exemplars} == {"bracket"}
 
 
 def test_export_diagonal_generator_is_diagonal():
