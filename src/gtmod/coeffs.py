@@ -7,7 +7,11 @@ Two presentations of the gl(n) action on tableaux live here:
   target shift ``sigma(epsilon_{lm})``.  Each coefficient comes back as
   its 2-jet at t = 0 (:class:`Jet`), which is all any module reads.  It
   is the one action algorithm: the generic, finite-dimensional and
-  singular modules all read their generator action from it.
+  singular modules all read their generator action from it.  sigma(w)
+  and sigma(epsilon_{lm}) are built by swapping row entries directly
+  from the picks of :func:`~gtmod.tableaux.phi_picks`, with no
+  :class:`~gtmod.tableaux.PermTuple`; the ``formulas`` suite checks them
+  against the ``PermTuple`` action.
 
 * ``coeff_ratfun`` -- the same coefficient as a whole
   :class:`~gtmod.ratfun.RatFun`, from the same factors; only the
@@ -20,7 +24,11 @@ Two presentations of the gl(n) action on tableaux live here:
 
 The closed forms, with empty products equal to 1 (every factor is linear
 in t, so :func:`coeff_e` folds them into a jet with no polynomial
-arithmetic and no gcd -- forward-mode truncated Taylor arithmetic):
+arithmetic and no gcd -- forward-mode truncated Taylor arithmetic).  The
+fold runs on integers: with L the lcm of the entries' denominators, each
+factor is read as (B + C*t)/L with integers B and C (constants such as
+r - 1 and -1 scaled too), numerator and denominator fold into integer
+jets, and each of the two jet components is built as one ``Fraction``:
 
     e_t^+(w)      = prod_{j=2}^{t+1} (w_t1 - w_{t+1,j}) / prod_{j=2}^{t} (w_t1 - w_tj)
     e_{t+1}^-(w)  = prod_{j=2}^{t-1} (w_t1 - w_{t-1,j}) / prod_{j=2}^{t} (w_t1 - w_tj)
@@ -42,19 +50,19 @@ displayed sum.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
 from .ratfun import PoleError, Poly, RatFun
-from .tableaux import ShiftVector, Tableau, epsilon, phi_set
+from .tableaux import ShiftVector, Tableau, phi_picks
 
 __all__ = ["Jet", "coeff_e", "coeff_ratfun", "gamma", "gamma_at_point",
            "classical_action", "perm_action"]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
-Factor = tuple[Fraction, int]  # the linear function b + c*t
+Factor = tuple[Fraction | int, int]  # the linear function b + c*t
 
 
 def _prod(factors) -> Poly:
@@ -97,83 +105,97 @@ class Jet(NamedTuple):
         return self.u0
 
 
-def _diffs(w: Tableau, a: int, b: int, lo: int, hi: int) -> list[Factor]:
+def _diffs(w: Tableau, a: int, b: int, lo: int, hi: int, scale: int | None) -> list[Factor]:
     """The factors w_{a1} - w_{bj} for lo <= j < hi (none when lo >= hi,
-    where row b may not exist)."""
+    where row b may not exist); each times ``scale`` as integers, or as
+    rationals when ``scale`` is None."""
     if lo >= hi:
         return []
     b1, c1 = w.rows[w.n - a][0]
-    return [(b1 - b2, c1 - c2) for b2, c2 in w.rows[w.n - b][lo - 1:hi - 1]]
+    others = w.rows[w.n - b][lo - 1:hi - 1]
+    if scale is None:
+        return [(b1 - b2, c1 - c2) for b2, c2 in others]
+    b1 = b1.numerator * (scale // b1.denominator)
+    return [(b1 - b2.numerator * (scale // b2.denominator), (c1 - c2) * scale)
+            for b2, c2 in others]
 
 
-def _factors(r: int, s: int, w: Tableau) -> tuple[list[Factor], list[Factor]]:
+def _factors(r: int, s: int, w: Tableau,
+             scale: int | None = None) -> tuple[list[Factor], list[Factor]]:
     """e_{rs}(w) as ``prod(num) / prod(den)`` over factors linear in t; the
-    diagonal e_{rr} is a single numerator factor."""
+    diagonal e_{rr} is a single numerator factor.  With ``scale`` (a common
+    multiple of the entries' denominators) every factor, constants
+    included, comes times ``scale`` with integer coefficients."""
     n = w.n
     if not (1 <= r <= n and 1 <= s <= n):
         raise ValueError(f"coeff_e({r},{s}) out of range for n={n}")
+    one = 1 if scale is None else scale
     if r == s:
         # sum_i (w_ri + i - 1) - sum_i (w_{r-1,i} + i - 1); the index parts
         # telescope to the constant r - 1.
         row, below = w.rows[n - r], w.rows[n - r + 1] if r > 1 else ()
-        return [(r - 1 + sum(b for b, _ in row) - sum(b for b, _ in below),
-                 sum(c for _, c in row) - sum(c for _, c in below))], []
+        if scale is None:
+            base = sum(b for b, _ in row) - sum(b for b, _ in below)
+        else:
+            base = (sum(b.numerator * (scale // b.denominator) for b, _ in row)
+                    - sum(b.numerator * (scale // b.denominator) for b, _ in below))
+        return [((r - 1) * one + base,
+                 (sum(c for _, c in row) - sum(c for _, c in below)) * one)], []
     num: list[Factor] = []
     den: list[Factor] = []
     if r < s:
         for q in range(r, s - 1):  # e_q^+ for q = r..s-2
-            num += _diffs(w, q, q + 1, 2, q + 2)
-            den += _diffs(w, q, q, 2, q + 1)
+            num += _diffs(w, q, q + 1, 2, q + 2, scale)
+            den += _diffs(w, q, q, 2, q + 1, scale)
         # e_{s-1,s}, with its leading minus as the constant factor -1
-        num += [(-1, 0)] + _diffs(w, s - 1, s, 1, s + 1)
-        den += _diffs(w, s - 1, s - 1, 2, s)
+        num += [(-one, 0)] + _diffs(w, s - 1, s, 1, s + 1, scale)
+        den += _diffs(w, s - 1, s - 1, 2, s, scale)
         return num, den
-    num += _diffs(w, s, s - 1, 1, s)
-    den += _diffs(w, s, s, 2, s + 1)
+    num += _diffs(w, s, s - 1, 1, s, scale)
+    den += _diffs(w, s, s, 2, s + 1, scale)
     for q in range(s + 2, r + 1):  # e_q^- for q = s+2..r, acting on row q-1
-        num += _diffs(w, q - 1, q - 2, 2, q - 1)
-        den += _diffs(w, q - 1, q - 1, 2, q)
+        num += _diffs(w, q - 1, q - 2, 2, q - 1, scale)
+        den += _diffs(w, q - 1, q - 1, 2, q, scale)
     return num, den
 
 
-def _fold_jet(factors: list[Factor]) -> tuple[int, Fraction, Fraction] | None:
-    """The 2-jet (v, u0, u1) of a product of linear factors b + c*t; None
-    when some factor is identically zero."""
-    v, u0, u1 = 0, _ONE, _ZERO
+def _fold(factors: list[Factor]) -> tuple[int, int, int] | None:
+    """The integer 2-jet (v, x0, x1), t^v * (x0 + x1*t + O(t^2)), of a
+    product of integer linear factors b + c*t; None when some factor is
+    identically zero."""
+    v, x0, x1 = 0, 1, 0
     for b, c in factors:
         if not b:
             if not c:
                 return None
             v, b, c = v + 1, c, 0  # the factor c*t is t times the constant c
-        if c:
-            u1 = u1 * b + u0 * c
-        elif u1:
-            u1 = u1 * b
-        u0 = u0 * b
-    return v, u0, u1
+        x1 = x1 * b + x0 * c
+        x0 *= b
+    return v, x0, x1
 
 
 def coeff_e(r: int, s: int, w: Tableau) -> Jet:
     """The 2-jet at t = 0 of the coefficient function e_{rs} on the tableau
-    w, folded from its linear factors; raises ``ZeroDivisionError`` when a
+    w, folded in integers from its linear factors scaled by the lcm L of
+    the entries' denominators; raises ``ZeroDivisionError`` when a
     denominator factor vanishes identically."""
-    num, den = _factors(r, s, w)
-    d = _fold_jet(den)
+    scale = math.lcm(*[b.denominator for row in w.rows for b, _ in row])
+    num, den = _factors(r, s, w, scale)
+    d = _fold(den)
     if d is None:
         raise ZeroDivisionError("zero denominator in coefficient function")
-    f = _fold_jet(num)
+    f = _fold(num)
     if f is None:
         return Jet(0, _ZERO, _ZERO)
-    v, u0, u1 = f
+    v, x0, x1 = f
     dv, d0, d1 = d
-    # (u0 + u1 t) / (d0 + d1 t) = u0/d0 + (u1 - (u0/d0) d1)/d0 * t + O(t^2)
-    if d0 != 1:
-        u0 = u0 / d0
-        if u1:
-            u1 = u1 / d0
-    if d1:
-        u1 = u1 - u0 * d1 / d0
-    return Jet(v - dv, u0, u1)
+    # Every factor carries one 1/L, so e = L^(#den - #num) (x0 + x1 t) /
+    # (d0 + d1 t) t^(v - dv), and (x0 + x1 t) / (d0 + d1 t) =
+    # x0/d0 + (x1 d0 - x0 d1)/d0^2 t + O(t^2).
+    k = len(den) - len(num)
+    top, bottom = (scale ** k, 1) if k >= 0 else (1, scale ** -k)
+    return Jet(v - dv, Fraction(top * x0, bottom * d0),
+               Fraction(top * (x1 * d0 - x0 * d1), bottom * d0 * d0))
 
 
 def coeff_ratfun(r: int, s: int, w: Tableau) -> RatFun:
@@ -269,9 +291,29 @@ def classical_action(l: int, m: int, t: Tableau) -> list[tuple[Fraction, ShiftVe
     return out
 
 
+def _swap_first(row: tuple, a: int) -> tuple:
+    """The row with its entries 1 and a exchanged, a > 1."""
+    return (row[a - 1],) + row[1:a - 1] + (row[0],) + row[a:]
+
+
 def perm_action(l: int, m: int, t: Tableau) -> list[tuple[Jet, ShiftVector]]:
     """Permutation form of the generator action: one
     ``(e_{lm}(sigma(w)), sigma(epsilon_{lm}))`` pair per sigma in Phi_{lm}.
+
+    sigma is the row-q transposition (1, a_q) for each pick of
+    :func:`~gtmod.tableaux.phi_picks`, so sigma(w) swaps the entries 1 and
+    a_q of row q, and sigma(epsilon_{lm}) = +-sum_q delta(q, a_q) (minus
+    when l > m).
     """
-    eps = epsilon(t.n, l, m)
-    return [(coeff_e(l, m, sigma(t)), sigma(eps)) for sigma in phi_set(l, m, t.n)]
+    n, rows = t.n, t.rows
+    lo, sign = min(l, m), 1 if l < m else -1
+    zero = [(0,) * q for q in range(n - 1, 0, -1)]  # row q at index n-1-q
+    out = []
+    for picks in phi_picks(l, m, n):
+        moved, shift = list(rows), zero.copy()
+        for q, a in enumerate(picks, start=lo):
+            if a != 1:
+                moved[n - q] = _swap_first(rows[n - q], a)
+            shift[n - 1 - q] = zero[n - 1 - q][:a - 1] + (sign,) + zero[n - 1 - q][a:]
+        out.append((coeff_e(l, m, Tableau(tuple(moved))), ShiftVector(n, tuple(shift))))
+    return out

@@ -31,7 +31,7 @@ Entry = tuple[Fraction, int]  # base + tcoef * t
 
 __all__ = [
     "Tableau", "ShiftVector", "PermTuple", "SingularFrame",
-    "epsilon", "phi_set", "tau_perm", "tau_star",
+    "epsilon", "phi_picks", "phi_set", "tau_perm", "tau_star",
     "is_standard", "is_generic", "singular_pairs", "omega_plus",
     "closest_representative", "window_shifts", "parse_rational",
 ]
@@ -330,20 +330,24 @@ class PermTuple:
         return "PermTuple(" + (", ".join(moved) if moved else "id") + ")"
 
 
+def phi_picks(l: int, m: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The picks (a_q) for q = min(l,m), ..., max(l,m)-1 of the elements of
+    Phi_{lm}, in enumeration order: a_q is the partner of 1 in the row-q
+    transposition (1, a_q), 1 <= a_q <= q; Phi_{ll} has the one empty pick.
+    """
+    if not (1 <= l <= n and 1 <= m <= n):
+        raise ValueError(f"Phi({l},{m}) out of range for n={n}")
+    return itertools.product(*(range(1, q + 1) for q in range(min(l, m), max(l, m))))
+
+
 def phi_set(l: int, m: int, n: int) -> list[PermTuple]:
     """Enumerate Phi_{lm}: per row t in [min(l,m), max(l,m)-1] a transposition
     (1, a_t) with 1 <= a_t <= t; Phi_{ll} = {id}.
     """
-    if not (1 <= l <= n and 1 <= m <= n):
-        raise ValueError(f"phi_set({l},{m}) out of range for n={n}")
-    lo, hi = min(l, m), max(l, m)
-    if lo == hi:
-        return [PermTuple.identity(n)]
-    choices = [range(1, t + 1) for t in range(lo, hi)]
     out = []
-    for picks in itertools.product(*choices):
+    for picks in phi_picks(l, m, n):
         perms = [_identity(r) for r in range(1, n + 1)]
-        for t, a in zip(range(lo, hi), picks):
+        for t, a in enumerate(picks, start=min(l, m)):
             perms[t - 1] = _transposition(t, 1, a)
         out.append(PermTuple(tuple(perms)))
     return out

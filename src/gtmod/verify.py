@@ -16,7 +16,8 @@ Suites:
   generation-witness coefficients;
 * ``formulas``    -- the coefficient-level identities: classical versus
   permutation presentation, each coefficient's jet against its whole
-  rational function, pole-order bound, parity relations, the
+  rational function, the direct row swaps of the permutation form against
+  the ``PermTuple`` action, pole-order bound, parity relations, the
   point-operator exchange rules, the evaluation cross-check, and the
   finite-dimensional regression;
 * ``n3``          -- the ten-piece decomposition over the all-equal n = 3
@@ -49,7 +50,9 @@ from .singular import (
     REG, SingularModule, canonical_window, canonicalize, connecting_shift,
     generation_witnesses, irreducibility_hypothesis,
 )
-from .tableaux import PermTuple, SingularFrame, Tableau, phi_set, tau_star, window_shifts
+from .tableaux import (
+    PermTuple, SingularFrame, Tableau, epsilon, phi_set, tau_star, window_shifts,
+)
 
 __all__ = [
     "Config", "VerificationReport", "SUITES", "run_suite",
@@ -454,7 +457,9 @@ def sweep_coefficient_identities(cfg: Config, tally: Tally):
         for l in range(1, n + 1):
             for m in range(1, n + 1):
                 inside = min(l, m) <= k <= max(l, m) - 1
-                for sigma in phi_set(l, m, n):
+                direct = coeffs.perm_action(l, m, frame.tableau_at(z))
+                eps = epsilon(n, l, m)
+                for idx, sigma in enumerate(phi_set(l, m, n)):
                     w = sigma(frame.tableau_at(z))
                     e = coeffs.coeff_ratfun(l, m, w)
                     jet = coeffs.coeff_e(l, m, w)
@@ -462,6 +467,12 @@ def sweep_coefficient_identities(cfg: Config, tally: Tally):
                                 lambda j_=jet, e_=e, s_=sigma, l_=l, m_=m: {
                                     "input": f"e({l_},{m_}) at {s_!r}(v+{z!r})",
                                     "lhs": repr(j_), "rhs": repr(e_)})
+                    # the direct row swaps of perm_action against PermTuple
+                    pair = (jet, sigma(eps))
+                    tally.check(direct[idx:idx + 1] == [pair], "perm-action-vs-phi-set",
+                                lambda d_=direct[idx:idx + 1], p_=pair, s_=sigma, l_=l, m_=m: {
+                                    "input": f"E({l_},{m_}) term {s_!r} at v+{z!r}",
+                                    "lhs": repr(d_), "rhs": repr([p_])})
                     special = sigma.row(k) in special_rows
                     if fixed:
                         # pole-order bound, and smoothness off the special set

@@ -133,12 +133,15 @@ def test_perm_action_e32_pairs_on_singular_line():
 
 @st.composite
 def t_tableaux(draw):
-    """A tableau of size 2..5 with +t and -t on one same-row pair; entries
-    come from a small pool, so equal entries (identically zero numerator
-    and denominator factors) are common, and the pair's bases are often
-    equal, as on a singular frame."""
+    """A tableau of size 2..5 with +t and -t on one same-row pair; half the
+    entries come from a small pool, so equal entries (identically zero
+    numerator and denominator factors) are common, and the pair's bases are
+    often equal, as on a singular frame; the other half have denominators
+    3, 5, 7 and 11, so the common denominator of a tableau varies."""
     n = draw(st.integers(2, 5))
-    pool = st.sampled_from([F(0), F(1), F(-1), F(1, 2)])
+    pool = st.one_of(
+        st.sampled_from([F(0), F(1), F(-1), F(1, 2)]),
+        st.builds(F, st.integers(-12, 12), st.sampled_from([3, 5, 7, 11])))
     rows = [[draw(pool) for _ in range(r)] for r in range(n, 0, -1)]
     k = draw(st.integers(2, n))
     i, j = sorted(draw(st.lists(st.integers(1, k), min_size=2, max_size=2, unique=True)))

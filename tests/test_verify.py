@@ -114,6 +114,51 @@ def test_planted_valuation_off_by_one_is_caught(monkeypatch):
     assert {ex["check"] for ex in commutators.exemplars} == {"bracket"}
 
 
+def _plant_unscaled_diagonal_constant(monkeypatch):
+    real = coeffs._factors
+
+    def planted(r, s, w, scale=None):  # the constant r - 1 not times the scale
+        num, den = real(r, s, w, scale)
+        if r == s and scale is not None:
+            [(b, c)] = num
+            num = [(b - (r - 1) * (scale - 1), c)]
+        return num, den
+
+    monkeypatch.setattr(coeffs, "_factors", planted)
+
+
+def _plant_swap_one_short(monkeypatch):
+    real = coeffs._swap_first
+    # entry 1 of the row lands at position a - 1 instead of a
+    monkeypatch.setattr(coeffs, "_swap_first",
+                        lambda row, a: real(row, a - 1) if a > 2 else row)
+
+
+@pytest.mark.parametrize("plant, formulas_kinds", [
+    (_plant_unscaled_diagonal_constant, {"classical-vs-permutation", "jet-vs-ratfun"}),
+    (_plant_swap_one_short, {"classical-vs-permutation", "finite-dim-bracket",
+                             "finite-dim-gamma", "perm-action-vs-phi-set",
+                             "regular-action-tau-even", "derivative-action-tau-odd"}),
+], ids=["diagonal-constant-unscaled", "swap-one-short"])
+def test_planted_kernel_defect_is_caught(monkeypatch, plant, formulas_kinds):
+    failing: set[str] = set()
+    check = Tally.check
+
+    def recording(self, ok, kind, detail):
+        if not ok:
+            failing.add(kind)
+        return check(self, ok, kind, detail)
+
+    monkeypatch.setattr(Tally, "check", recording)
+    plant(monkeypatch)
+    cfg = _cfg("singular_n3.json", window=1)
+    assert check_formulas(cfg).failed > 0
+    assert failing == formulas_kinds
+    failing.clear()
+    assert check_commutators(cfg).failed > 0
+    assert failing == {"bracket"}
+
+
 def test_export_diagonal_generator_is_diagonal():
     cfg = _cfg("generic_n3.json", window=1)
     matrix = build_action_matrix(cfg, "E", (1, 1))
