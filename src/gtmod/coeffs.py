@@ -307,13 +307,13 @@ def perm_action(l: int, m: int, t: Tableau) -> list[tuple[Jet, ShiftVector]]:
     """
     n, rows = t.n, t.rows
     lo, sign = min(l, m), 1 if l < m else -1
-    zero = [(0,) * q for q in range(n - 1, 0, -1)]  # shift rows n-1, ..., 1
+    zero = [(0,) * q for q in range(n - 1, 0, -1)]  # row q at index n-1-q
     out = []
     for picks in phi_picks(l, m, n):
         moved, shift = list(rows), zero.copy()
         for q, a in enumerate(picks, start=lo):
             if a != 1:
                 moved[n - q] = _swap_first(rows[n - q], a)
-            shift[n - 1 - q] = (0,) * (a - 1) + (sign,) + (0,) * (q - a)
+            shift[n - 1 - q] = zero[n - 1 - q][:a - 1] + (sign,) + zero[n - 1 - q][a:]
         out.append((coeff_e(l, m, Tableau(tuple(moved))), ShiftVector(n, tuple(shift))))
     return out
