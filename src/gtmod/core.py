@@ -1,22 +1,35 @@
 """The module operations shared by every tableau module family.
 
-A family supplies ``act_symbol(l, m, sym)``: E_{lm} on one basis symbol,
-as a :class:`LinComb`, and ``tableau_at(z)``: the basis tableau at shift
-z.  Everything here is built on those alone and is bound into each
+A family supplies ``_act_uncached(l, m, sym)``: E_{lm} on one basis
+symbol, as a :class:`LinComb`, and ``tableau_at(z)``: the basis tableau at
+shift z.  Everything here is built on those alone and is bound into each
 family's class body (``act = core.act``), so every family keeps these
-names in its own namespace.  The closed-form gamma_{rs} is memoized per
-module, keyed by the row r it reads.
+names in its own namespace.  ``act_symbol`` memoizes the generator action
+per module, keyed by (l, m, symbol); the closed-form gamma_{rs} is
+memoized per module, keyed by the row r it reads.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from . import coeffs
 from .lincomb import LinComb
 from .ratfun import RatFun
 
-__all__ = ["act", "bracket_defect", "crs_via_composition", "gamma", "character", "gamma_action"]
+__all__ = ["act_symbol", "act", "bracket_defect", "crs_via_composition", "gamma",
+           "character", "gamma_action", "gamma_eigenvalue"]
+
+
+def act_symbol(self, l: int, m: int, sym) -> LinComb:
+    """E_{lm} on one basis symbol; a cache miss runs the family's
+    ``_act_uncached``."""
+    key = (l, m, sym)
+    hit = self._act_cache.get(key)
+    if hit is None:
+        hit = self._act_cache[key] = self._act_uncached(l, m, sym)
+    return hit
 
 
 def act(self, l: int, m: int, x: LinComb) -> LinComb:
@@ -76,3 +89,8 @@ def character(self, z, max_row: int | None = None) -> tuple:
 def gamma_action(self, r: int, s: int, x: LinComb) -> LinComb:
     """c_{rs} in closed form, on a family where it acts by ``gamma_eigenvalue``."""
     return LinComb.sum_terms((z, c * self.gamma_eigenvalue(r, s, z)) for z, c in x.items())
+
+
+def gamma_eigenvalue(self, r: int, s: int, z) -> Fraction:
+    """gamma_{rs} at shift z, on a family where it is a constant."""
+    return self.gamma(r, s, z).const_value()

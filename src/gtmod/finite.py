@@ -15,7 +15,6 @@ enumeration and the formula are compared in the regression suite.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from . import coeffs, core
 from .lincomb import LinComb
@@ -97,14 +96,10 @@ class FiniteModule:
     def tableau_at(self, z: ShiftVector) -> Tableau:
         return self.base.with_shift(z)
 
-    def act_symbol(self, l: int, m: int, z: ShiftVector) -> LinComb:
+    def _act_uncached(self, l: int, m: int, z: ShiftVector) -> LinComb:
         """E_{lm} at shift z: the permutation form, keeping the summands
         whose target tableau is standard.  No denominator vanishes, since
         every row of a standard tableau is strictly decreasing here."""
-        key = (l, m, z)
-        hit = self._act_cache.get(key)
-        if hit is not None:
-            return hit
         terms = []
         for fn, dz in coeffs.perm_action(l, m, self.tableau_at(z)):
             target = z + dz
@@ -112,16 +107,13 @@ class FiniteModule:
                 if target not in self._basis_set:
                     raise RuntimeError("standard span was not preserved")
                 terms.append((target, fn.const_value()))
-        out = LinComb.sum_terms(terms)
-        self._act_cache[key] = out
-        return out
+        return LinComb.sum_terms(terms)
 
+    act_symbol = core.act_symbol
     act = core.act
     bracket_defect = core.bracket_defect
     crs_via_composition = core.crs_via_composition
 
     gamma = core.gamma
     gamma_action = core.gamma_action
-
-    def gamma_eigenvalue(self, r: int, s: int, z: ShiftVector) -> Fraction:
-        return self.gamma(r, s, z).const_value()
+    gamma_eigenvalue = core.gamma_eigenvalue

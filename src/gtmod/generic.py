@@ -13,8 +13,6 @@ ever enumerates the (infinite) full basis.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import coeffs, core
 from .lincomb import LinComb
 from .tableaux import ShiftVector, Tableau, is_generic, omega_plus
@@ -38,18 +36,13 @@ class GenericModule:
 
     # -- generator action ----------------------------------------------------
 
-    def act_symbol(self, l: int, m: int, z: ShiftVector) -> LinComb:
+    def _act_uncached(self, l: int, m: int, z: ShiftVector) -> LinComb:
         """E_{lm} applied to the basis tableau at shift z."""
-        key = (l, m, z)
-        hit = self._act_cache.get(key)
-        if hit is not None:
-            return hit
         t = self.tableau_at(z)
-        out = LinComb.sum_terms((z + dz, c) for fn, dz in coeffs.perm_action(l, m, t)
-                                if (c := fn.const_value()))
-        self._act_cache[key] = out
-        return out
+        return LinComb.sum_terms((z + dz, c) for fn, dz in coeffs.perm_action(l, m, t)
+                                 if (c := fn.const_value()))
 
+    act_symbol = core.act_symbol
     act = core.act
     bracket_defect = core.bracket_defect
     crs_via_composition = core.crs_via_composition
@@ -59,12 +52,7 @@ class GenericModule:
     gamma = core.gamma
     character = core.character
     gamma_action = core.gamma_action
-
-    def gamma_eigenvalue(self, r: int, s: int, z: ShiftVector) -> Fraction:
-        return self.gamma(r, s, z).const_value()
-
-    def describe(self) -> str:
-        return f"n={self.n} generic base={self.base.to_text()}"
+    gamma_eigenvalue = core.gamma_eigenvalue
 
 
 def submodule_membership(left: Tableau, right: Tableau) -> bool:

@@ -32,8 +32,8 @@ v = 1 and 0 above.  A larger pole is an :class:`InvariantViolation`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import coeffs, core
 from .lincomb import LinComb
@@ -58,8 +58,7 @@ class InvariantViolation(RuntimeError):
     """A structural fact the construction guarantees failed to hold."""
 
 
-@dataclass(frozen=True)
-class BasisSymbol:
+class BasisSymbol(NamedTuple):
     kind: str
     shift: ShiftVector
 
@@ -180,18 +179,12 @@ class SingularModule:
             raise ValueError("the evaluation form needs a tau-unfixed shift")
         return self._phi_sum(l, m, z, lambda e: (e.d_ev()[1], 0))
 
-    def act_symbol(self, l: int, m: int, sym: BasisSymbol) -> LinComb:
-        key = (l, m, sym)
-        hit = self._act_cache.get(key)
-        if hit is not None:
-            return hit
+    def _act_uncached(self, l: int, m: int, sym: BasisSymbol) -> LinComb:
         if sym.kind == REG:
-            out = self.act_on_regular(l, m, sym.shift)
-        else:
-            out = self.act_on_derivative(l, m, sym.shift)
-        self._act_cache[key] = out
-        return out
+            return self.act_on_regular(l, m, sym.shift)
+        return self.act_on_derivative(l, m, sym.shift)
 
+    act_symbol = core.act_symbol
     act = core.act
     bracket_defect = core.bracket_defect
     crs_via_composition = core.crs_via_composition
@@ -224,9 +217,6 @@ class SingularModule:
         for sym in canonical_window(self.frame, bound):
             groups.setdefault(self.character(sym.shift), []).append(sym)
         return groups
-
-    def describe(self) -> str:
-        return self.frame.describe()
 
 
 # ---------------------------------------------------------------------------

@@ -16,16 +16,20 @@ The integer lattice of shifts leaves the top row fixed, so a
 Row permutations act position-wise on rows: ``(sigma(w))[r,s] =
 w[r, sigma[r]^{-1}(s)]``.  Only tuples of transpositions of the form
 ``(1, a)`` per row are ever needed (the sets ``Phi_{lm}``).
+
+The value types are ``NamedTuple`` classes, hashed and compared as plain
+tuples.  Shapes are checked only where input enters: in
+:meth:`Tableau.from_rows` (behind :meth:`Tableau.from_text` and configs)
+and :meth:`ShiftVector.from_text`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 Entry = tuple[Fraction, int]  # base + tcoef * t
 
@@ -33,29 +37,33 @@ __all__ = [
     "Tableau", "ShiftVector", "PermTuple", "SingularFrame",
     "epsilon", "phi_picks", "phi_set", "tau_perm", "tau_star",
     "is_standard", "is_generic", "singular_pairs", "omega_plus",
-    "closest_representative", "window_shifts", "parse_rational",
+    "closest_representative", "window_shifts",
 ]
 
 
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
+def _text_cells(text: str) -> list[list[str]]:
+    """The comma-separated cells of each ``|``-separated row of ``(a,b|c)``."""
+    body = text.strip()
+    if body.startswith("("):
+        if not body.endswith(")"):
+            raise ValueError(f"unbalanced parentheses in {text!r}")
+        body = body[1:-1]
+    return [part.split(",") for part in body.split("|")]
 
 
-def _fmt_rational(x: Fraction) -> str:
-    return str(x)
+def _check_shape(rows: Sequence[Sequence], top: int) -> None:
+    """Rows must have lengths top, top-1, ..., 1."""
+    if len(rows) != top:
+        raise ValueError(f"{len(rows)} rows, wants {top}")
+    for idx, row in enumerate(rows):
+        if len(row) != top - idx:
+            raise ValueError(f"row {top - idx} has {len(row)} entries, wants {top - idx}")
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(NamedTuple):
     """Triangular array of entries ``base + tcoef*t``; rows top-first."""
 
     rows: tuple[tuple[Entry, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.rows)
-        for idx, row in enumerate(self.rows):
-            if len(row) != n - idx:
-                raise ValueError(f"row {n - idx} has {len(row)} entries, wants {n - idx}")
 
     @property
     def n(self) -> int:
@@ -63,11 +71,10 @@ class Tableau:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "Tableau":
-        """Build a plain tableau from rationals/ints, top row first."""
-        packed = tuple(
-            tuple((Fraction(x), 0) for x in row) for row in rows
-        )
-        return Tableau(packed)
+        """Build a plain tableau from rationals/ints, top row first; rows
+        must have lengths n, n-1, ..., 1."""
+        _check_shape(rows, len(rows))
+        return Tableau(tuple(tuple((Fraction(x), 0) for x in row) for row in rows))
 
     # -- entry access (r = row length 1..n, s = 1..r) ------------------------
 
@@ -112,21 +119,12 @@ class Tableau:
         if not self.is_plain:
             raise ValueError("text form is defined for plain tableaux only")
         return "(" + "|".join(
-            ",".join(_fmt_rational(e[0]) for e in row) for row in self.rows
+            ",".join(str(e[0]) for e in row) for row in self.rows
         ) + ")"
 
     @staticmethod
     def from_text(text: str) -> "Tableau":
-        body = text.strip()
-        if body.startswith("("):
-            if not body.endswith(")"):
-                raise ValueError(f"unbalanced parentheses in {text!r}")
-            body = body[1:-1]
-        rows = [
-            [parse_rational(x) for x in re.split(r",", part)]
-            for part in body.split("|")
-        ]
-        return Tableau.from_rows(rows)
+        return Tableau.from_rows([[Fraction(x) for x in row] for row in _text_cells(text)])
 
     def __repr__(self) -> str:
         if self.is_plain:
@@ -138,8 +136,7 @@ class Tableau:
         return f"Tableau({cells})"
 
 
-@dataclass(frozen=True)
-class ShiftVector:
+class ShiftVector(NamedTuple):
     """Integer shifts of the rows 1..n-1 of a tableau (top row fixed).
 
     Stored row-major, row n-1 first, matching the tuple notation
@@ -148,13 +145,6 @@ class ShiftVector:
 
     n: int
     rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.rows) != self.n - 1:
-            raise ValueError("wrong number of rows")
-        for idx, row in enumerate(self.rows):
-            if len(row) != self.n - 1 - idx:
-                raise ValueError("ragged shift vector")
 
     @staticmethod
     def zero(n: int) -> "ShiftVector":
@@ -208,10 +198,9 @@ class ShiftVector:
 
     @staticmethod
     def from_text(n: int, text: str) -> "ShiftVector":
-        body = text.strip()
-        if body.startswith("("):
-            body = body[1:-1]
-        rows = tuple(tuple(int(x) for x in part.split(",")) for part in body.split("|"))
+        """Parse ``(a,b|c)``; rows must have lengths n-1, ..., 1."""
+        rows = tuple(tuple(int(x) for x in row) for row in _text_cells(text))
+        _check_shape(rows, n - 1)
         return ShiftVector(n, rows)
 
     def __repr__(self) -> str:
@@ -263,8 +252,7 @@ def _identity(size: int) -> tuple[int, ...]:
     return tuple(range(1, size + 1))
 
 
-@dataclass(frozen=True)
-class PermTuple:
+class PermTuple(NamedTuple):
     """An element of S_n x S_{n-1} x ... x S_1, one permutation per row.
 
     ``perms[r-1]`` is the image tuple of the row-r permutation:

@@ -232,3 +232,10 @@ def test_text_roundtrip():
     z = ShiftVector.from_text(3, "(1,-2|0)")
     assert z.get(2, 1) == 1 and z.get(2, 2) == -2 and z.get(1, 1) == 0
     assert ShiftVector.from_text(3, z.to_text()) == z
+
+
+@pytest.mark.parametrize("text", ["(1,2|34", "(1,2,3|4)", "(1,2|3|4)"],
+                         ids=["unbalanced", "ragged", "row-count"])
+def test_shift_text_shape_is_checked(text):
+    with pytest.raises(ValueError):
+        ShiftVector.from_text(3, text)

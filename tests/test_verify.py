@@ -13,6 +13,7 @@ import gtmod
 import gtmod.coeffs as coeffs
 from gtmod import singular
 from gtmod.cli import main as cli_main
+from gtmod.tableaux import Tableau
 from gtmod.verify import (
     Config, Tally, build_action_matrix, check_commutators, check_formulas, check_gamma,
     check_n3, export_action, load_action_matrix, run_suite, sweep_finite_dim,
@@ -48,6 +49,26 @@ def test_gamma_suite_passes_generic():
 def test_n3_suite_passes():
     report = check_n3(_cfg("all_equal_n3.json", window=2))
     assert report.ok
+
+
+@pytest.mark.parametrize("name, counts", [
+    ("generic_n3", {"commutators": 972, "gamma": 147, "formulas": 1017}),
+    ("singular_n3", {"commutators": 972, "gamma": 307, "formulas": 3465}),
+    ("all_equal_n3", {"commutators": 972, "gamma": 267, "n3": 39}),
+    ("singular_n4", {"commutators": 120, "gamma": 245}),
+    ("singular_n4_row3", {"commutators": 120, "gamma": 245}),
+])
+def test_report_counts_are_pinned(name, counts):
+    """Every configured suite at the fixture seed, window 1 on n = 3 and 0
+    on n = 4: all checks pass, and their number does not move."""
+    cfg = _cfg(f"{name}.json")
+    cfg = cfg.with_overrides(window=1 if cfg.n == 3 else 0)
+    checked = {}
+    for suite in cfg.suites:
+        report = run_suite(suite, cfg)
+        assert report.failed == 0 and report.exemplars == []
+        checked[suite] = report.checked
+    assert checked == counts
 
 
 def test_n3_suite_rejects_wrong_frame():
@@ -293,6 +314,16 @@ def test_unknown_suite_in_config_is_rejected(tmp_path, capsys):
     path = tmp_path / "bogus.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     assert "bogus" in _cli_error(capsys, path)
+
+
+def test_ragged_base_tableau_is_rejected(tmp_path, capsys):
+    with pytest.raises(ValueError, match="row 3 has 2 entries"):
+        Tableau.from_text("(0,1|2,3|4)")
+    data = json.loads(open(f"{FIXTURES}/generic_n3.json", encoding="utf-8").read())
+    data["base"] = "(0,1|2,3|4)"
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert "row 3 has 2 entries" in _cli_error(capsys, path)
 
 
 def test_cli_unwritable_json_fails_before_the_suite(tmp_path, capsys):
