@@ -10,8 +10,8 @@ Two presentations of the gl(n) action on tableaux live here:
   singular modules all read their generator action from it.  sigma(w)
   and sigma(epsilon_{lm}) are built by swapping row entries directly
   from the picks of :func:`~gtmod.tableaux.phi_picks`, with no
-  :class:`~gtmod.tableaux.PermTuple`; the ``formulas`` suite checks them
-  against the ``PermTuple`` action.
+  :class:`~gtmod.tableaux.PermTuple`; the ``formulas`` suite checks them,
+  on a module's own integer tableau, against the ``PermTuple`` action.
 
 * ``coeff_ratfun`` -- the same coefficient as a whole
   :class:`~gtmod.ratfun.RatFun`, from the same factors; only the
@@ -25,10 +25,11 @@ Two presentations of the gl(n) action on tableaux live here:
 The closed forms, with empty products equal to 1 (every factor is linear
 in t, so :func:`coeff_e` folds them into a jet with no polynomial
 arithmetic and no gcd -- forward-mode truncated Taylor arithmetic).  The
-fold runs on integers: with L the lcm of the entries' denominators, each
-factor is read as (B + C*t)/L with integers B and C (constants such as
-r - 1 and -1 scaled too), numerator and denominator fold into integer
-jets, and each of the two jet components is built as one ``Fraction``:
+fold runs on an :class:`IntTableau`, the tableau times the lcm L of its
+entries' denominators, made once per module by :func:`int_tableau`: each
+factor is (B + C*t)/L with integers B and C (constants such as r - 1 and
+-1 scaled too), numerator and denominator fold into integer jets, and
+each of the two jet components is built as one ``Fraction``:
 
     e_t^+(w)      = prod_{j=2}^{t+1} (w_t1 - w_{t+1,j}) / prod_{j=2}^{t} (w_t1 - w_tj)
     e_{t+1}^-(w)  = prod_{j=2}^{t-1} (w_t1 - w_{t-1,j}) / prod_{j=2}^{t} (w_t1 - w_tj)
@@ -57,8 +58,8 @@ from typing import NamedTuple
 from .ratfun import PoleError, Poly, RatFun
 from .tableaux import ShiftVector, Tableau, phi_picks
 
-__all__ = ["Jet", "coeff_e", "coeff_ratfun", "gamma", "gamma_at_point",
-           "classical_action", "perm_action"]
+__all__ = ["Jet", "IntTableau", "int_tableau", "coeff_e", "coeff_ratfun", "gamma",
+           "gamma_at_point", "classical_action", "perm_action"]
 
 _ZERO = Fraction(0)
 
@@ -89,14 +90,17 @@ class Jet(NamedTuple):
     def d_ev(self) -> tuple[Fraction, Fraction]:
         """The half-derivative f'(0)/2 and the value f(0); raises
         :class:`~gtmod.ratfun.PoleError` on a pole."""
-        v = self.v
-        if v == 0:
-            return self.u1 / 2, self.u0
-        if v == 1:
-            return self.u0 / 2, _ZERO
-        if v > 1:
-            return _ZERO, _ZERO
-        raise PoleError(f"pole of order {-v} at t=0: {self!r}")
+        (dn, dd), (en, ed) = self.d_ev_ratios()
+        return Fraction(dn, dd), Fraction(en, ed)
+
+    def d_ev_ratios(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """:meth:`d_ev` as integer (numerator, denominator) pairs, not
+        reduced."""
+        v, u0, u1 = self
+        if v < 0:
+            raise PoleError(f"pole of order {-v} at t=0: {self!r}")
+        d, ev = (u1, u0) if v == 0 else (u0, 0) if v == 1 else (0, 0)
+        return (d.numerator, 2 * d.denominator), (ev.numerator, ev.denominator)
 
     def const_value(self) -> Fraction:
         """u0, for a coefficient read on a plain tableau (v = 0, u1 = 0)."""
@@ -105,57 +109,61 @@ class Jet(NamedTuple):
         return self.u0
 
 
-def _diffs(w: Tableau, a: int, b: int, lo: int, hi: int, scale: int | None) -> list[Factor]:
+class IntTableau(NamedTuple):
+    """A tableau times the lcm L (``scale``) of its entries' denominators:
+    the entry (B, C) of ``rows`` stands for (B + C*t)/L, with integers B and
+    C.  Rows are top-first, as in :class:`Tableau`."""
+
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+    scale: int
+
+
+def int_tableau(w: Tableau) -> IntTableau:
+    """The :class:`IntTableau` of w, scaled by the lcm of its entries'
+    denominators."""
+    scale = math.lcm(*[b.denominator for row in w.rows for b, _ in row])
+    return IntTableau(tuple(tuple((b.numerator * (scale // b.denominator), c * scale)
+                                  for b, c in row) for row in w.rows), scale)
+
+
+def _diffs(w, a: int, b: int, lo: int, hi: int) -> list[Factor]:
     """The factors w_{a1} - w_{bj} for lo <= j < hi (none when lo >= hi,
-    where row b may not exist); each times ``scale`` as integers, or as
-    rationals when ``scale`` is None."""
+    where row b may not exist); rows are top-first, so row r is rows[-r]."""
     if lo >= hi:
         return []
-    b1, c1 = w.rows[w.n - a][0]
-    others = w.rows[w.n - b][lo - 1:hi - 1]
-    if scale is None:
-        return [(b1 - b2, c1 - c2) for b2, c2 in others]
-    b1 = b1.numerator * (scale // b1.denominator)
-    return [(b1 - b2.numerator * (scale // b2.denominator), (c1 - c2) * scale)
-            for b2, c2 in others]
+    b1, c1 = w.rows[-a][0]
+    return [(b1 - b2, c1 - c2) for b2, c2 in w.rows[-b][lo - 1:hi - 1]]
 
 
-def _factors(r: int, s: int, w: Tableau,
-             scale: int | None = None) -> tuple[list[Factor], list[Factor]]:
-    """e_{rs}(w) as ``prod(num) / prod(den)`` over factors linear in t; the
-    diagonal e_{rr} is a single numerator factor.  With ``scale`` (a common
-    multiple of the entries' denominators) every factor, constants
-    included, comes times ``scale`` with integer coefficients."""
-    n = w.n
+def _factors(r: int, s: int, w, one: int = 1) -> tuple[list[Factor], list[Factor]]:
+    """e_{rs}(w) as ``prod(num) / prod(den)`` over factors linear in t, for
+    a :class:`Tableau` (``one`` = 1) or an :class:`IntTableau` (``one`` =
+    its scale L, so every factor, constants included, comes times L); the
+    diagonal e_{rr} is a single numerator factor."""
+    n = len(w.rows)
     if not (1 <= r <= n and 1 <= s <= n):
         raise ValueError(f"coeff_e({r},{s}) out of range for n={n}")
-    one = 1 if scale is None else scale
     if r == s:
         # sum_i (w_ri + i - 1) - sum_i (w_{r-1,i} + i - 1); the index parts
         # telescope to the constant r - 1.
-        row, below = w.rows[n - r], w.rows[n - r + 1] if r > 1 else ()
-        if scale is None:
-            base = sum(b for b, _ in row) - sum(b for b, _ in below)
-        else:
-            base = (sum(b.numerator * (scale // b.denominator) for b, _ in row)
-                    - sum(b.numerator * (scale // b.denominator) for b, _ in below))
-        return [((r - 1) * one + base,
-                 (sum(c for _, c in row) - sum(c for _, c in below)) * one)], []
+        row, below = w.rows[-r], w.rows[1 - r] if r > 1 else ()
+        return [((r - 1) * one + sum(b for b, _ in row) - sum(b for b, _ in below),
+                 sum(c for _, c in row) - sum(c for _, c in below))], []
     num: list[Factor] = []
     den: list[Factor] = []
     if r < s:
         for q in range(r, s - 1):  # e_q^+ for q = r..s-2
-            num += _diffs(w, q, q + 1, 2, q + 2, scale)
-            den += _diffs(w, q, q, 2, q + 1, scale)
+            num += _diffs(w, q, q + 1, 2, q + 2)
+            den += _diffs(w, q, q, 2, q + 1)
         # e_{s-1,s}, with its leading minus as the constant factor -1
-        num += [(-one, 0)] + _diffs(w, s - 1, s, 1, s + 1, scale)
-        den += _diffs(w, s - 1, s - 1, 2, s, scale)
+        num += [(-one, 0)] + _diffs(w, s - 1, s, 1, s + 1)
+        den += _diffs(w, s - 1, s - 1, 2, s)
         return num, den
-    num += _diffs(w, s, s - 1, 1, s, scale)
-    den += _diffs(w, s, s, 2, s + 1, scale)
+    num += _diffs(w, s, s - 1, 1, s)
+    den += _diffs(w, s, s, 2, s + 1)
     for q in range(s + 2, r + 1):  # e_q^- for q = s+2..r, acting on row q-1
-        num += _diffs(w, q - 1, q - 2, 2, q - 1, scale)
-        den += _diffs(w, q - 1, q - 1, 2, q, scale)
+        num += _diffs(w, q - 1, q - 2, 2, q - 1)
+        den += _diffs(w, q - 1, q - 1, 2, q)
     return num, den
 
 
@@ -174,12 +182,14 @@ def _fold(factors: list[Factor]) -> tuple[int, int, int] | None:
     return v, x0, x1
 
 
-def coeff_e(r: int, s: int, w: Tableau) -> Jet:
+def coeff_e(r: int, s: int, w: Tableau | IntTableau) -> Jet:
     """The 2-jet at t = 0 of the coefficient function e_{rs} on the tableau
-    w, folded in integers from its linear factors scaled by the lcm L of
-    the entries' denominators; raises ``ZeroDivisionError`` when a
-    denominator factor vanishes identically."""
-    scale = math.lcm(*[b.denominator for row in w.rows for b, _ in row])
+    w, folded in integers from its linear factors on the integer tableau
+    (a :class:`Tableau` is scaled by :func:`int_tableau` first); raises
+    ``ZeroDivisionError`` when a denominator factor vanishes identically."""
+    if isinstance(w, Tableau):
+        w = int_tableau(w)
+    scale = w.scale
     num, den = _factors(r, s, w, scale)
     d = _fold(den)
     if d is None:
@@ -296,16 +306,20 @@ def _swap_first(row: tuple, a: int) -> tuple:
     return (row[a - 1],) + row[1:a - 1] + (row[0],) + row[a:]
 
 
-def perm_action(l: int, m: int, t: Tableau) -> list[tuple[Jet, ShiftVector]]:
+def perm_action(l: int, m: int, t: Tableau | IntTableau) -> list[tuple[Jet, ShiftVector]]:
     """Permutation form of the generator action: one
     ``(e_{lm}(sigma(w)), sigma(epsilon_{lm}))`` pair per sigma in Phi_{lm}.
 
     sigma is the row-q transposition (1, a_q) for each pick of
     :func:`~gtmod.tableaux.phi_picks`, so sigma(w) swaps the entries 1 and
     a_q of row q, and sigma(epsilon_{lm}) = +-sum_q delta(q, a_q) (minus
-    when l > m).
+    when l > m).  The swaps run on the integer tableau (a :class:`Tableau`
+    is scaled by :func:`int_tableau` once).
     """
-    n, rows = t.n, t.rows
+    if isinstance(t, Tableau):
+        t = int_tableau(t)
+    rows, scale = t.rows, t.scale
+    n = len(rows)
     lo, sign = min(l, m), 1 if l < m else -1
     zero = [(0,) * q for q in range(n - 1, 0, -1)]  # row q at index n-1-q
     out = []
@@ -315,5 +329,6 @@ def perm_action(l: int, m: int, t: Tableau) -> list[tuple[Jet, ShiftVector]]:
             if a != 1:
                 moved[n - q] = _swap_first(rows[n - q], a)
             shift[n - 1 - q] = zero[n - 1 - q][:a - 1] + (sign,) + zero[n - 1 - q][a:]
-        out.append((coeff_e(l, m, Tableau(tuple(moved))), ShiftVector(n, tuple(shift))))
+        out.append((coeff_e(l, m, IntTableau(tuple(moved), scale)),
+                    ShiftVector(n, tuple(shift))))
     return out

@@ -1,16 +1,18 @@
 """The module operations shared by every tableau module family.
 
 A family supplies ``_act_uncached(l, m, sym)``: E_{lm} on one basis
-symbol, as a :class:`LinComb`, and ``tableau_at(z)``: the basis tableau at
-shift z.  Everything here is built on those alone and is bound into each
-family's class body (``act = core.act``), so every family keeps these
-names in its own namespace.  ``act_symbol`` memoizes the generator action
-per module, keyed by (l, m, symbol); the closed-form gamma_{rs} is
-memoized per module, keyed by the row r it reads.
+symbol, as a :class:`LinComb`; ``tableau_at(z)``: the basis tableau at
+shift z; and ``_int_base``: its base tableau (for a singular module, the
+t-line) as a :class:`~gtmod.coeffs.IntTableau`, scaled once.  Everything
+here is built on those alone and is bound into each family's class body
+(``act = core.act``), so every family keeps these names in its own
+namespace.  ``act_symbol`` memoizes the generator action per module, keyed
+by (l, m, symbol), and ``gamma`` the closed-form gamma_{rs}.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -18,8 +20,17 @@ from . import coeffs
 from .lincomb import LinComb
 from .ratfun import RatFun
 
-__all__ = ["act_symbol", "act", "bracket_defect", "crs_via_composition", "gamma",
-           "character", "gamma_action", "gamma_eigenvalue"]
+__all__ = ["int_tableau_at", "act_symbol", "act", "bracket_defect", "crs_via_composition",
+           "gamma", "character", "gamma_action", "gamma_eigenvalue"]
+
+
+def int_tableau_at(self, z) -> coeffs.IntTableau:
+    """The integer basis tableau at shift z: B + L*z, the top row fixed."""
+    base = self._int_base
+    scale = base.scale
+    return coeffs.IntTableau((base.rows[0],) + tuple(
+        tuple((b + scale * dz, c) for (b, c), dz in zip(row, zrow))
+        for row, zrow in zip(base.rows[1:], z.rows)), scale)
 
 
 def act_symbol(self, l: int, m: int, sym) -> LinComb:
@@ -34,8 +45,7 @@ def act_symbol(self, l: int, m: int, sym) -> LinComb:
 
 def act(self, l: int, m: int, x: LinComb) -> LinComb:
     """E_{lm} on a linear combination of basis symbols."""
-    return LinComb.sum_terms((key, c * v) for sym, c in x.items()
-                             for key, v in self.act_symbol(l, m, sym).items())
+    return x.linear_image(functools.partial(self.act_symbol, l, m))
 
 
 def bracket_defect(self, g1: tuple[int, int], g2: tuple[int, int], sym) -> LinComb:
@@ -65,17 +75,16 @@ def crs_via_composition(self, r: int, s: int, x: LinComb) -> LinComb:
                 break
         return y
 
-    return LinComb.sum_terms(item for tup in itertools.product(range(1, r + 1), repeat=s)
-                             for item in word(tup).items())
+    return LinComb.total(word(tup) for tup in itertools.product(range(1, r + 1), repeat=s))
 
 
 def gamma(self, r: int, s: int, z) -> RatFun:
-    """gamma_{rs} at the basis tableau of shift z, as a polynomial in t."""
-    w = self.tableau_at(z)
-    key = (r, s, w.rows[w.n - r])
+    """gamma_{rs} at the basis tableau of shift z, as a polynomial in t,
+    memoized by the row-r shifts (none for the fixed top row r = n)."""
+    key = (r, s, z.rows[self.n - 1 - r] if r < self.n else ())
     hit = self._gamma_cache.get(key)
     if hit is None:
-        hit = self._gamma_cache[key] = coeffs.gamma(r, s, w)
+        hit = self._gamma_cache[key] = coeffs.gamma(r, s, self.tableau_at(z))
     return hit
 
 

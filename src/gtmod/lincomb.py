@@ -1,29 +1,34 @@
 """Sparse formal linear combinations over Q.
 
-Module vectors are finite formal sums of basis symbols with exact rational
-coefficients.  Keys only need to be hashable; zero coefficients are never
-stored, so two combinations are equal iff their term dicts are equal.
+Module vectors are finite formal sums of basis symbols (any hashable keys)
+with exact rational coefficients, stored as nonzero integer numerators over
+one denominator D > 0 with gcd(D, numerators) = 1, so equal combinations
+have equal state.  Sums and scalings run in integers, with one lcm per
+operation and one gcd per result; ``items`` and ``coeff`` give ``Fraction``s.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterator, Mapping
 
 __all__ = ["LinComb"]
 
 
+def _combine(parts) -> "LinComb":
+    """The sum of p/q * x over ``(p, q, x)``: integers p, q > 0, combination x."""
+    return LinComb.from_ratios((key, p * num, q * x._den) for p, q, x in parts
+                               for key, num in x._terms.items())
+
+
 class LinComb:
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping | None = None):
-        clean = {}
-        if terms:
-            for key, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff:
-                    clean[key] = coeff
-        object.__setattr__(self, "_terms", clean)
+        made = LinComb.sum_terms((key, Fraction(c)) for key, c in (terms or {}).items())
+        object.__setattr__(self, "_terms", made._terms)
+        object.__setattr__(self, "_den", made._den)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinComb is immutable")
@@ -34,13 +39,14 @@ class LinComb:
 
     @staticmethod
     def single(key, coeff=1) -> "LinComb":
-        return LinComb({key: Fraction(coeff)})
+        return LinComb({key: coeff})
 
     def coeff(self, key) -> Fraction:
-        return self._terms.get(key, Fraction(0))
+        return Fraction(self._terms.get(key, 0), self._den)
 
     def items(self) -> Iterator[tuple[object, Fraction]]:
-        return iter(self._terms.items())
+        den = self._den
+        return ((key, Fraction(num, den)) for key, num in self._terms.items())
 
     def keys(self):
         return self._terms.keys()
@@ -56,25 +62,47 @@ class LinComb:
         return not self._terms
 
     @staticmethod
-    def sum_terms(pairs, start: Mapping | None = None) -> "LinComb":
-        """The sum of ``(key, coeff)`` pairs (``Fraction`` coefficients) plus
-        ``start``, accumulated in one dict; a key whose sum cancels to zero
-        is dropped, and comes back if a later pair revives it."""
-        out = dict(start) if start else {}
-        for key, coeff in pairs:
-            acc = out.get(key, 0) + coeff
+    def from_ratios(triples) -> "LinComb":
+        """The sum of num/den * key over integer ``(key, num, den)`` triples,
+        den > 0, in canonical form; a key whose sum cancels is dropped, and
+        comes back (last) if a later triple revives it."""
+        triples = list(triples)
+        den = math.lcm(*[d for _, _, d in triples])
+        out: dict = {}
+        for key, num, d in triples:
+            acc = out.get(key, 0) + num * (den // d)
             if acc:
                 out[key] = acc
             else:
                 out.pop(key, None)
-        result = LinComb()
-        object.__setattr__(result, "_terms", out)
-        return result
+        g = math.gcd(den, *out.values())
+        made = object.__new__(LinComb)
+        object.__setattr__(made, "_terms", {key: num // g for key, num in out.items()}
+                           if g != 1 else out)
+        object.__setattr__(made, "_den", den // g)
+        return made
+
+    @staticmethod
+    def sum_terms(pairs) -> "LinComb":
+        """The sum of ``(key, coeff)`` pairs (``Fraction`` or ``int``
+        coefficients), as :meth:`from_ratios`."""
+        return LinComb.from_ratios((key, c.numerator, c.denominator) for key, c in pairs)
+
+    @staticmethod
+    def total(combos) -> "LinComb":
+        """The sum of an iterable of combinations."""
+        return _combine((1, 1, x) for x in combos)
+
+    def linear_image(self, column) -> "LinComb":
+        """The image of self under the linear map sending each key to the
+        combination ``column(key)``."""
+        den = self._den
+        return _combine([(num, den, column(key)) for key, num in self._terms.items()])
 
     def __add__(self, other: "LinComb") -> "LinComb":
         if not isinstance(other, LinComb):
             return NotImplemented
-        return LinComb.sum_terms(other._terms.items(), self._terms)
+        return _combine(((1, 1, self), (1, 1, other)))
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         return self + (-other)
@@ -84,26 +112,21 @@ class LinComb:
 
     def __rmul__(self, scalar) -> "LinComb":
         scalar = Fraction(scalar)
-        if not scalar:
-            return LinComb()
-        result = LinComb()
-        object.__setattr__(result, "_terms",
-                           {k: scalar * c for k, c in self._terms.items()})
-        return result
+        return _combine(((scalar.numerator, scalar.denominator, self),))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinComb):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
         if not self._terms:
             return "0"
         parts = []
-        for key, coeff in sorted(self._terms.items(), key=lambda kv: repr(kv[0])):
+        for key, coeff in sorted(self.items(), key=lambda kv: repr(kv[0])):
             if coeff == 1:
                 parts.append(f"{key!r}")
             elif coeff == -1:

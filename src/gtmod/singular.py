@@ -69,9 +69,11 @@ class BasisSymbol(NamedTuple):
     __repr__ = to_text
 
 
-def _times_x_minus_y(e: coeffs.Jet) -> coeffs.Jet:
-    """The jet of (x - y) * e on the line."""
-    return coeffs.Jet(e.v + 1, XY_SLOPE * e.u0, XY_SLOPE * e.u1)
+def _x_minus_y_d_ev(e: coeffs.Jet) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The half-derivative and value at t = 0 of (x - y) * e = XY_SLOPE * t * e
+    on the line, as integer (numerator, denominator) pairs."""
+    (dn, dd), (en, ed) = coeffs.Jet(e.v + 1, e.u0, e.u1).d_ev_ratios()
+    return (XY_SLOPE * dn, dd), (XY_SLOPE * en, ed)
 
 
 def canonicalize(kind: str, z: ShiftVector,
@@ -108,11 +110,14 @@ class SingularModule:
     def __init__(self, frame: SingularFrame):
         self.frame = frame
         self.n = frame.n
+        self._int_base = coeffs.int_tableau(frame.line())
         self._act_cache: dict = {}
         self._gamma_cache: dict = {}
 
     def tableau_at(self, z: ShiftVector) -> Tableau:
         return self.frame.tableau_at(z)
+
+    int_tableau_at = core.int_tableau_at
 
     # -- canonical single-term combinations ----------------------------------
 
@@ -130,30 +135,31 @@ class SingularModule:
 
     def _phi_sum(self, l: int, m: int, z: ShiftVector, point) -> LinComb:
         """Sum over the permutation form of E_lm at v+z of ``point(e)``:
-        ``point`` returns the (Reg, Der) coefficients placed at the shift
+        ``point`` returns the (Reg, Der) coefficients, as integer
+        (numerator, denominator) pairs, placed at the shift
         z + sigma(eps_lm)."""
         frame = self.frame
         terms = []
-        for e, dz in coeffs.perm_action(l, m, frame.tableau_at(z)):
+        for e, dz in coeffs.perm_action(l, m, self.int_tableau_at(z)):
             if not e.u0:
                 continue
-            rc, dc = point(e)
+            reg, der = point(e)
             target = z + dz
-            for kind, c in ((REG, rc), (DER, dc)):
-                if c:
+            for kind, (num, den) in ((REG, reg), (DER, der)):
+                if num:
                     sign, sym = canonicalize(kind, target, frame)
                     if sign:
-                        terms.append((sym, sign * c))
-        return LinComb.sum_terms(terms)
+                        terms.append((sym, sign * num, den))
+        return LinComb.from_ratios(terms)
 
     def act_on_regular(self, l: int, m: int, z: ShiftVector) -> LinComb:
         """E_{lm} on Reg(z), through d((x-y) * coefficient) and
         ev((x-y) * coefficient)."""
-        def point(e: coeffs.Jet) -> tuple[Fraction, Fraction]:
+        def point(e: coeffs.Jet):
             if e.v < -1:
                 raise InvariantViolation(
                     f"pole of order >= 2 in e_{l}{m} over {self.frame.describe()} at z={z}")
-            return _times_x_minus_y(e).d_ev()
+            return _x_minus_y_d_ev(e)
 
         return self._phi_sum(l, m, z, point)
 
@@ -162,11 +168,11 @@ class SingularModule:
         if self.frame.is_tau_fixed(w):
             raise ValueError("derivative symbols require a tau-unfixed shift")
 
-        def point(e: coeffs.Jet) -> tuple[Fraction, Fraction]:
+        def point(e: coeffs.Jet):
             if e.v < 0:
                 raise InvariantViolation(
                     f"unexpected pole in e_{l}{m} at tau-unfixed w={w}")
-            return e.d_ev()
+            return e.d_ev_ratios()
 
         return self._phi_sum(l, m, w, point)
 
@@ -177,7 +183,7 @@ class SingularModule:
         :meth:`act_on_regular`; kept as an independent cross-check path."""
         if self.frame.is_tau_fixed(z):
             raise ValueError("the evaluation form needs a tau-unfixed shift")
-        return self._phi_sum(l, m, z, lambda e: (e.d_ev()[1], 0))
+        return self._phi_sum(l, m, z, lambda e: (e.d_ev_ratios()[1], (0, 1)))
 
     def _act_uncached(self, l: int, m: int, sym: BasisSymbol) -> LinComb:
         if sym.kind == REG:
@@ -269,7 +275,7 @@ def generation_witnesses(frame: SingularFrame, z: ShiftVector) -> dict:
     zfix = z + ShiftVector.of(n, {(k, j): z.get(k, i) - z.get(k, j)})
     sigma_i = PermTuple.row_transposition(n, k, 1, i)
     e = coeffs.coeff_e(k + 1, k, sigma_i(frame.tableau_at(zfix)))
-    step2_ev = _times_x_minus_y(e).d_ev()[1]
+    step2_ev = Fraction(*_x_minus_y_d_ev(e)[1])
     step2_num = Fraction(1)
     w = frame.point_at(zfix)
     for q in range(1, k):

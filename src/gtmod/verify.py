@@ -16,8 +16,8 @@ Suites:
   generation-witness coefficients;
 * ``formulas``    -- the coefficient-level identities: classical versus
   permutation presentation, each coefficient's jet against its whole
-  rational function, the direct row swaps of the permutation form against
-  the ``PermTuple`` action, pole-order bound, parity relations, the
+  rational function, the permutation form on the module's integer tableau
+  against the ``PermTuple`` action, pole-order bound, parity relations, the
   point-operator exchange rules, the evaluation cross-check, and the
   finite-dimensional regression;
 * ``n3``          -- the ten-piece decomposition over the all-equal n = 3
@@ -457,7 +457,7 @@ def sweep_coefficient_identities(cfg: Config, tally: Tally):
         for l in range(1, n + 1):
             for m in range(1, n + 1):
                 inside = min(l, m) <= k <= max(l, m) - 1
-                direct = coeffs.perm_action(l, m, frame.tableau_at(z))
+                direct = coeffs.perm_action(l, m, mod.int_tableau_at(z))
                 eps = epsilon(n, l, m)
                 for idx, sigma in enumerate(phi_set(l, m, n)):
                     w = sigma(frame.tableau_at(z))
@@ -467,7 +467,8 @@ def sweep_coefficient_identities(cfg: Config, tally: Tally):
                                 lambda j_=jet, e_=e, s_=sigma, l_=l, m_=m: {
                                     "input": f"e({l_},{m_}) at {s_!r}(v+{z!r})",
                                     "lhs": repr(j_), "rhs": repr(e_)})
-                    # the direct row swaps of perm_action against PermTuple
+                    # the module's integer tableau and direct row swaps
+                    # against PermTuple on the rational tableau
                     pair = (jet, sigma(eps))
                     tally.check(direct[idx:idx + 1] == [pair], "perm-action-vs-phi-set",
                                 lambda d_=direct[idx:idx + 1], p_=pair, s_=sigma, l_=l, m_=m: {

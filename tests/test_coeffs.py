@@ -3,13 +3,16 @@
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtmod import fixtures
-from gtmod.coeffs import Jet, classical_action, coeff_e, coeff_ratfun, gamma, perm_action
+from gtmod import core, fixtures
+from gtmod.coeffs import (
+    Jet, classical_action, coeff_e, coeff_ratfun, gamma, int_tableau, perm_action,
+)
 from gtmod.ratfun import ONE, Poly, RatFun, T, TWO_T
 from gtmod.tableaux import (
     PermTuple, ShiftVector, Tableau, phi_set, tau_perm, tau_star, window_shifts,
@@ -173,6 +176,28 @@ def test_jet_is_the_2_jet_of_the_whole_coefficient(w):
             f = e * (RatFun(ONE, T ** v) if v >= 0 else RatFun(T ** -v))
             assert f.pole_order() == 0
             assert (f.ev(), f.d()) == (u0, u1 / 2) and u0 != 0
+
+
+def _outcome(l, m, t):
+    try:
+        return perm_action(l, m, t)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@settings(max_examples=150, deadline=None)
+@given(t_tableaux(), st.data())
+def test_perm_action_on_the_integer_tableau_matches_the_tableau(w, data):
+    """A module's integer tableau at z, its base scaled once plus L*z, gives
+    the same jets and shifts as the rational tableau at z, and raises
+    ZeroDivisionError on the same generators."""
+    n = w.n
+    z = ShiftVector(n, tuple(tuple(data.draw(st.integers(-2, 2)) for _ in range(r))
+                             for r in range(n - 1, 0, -1)))
+    scaled = core.int_tableau_at(SimpleNamespace(_int_base=int_tableau(w)), z)
+    for l in range(1, n + 1):
+        for m in range(1, n + 1):
+            assert _outcome(l, m, scaled) == _outcome(l, m, w.with_shift(z))
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,21 @@
 """Verification harness: suites, reports, determinism, export, CLI."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import gtmod
 import gtmod.coeffs as coeffs
-from gtmod import singular
+from gtmod import core, singular
 from gtmod.cli import main as cli_main
+from gtmod.lincomb import LinComb
 from gtmod.tableaux import Tableau
 from gtmod.verify import (
     Config, Tally, build_action_matrix, check_commutators, check_formulas, check_gamma,
@@ -138,11 +141,11 @@ def test_planted_valuation_off_by_one_is_caught(monkeypatch):
 def _plant_unscaled_diagonal_constant(monkeypatch):
     real = coeffs._factors
 
-    def planted(r, s, w, scale=None):  # the constant r - 1 not times the scale
-        num, den = real(r, s, w, scale)
-        if r == s and scale is not None:
+    def planted(r, s, w, one=1):  # the constant r - 1 not times the scale
+        num, den = real(r, s, w, one)
+        if r == s:
             [(b, c)] = num
-            num = [(b - (r - 1) * (scale - 1), c)]
+            num = [(b - (r - 1) * (one - 1), c)]
         return num, den
 
     monkeypatch.setattr(coeffs, "_factors", planted)
@@ -155,12 +158,37 @@ def _plant_swap_one_short(monkeypatch):
                         lambda row, a: real(row, a - 1) if a > 2 else row)
 
 
+def _plant_shift_without_scale(monkeypatch):
+    real = core.int_tableau_at
+
+    def planted(self, z):  # B + z instead of B + L*z
+        base = self._int_base
+        return real(SimpleNamespace(_int_base=base._replace(scale=1)), z)._replace(
+            scale=base.scale)
+
+    monkeypatch.setattr(singular.SingularModule, "int_tableau_at", planted)
+
+
+def _plant_numerators_not_rescaled(monkeypatch):
+    real = LinComb.from_ratios
+
+    def planted(triples):  # every numerator read as if over the common denominator
+        triples = list(triples)
+        den = math.lcm(*[d for _, _, d in triples])
+        return real((key, num, den) for key, num, _ in triples)
+
+    monkeypatch.setattr(LinComb, "from_ratios", staticmethod(planted))
+
+
 @pytest.mark.parametrize("plant, formulas_kinds", [
     (_plant_unscaled_diagonal_constant, {"classical-vs-permutation", "jet-vs-ratfun"}),
     (_plant_swap_one_short, {"classical-vs-permutation", "finite-dim-bracket",
                              "finite-dim-gamma", "perm-action-vs-phi-set",
                              "regular-action-tau-even", "derivative-action-tau-odd"}),
-], ids=["diagonal-constant-unscaled", "swap-one-short"])
+    (_plant_shift_without_scale, {"perm-action-vs-phi-set"}),
+    (_plant_numerators_not_rescaled, {"finite-dim-bracket", "finite-dim-gamma"}),
+], ids=["diagonal-constant-unscaled", "swap-one-short", "shift-without-scale",
+        "numerators-not-rescaled"])
 def test_planted_kernel_defect_is_caught(monkeypatch, plant, formulas_kinds):
     failing: set[str] = set()
     check = Tally.check
