@@ -52,7 +52,7 @@ def main(argv=None) -> int:
         # opened before the suite runs, so an unwritable path costs no run
         path = args.json
         out = open(path, "w", encoding="utf-8") if path else None
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         msg = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         print(f"error: {path}: {msg}", file=sys.stderr)
         return 2

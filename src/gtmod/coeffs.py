@@ -3,19 +3,16 @@
 Two presentations of the gl(n) action on tableaux live here:
 
 * ``perm_action`` -- the permutation form, valid for every E_{lm}: one
-  summand per sigma in Phi_{lm}, with coefficient ``e_{lm}(sigma(w))`` and
-  target shift ``sigma(epsilon_{lm})``.  Each coefficient comes back as
-  its 2-jet at t = 0 (:class:`Jet`), which is all any module reads.  It
-  is the one action algorithm: the generic, finite-dimensional and
-  singular modules all read their generator action from it.  sigma(w)
-  and sigma(epsilon_{lm}) are built by swapping row entries directly
-  from the picks of :func:`~gtmod.tableaux.phi_picks`, with no
-  :class:`~gtmod.tableaux.PermTuple`; the ``formulas`` suite checks them,
-  on a module's own integer tableau, against the ``PermTuple`` action.
+  summand per sigma in Phi_{lm}, with coefficient ``e_{lm}(sigma(w))`` as
+  its 2-jet at t = 0 (:class:`Jet`) and target shift ``sigma(epsilon_{lm})``.
+  It is the one action algorithm of the generic, finite-dimensional and
+  singular modules.  It swaps row entries directly, with no
+  :class:`~gtmod.tableaux.PermTuple`; the ``formulas`` suite checks it, on
+  a module's own tableau, against the ``PermTuple`` action.
 
 * ``coeff_ratfun`` -- the same coefficient as a whole
-  :class:`~gtmod.ratfun.RatFun`, from the same factors; only the
-  ``formulas`` oracles read it.
+  :class:`~gtmod.ratfun.RatFun`, from the same factors read off the
+  unscaled rational entries; only the ``formulas`` oracles read it.
 
 * ``classical_action`` -- the Gelfand-Tsetlin formulas for the adjacent
   generators E_{k,k+1}, E_{k+1,k} and the diagonal E_{kk}, with plain
@@ -24,12 +21,11 @@ Two presentations of the gl(n) action on tableaux live here:
 
 The closed forms, with empty products equal to 1 (every factor is linear
 in t, so :func:`coeff_e` folds them into a jet with no polynomial
-arithmetic and no gcd -- forward-mode truncated Taylor arithmetic).  The
-fold runs on an :class:`IntTableau`, the tableau times the lcm L of its
-entries' denominators, made once per module by :func:`int_tableau`: each
-factor is (B + C*t)/L with integers B and C (constants such as r - 1 and
--1 scaled too), numerator and denominator fold into integer jets, and
-each of the two jet components is built as one ``Fraction``:
+arithmetic and no gcd -- forward-mode truncated Taylor arithmetic).  Read
+off a :class:`~gtmod.tableaux.Tableau`'s integer cells, each factor is
+(B + C*t)/L with integers B and C (constants such as r - 1 and -1 scaled
+too); numerator and denominator fold into integer jets, and each jet
+component is built as one ``Fraction``:
 
     e_t^+(w)      = prod_{j=2}^{t+1} (w_t1 - w_{t+1,j}) / prod_{j=2}^{t} (w_t1 - w_tj)
     e_{t+1}^-(w)  = prod_{j=2}^{t-1} (w_t1 - w_{t-1,j}) / prod_{j=2}^{t} (w_t1 - w_tj)
@@ -51,15 +47,14 @@ displayed sum.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
 from .ratfun import PoleError, Poly, RatFun
 from .tableaux import ShiftVector, Tableau, phi_picks
 
-__all__ = ["Jet", "IntTableau", "int_tableau", "coeff_e", "coeff_ratfun", "gamma",
-           "gamma_at_point", "classical_action", "perm_action"]
+__all__ = ["Jet", "coeff_e", "coeff_ratfun", "gamma", "gamma_at_point",
+           "classical_action", "perm_action"]
 
 _ZERO = Fraction(0)
 
@@ -109,61 +104,45 @@ class Jet(NamedTuple):
         return self.u0
 
 
-class IntTableau(NamedTuple):
-    """A tableau times the lcm L (``scale``) of its entries' denominators:
-    the entry (B, C) of ``rows`` stands for (B + C*t)/L, with integers B and
-    C.  Rows are top-first, as in :class:`Tableau`."""
-
-    rows: tuple[tuple[tuple[int, int], ...], ...]
-    scale: int
-
-
-def int_tableau(w: Tableau) -> IntTableau:
-    """The :class:`IntTableau` of w, scaled by the lcm of its entries'
-    denominators."""
-    scale = math.lcm(*[b.denominator for row in w.rows for b, _ in row])
-    return IntTableau(tuple(tuple((b.numerator * (scale // b.denominator), c * scale)
-                                  for b, c in row) for row in w.rows), scale)
-
-
-def _diffs(w, a: int, b: int, lo: int, hi: int) -> list[Factor]:
+def _diffs(rows, a: int, b: int, lo: int, hi: int) -> list[Factor]:
     """The factors w_{a1} - w_{bj} for lo <= j < hi (none when lo >= hi,
     where row b may not exist); rows are top-first, so row r is rows[-r]."""
     if lo >= hi:
         return []
-    b1, c1 = w.rows[-a][0]
-    return [(b1 - b2, c1 - c2) for b2, c2 in w.rows[-b][lo - 1:hi - 1]]
+    b1, c1 = rows[-a][0]
+    return [(b1 - b2, c1 - c2) for b2, c2 in rows[-b][lo - 1:hi - 1]]
 
 
-def _factors(r: int, s: int, w, one: int = 1) -> tuple[list[Factor], list[Factor]]:
-    """e_{rs}(w) as ``prod(num) / prod(den)`` over factors linear in t, for
-    a :class:`Tableau` (``one`` = 1) or an :class:`IntTableau` (``one`` =
-    its scale L, so every factor, constants included, comes times L); the
+def _factors(r: int, s: int, rows, one: int = 1) -> tuple[list[Factor], list[Factor]]:
+    """e_{rs} as ``prod(num) / prod(den)`` over factors linear in t, read
+    off tableau rows of ``(base, tcoef)`` cells: unscaled rationals
+    (``one`` = 1) or a :class:`Tableau`'s integer cells (``one`` = its
+    scale L, so every factor, constants included, comes times L); the
     diagonal e_{rr} is a single numerator factor."""
-    n = len(w.rows)
+    n = len(rows)
     if not (1 <= r <= n and 1 <= s <= n):
         raise ValueError(f"coeff_e({r},{s}) out of range for n={n}")
     if r == s:
         # sum_i (w_ri + i - 1) - sum_i (w_{r-1,i} + i - 1); the index parts
         # telescope to the constant r - 1.
-        row, below = w.rows[-r], w.rows[1 - r] if r > 1 else ()
+        row, below = rows[-r], rows[1 - r] if r > 1 else ()
         return [((r - 1) * one + sum(b for b, _ in row) - sum(b for b, _ in below),
                  sum(c for _, c in row) - sum(c for _, c in below))], []
     num: list[Factor] = []
     den: list[Factor] = []
     if r < s:
         for q in range(r, s - 1):  # e_q^+ for q = r..s-2
-            num += _diffs(w, q, q + 1, 2, q + 2)
-            den += _diffs(w, q, q, 2, q + 1)
+            num += _diffs(rows, q, q + 1, 2, q + 2)
+            den += _diffs(rows, q, q, 2, q + 1)
         # e_{s-1,s}, with its leading minus as the constant factor -1
-        num += [(-one, 0)] + _diffs(w, s - 1, s, 1, s + 1)
-        den += _diffs(w, s - 1, s - 1, 2, s)
+        num += [(-one, 0)] + _diffs(rows, s - 1, s, 1, s + 1)
+        den += _diffs(rows, s - 1, s - 1, 2, s)
         return num, den
-    num += _diffs(w, s, s - 1, 1, s)
-    den += _diffs(w, s, s, 2, s + 1)
+    num += _diffs(rows, s, s - 1, 1, s)
+    den += _diffs(rows, s, s, 2, s + 1)
     for q in range(s + 2, r + 1):  # e_q^- for q = s+2..r, acting on row q-1
-        num += _diffs(w, q - 1, q - 2, 2, q - 1)
-        den += _diffs(w, q - 1, q - 1, 2, q)
+        num += _diffs(rows, q - 1, q - 2, 2, q - 1)
+        den += _diffs(rows, q - 1, q - 1, 2, q)
     return num, den
 
 
@@ -182,15 +161,13 @@ def _fold(factors: list[Factor]) -> tuple[int, int, int] | None:
     return v, x0, x1
 
 
-def coeff_e(r: int, s: int, w: Tableau | IntTableau) -> Jet:
+def coeff_e(r: int, s: int, w: Tableau) -> Jet:
     """The 2-jet at t = 0 of the coefficient function e_{rs} on the tableau
-    w, folded in integers from its linear factors on the integer tableau
-    (a :class:`Tableau` is scaled by :func:`int_tableau` first); raises
-    ``ZeroDivisionError`` when a denominator factor vanishes identically."""
-    if isinstance(w, Tableau):
-        w = int_tableau(w)
-    scale = w.scale
-    num, den = _factors(r, s, w, scale)
+    w, folded in integers from its linear factors on w's integer cells;
+    raises ``ZeroDivisionError`` when a denominator factor vanishes
+    identically."""
+    rows, scale = w
+    num, den = _factors(r, s, rows, scale)
     d = _fold(den)
     if d is None:
         raise ZeroDivisionError("zero denominator in coefficient function")
@@ -211,7 +188,7 @@ def coeff_e(r: int, s: int, w: Tableau | IntTableau) -> Jet:
 def coeff_ratfun(r: int, s: int, w: Tableau) -> RatFun:
     """The coefficient function e_{rs} on the tableau w as a whole rational
     function of t: the same factors as :func:`coeff_e`, multiplied out."""
-    num, den = _factors(r, s, w)
+    num, den = _factors(r, s, w.fraction_rows())
     return RatFun(_prod(map(Poly, num)), _prod(map(Poly, den)))
 
 
@@ -228,7 +205,7 @@ def gamma(r: int, s: int, w: Tableau) -> RatFun:
     n = w.n
     if not (1 <= s and 1 <= r <= n):
         raise ValueError(f"gamma({r},{s}) out of range for n={n}")
-    row = w.rows[n - r]
+    row = w.fraction_rows()[n - r]
     ys = [gamma_at_point(r, s, [b + c * q for b, c in row])
           for q in range(s + 1 if any(c for _, c in row) else 1)]
     # Newton's forward-difference form on the samples t = 0, 1, ...
@@ -306,19 +283,16 @@ def _swap_first(row: tuple, a: int) -> tuple:
     return (row[a - 1],) + row[1:a - 1] + (row[0],) + row[a:]
 
 
-def perm_action(l: int, m: int, t: Tableau | IntTableau) -> list[tuple[Jet, ShiftVector]]:
+def perm_action(l: int, m: int, t: Tableau) -> list[tuple[Jet, ShiftVector]]:
     """Permutation form of the generator action: one
     ``(e_{lm}(sigma(w)), sigma(epsilon_{lm}))`` pair per sigma in Phi_{lm}.
 
     sigma is the row-q transposition (1, a_q) for each pick of
     :func:`~gtmod.tableaux.phi_picks`, so sigma(w) swaps the entries 1 and
     a_q of row q, and sigma(epsilon_{lm}) = +-sum_q delta(q, a_q) (minus
-    when l > m).  The swaps run on the integer tableau (a :class:`Tableau`
-    is scaled by :func:`int_tableau` once).
+    when l > m).  The swaps run on t's integer cells.
     """
-    if isinstance(t, Tableau):
-        t = int_tableau(t)
-    rows, scale = t.rows, t.scale
+    rows, scale = t
     n = len(rows)
     lo, sign = min(l, m), 1 if l < m else -1
     zero = [(0,) * q for q in range(n - 1, 0, -1)]  # row q at index n-1-q
@@ -329,6 +303,6 @@ def perm_action(l: int, m: int, t: Tableau | IntTableau) -> list[tuple[Jet, Shif
             if a != 1:
                 moved[n - q] = _swap_first(rows[n - q], a)
             shift[n - 1 - q] = zero[n - 1 - q][:a - 1] + (sign,) + zero[n - 1 - q][a:]
-        out.append((coeff_e(l, m, IntTableau(tuple(moved), scale)),
+        out.append((coeff_e(l, m, Tableau(tuple(moved), scale)),
                     ShiftVector(n, tuple(shift))))
     return out

@@ -1,13 +1,12 @@
 """The module operations shared by every tableau module family.
 
-A family supplies ``_act_uncached(l, m, sym)``: E_{lm} on one basis
-symbol, as a :class:`LinComb`; ``tableau_at(z)``: the basis tableau at
-shift z; and ``_int_base``: its base tableau (for a singular module, the
-t-line) as a :class:`~gtmod.coeffs.IntTableau`, scaled once.  Everything
-here is built on those alone and is bound into each family's class body
-(``act = core.act``), so every family keeps these names in its own
-namespace.  ``act_symbol`` memoizes the generator action per module, keyed
-by (l, m, symbol), and ``gamma`` the closed-form gamma_{rs}.
+A family supplies ``_act_uncached(l, m, sym)``, E_{lm} on one basis symbol
+as a :class:`LinComb`, and ``base``, its base tableau (for a singular
+module, the t-line).  Everything here is built on those alone and is
+bound into each family's class body (``act = core.act``), so every family
+keeps these names in its own namespace.  ``act_symbol`` memoizes the
+generator action per module, keyed by (l, m, symbol), and ``gamma`` the
+closed-form gamma_{rs}.
 """
 
 from __future__ import annotations
@@ -19,18 +18,15 @@ from fractions import Fraction
 from . import coeffs
 from .lincomb import LinComb
 from .ratfun import RatFun
+from .tableaux import Tableau
 
-__all__ = ["int_tableau_at", "act_symbol", "act", "bracket_defect", "crs_via_composition",
+__all__ = ["tableau_at", "act_symbol", "act", "bracket_defect", "crs_via_composition",
            "gamma", "character", "gamma_action", "gamma_eigenvalue"]
 
 
-def int_tableau_at(self, z) -> coeffs.IntTableau:
-    """The integer basis tableau at shift z: B + L*z, the top row fixed."""
-    base = self._int_base
-    scale = base.scale
-    return coeffs.IntTableau((base.rows[0],) + tuple(
-        tuple((b + scale * dz, c) for (b, c), dz in zip(row, zrow))
-        for row, zrow in zip(base.rows[1:], z.rows)), scale)
+def tableau_at(self, z) -> Tableau:
+    """The basis tableau at shift z, the top row fixed."""
+    return self.base.with_shift(z)
 
 
 def act_symbol(self, l: int, m: int, sym) -> LinComb:

@@ -86,7 +86,6 @@ class FiniteModule:
             }))
         self.basis: tuple[ShiftVector, ...] = tuple(shifts)
         self._basis_set = frozenset(shifts)
-        self._int_base = coeffs.int_tableau(self.base)
         self._act_cache: dict = {}
         self._gamma_cache: dict = {}
 
@@ -94,17 +93,14 @@ class FiniteModule:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def tableau_at(self, z: ShiftVector) -> Tableau:
-        return self.base.with_shift(z)
-
-    int_tableau_at = core.int_tableau_at
+    tableau_at = core.tableau_at
 
     def _act_uncached(self, l: int, m: int, z: ShiftVector) -> LinComb:
         """E_{lm} at shift z: the permutation form, keeping the summands
         whose target tableau is standard.  No denominator vanishes, since
         every row of a standard tableau is strictly decreasing here."""
         terms = []
-        for fn, dz in coeffs.perm_action(l, m, self.int_tableau_at(z)):
+        for fn, dz in coeffs.perm_action(l, m, self.tableau_at(z)):
             target = z + dz
             if is_standard(self.tableau_at(target)):
                 if target not in self._basis_set:

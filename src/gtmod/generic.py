@@ -28,21 +28,17 @@ class GenericModule:
             raise ValueError("base tableau is not generic")
         self.base = base
         self.n = base.n
-        self._int_base = coeffs.int_tableau(base)
         self._act_cache: dict = {}
         self._gamma_cache: dict = {}
 
-    def tableau_at(self, z: ShiftVector) -> Tableau:
-        return self.base.with_shift(z)
-
-    int_tableau_at = core.int_tableau_at
+    tableau_at = core.tableau_at
 
     # -- generator action ----------------------------------------------------
 
     def _act_uncached(self, l: int, m: int, z: ShiftVector) -> LinComb:
         """E_{lm} applied to the basis tableau at shift z."""
         return LinComb.sum_terms(
-            (z + dz, c) for fn, dz in coeffs.perm_action(l, m, self.int_tableau_at(z))
+            (z + dz, c) for fn, dz in coeffs.perm_action(l, m, self.tableau_at(z))
             if (c := fn.const_value()))
 
     act_symbol = core.act_symbol

@@ -38,7 +38,7 @@ from typing import NamedTuple
 from . import coeffs, core
 from .lincomb import LinComb
 from .tableaux import (
-    PermTuple, ShiftVector, SingularFrame, Tableau, window_shifts,
+    PermTuple, ShiftVector, SingularFrame, window_shifts,
 )
 
 __all__ = [
@@ -110,14 +110,11 @@ class SingularModule:
     def __init__(self, frame: SingularFrame):
         self.frame = frame
         self.n = frame.n
-        self._int_base = coeffs.int_tableau(frame.line())
+        self.base = frame.line()
         self._act_cache: dict = {}
         self._gamma_cache: dict = {}
 
-    def tableau_at(self, z: ShiftVector) -> Tableau:
-        return self.frame.tableau_at(z)
-
-    int_tableau_at = core.int_tableau_at
+    tableau_at = core.tableau_at
 
     # -- canonical single-term combinations ----------------------------------
 
@@ -140,7 +137,7 @@ class SingularModule:
         z + sigma(eps_lm)."""
         frame = self.frame
         terms = []
-        for e, dz in coeffs.perm_action(l, m, self.int_tableau_at(z)):
+        for e, dz in coeffs.perm_action(l, m, self.tableau_at(z)):
             if not e.u0:
                 continue
             reg, der = point(e)

@@ -3,12 +3,13 @@
 A tableau is a triangular array with rows of lengths n, n-1, ..., 1 (top
 row first).  Entries are exact rationals, optionally carrying a multiple
 of the formal variable ``t``: an entry is a pair ``(base, tcoef)`` meaning
-``base + tcoef*t``.  Plain tableaux (all ``tcoef == 0``) represent actual
-points; a singular frame produces tableaux carrying ``t = +1`` and
-``t = -1`` on its two singular positions, which is how every coefficient
-function is pushed down to a univariate function of t: a product of
-factors linear in t, read as a jet or as a
-:class:`~gtmod.ratfun.RatFun` by :mod:`gtmod.coeffs`.
+``base + tcoef*t``, stored as integers over the lcm of the bases'
+denominators, so shifts and coefficient factors stay integers.  Plain
+tableaux (all ``tcoef == 0``) represent actual points; a singular frame
+produces tableaux carrying ``t = +1`` and ``t = -1`` on its two singular
+positions, which is how every coefficient function is pushed down to a
+univariate function of t: a product of factors linear in t, read as a jet
+or as a :class:`~gtmod.ratfun.RatFun` by :mod:`gtmod.coeffs`.
 
 The integer lattice of shifts leaves the top row fixed, so a
 :class:`ShiftVector` has rows n-1, ..., 1 only.
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
@@ -61,9 +63,12 @@ def _check_shape(rows: Sequence[Sequence], top: int) -> None:
 
 
 class Tableau(NamedTuple):
-    """Triangular array of entries ``base + tcoef*t``; rows top-first."""
+    """Triangular array of entries ``base + tcoef*t``; rows top-first.  The
+    cell (B, C) of ``rows`` means (B + C*t)/L, with L (``scale``) the lcm of
+    the bases' denominators, so equal values give equal tableaux."""
 
-    rows: tuple[tuple[Entry, ...], ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+    scale: int
 
     @property
     def n(self) -> int:
@@ -74,15 +79,25 @@ class Tableau(NamedTuple):
         """Build a plain tableau from rationals/ints, top row first; rows
         must have lengths n, n-1, ..., 1."""
         _check_shape(rows, len(rows))
-        return Tableau(tuple(tuple((Fraction(x), 0) for x in row) for row in rows))
+        rows = [[Fraction(x) for x in row] for row in rows]
+        scale = math.lcm(*[x.denominator for row in rows for x in row])
+        return Tableau(tuple(tuple((x.numerator * (scale // x.denominator), 0) for x in row)
+                             for row in rows), scale)
 
     # -- entry access (r = row length 1..n, s = 1..r) ------------------------
 
     def entry(self, r: int, s: int) -> Entry:
-        return self.rows[self.n - r][s - 1]
+        b, c = self.rows[self.n - r][s - 1]
+        return Fraction(b, self.scale), c // self.scale
 
     def base(self, r: int, s: int) -> Fraction:
-        return self.rows[self.n - r][s - 1][0]
+        return Fraction(self.rows[self.n - r][s - 1][0], self.scale)
+
+    def fraction_rows(self) -> tuple[tuple[Entry, ...], ...]:
+        """The rows as unscaled ``(base, tcoef)`` entries."""
+        scale = self.scale
+        return tuple(tuple((Fraction(b, scale), c // scale) for b, c in row)
+                     for row in self.rows)
 
     @property
     def is_plain(self) -> bool:
@@ -91,23 +106,22 @@ class Tableau(NamedTuple):
     # -- construction of shifted / t-carrying variants -----------------------
 
     def with_shift(self, z: "ShiftVector") -> "Tableau":
-        """Add integer shifts to rows <= n-1; the top row is fixed."""
+        """Add integer shifts to rows <= n-1 (L*z on the integer cells); the
+        top row is fixed."""
         if z.n != self.n:
             raise ValueError("shift size mismatch")
-        new = [self.rows[0]]
-        for ridx in range(1, self.n):
-            r = self.n - ridx
-            zrow = z.rows[ridx - 1]
-            new.append(tuple((b + zrow[s], c) for s, (b, c) in enumerate(self.rows[ridx])))
-        return Tableau(tuple(new))
+        scale = self.scale
+        return Tableau((self.rows[0],) + tuple(
+            tuple((b + scale * dz, c) for (b, c), dz in zip(row, zrow))
+            for row, zrow in zip(self.rows[1:], z.rows)), scale)
 
     def with_tcoefs(self, coefs: dict[tuple[int, int], int]) -> "Tableau":
         """Set the t-coefficient of the given (row, position) entries."""
         new = [list(row) for row in self.rows]
         for (r, s), c in coefs.items():
             b, _ = new[self.n - r][s - 1]
-            new[self.n - r][s - 1] = (b, c)
-        return Tableau(tuple(tuple(row) for row in new))
+            new[self.n - r][s - 1] = (b, c * self.scale)
+        return Tableau(tuple(tuple(row) for row in new), self.scale)
 
     def with_t(self, k: int, i: int, j: int) -> "Tableau":
         """Put ``+t`` on entry (k, i) and ``-t`` on entry (k, j)."""
@@ -119,7 +133,7 @@ class Tableau(NamedTuple):
         if not self.is_plain:
             raise ValueError("text form is defined for plain tableaux only")
         return "(" + "|".join(
-            ",".join(str(e[0]) for e in row) for row in self.rows
+            ",".join(str(b) for b, _ in row) for row in self.fraction_rows()
         ) + ")"
 
     @staticmethod
@@ -131,7 +145,7 @@ class Tableau(NamedTuple):
             return f"Tableau{self.to_text()}"
         cells = "|".join(
             ",".join(f"{b}{'+' if c > 0 else '-'}{abs(c)}t" if c else str(b) for (b, c) in row)
-            for row in self.rows
+            for row in self.fraction_rows()
         )
         return f"Tableau({cells})"
 
@@ -155,9 +169,7 @@ class ShiftVector(NamedTuple):
         """The unit shift on position (r, s), 1 <= s <= r <= n-1."""
         if not (1 <= s <= r <= n - 1):
             raise ValueError(f"delta position ({r},{s}) out of range for n={n}")
-        rows = [[0] * q for q in range(n - 1, 0, -1)]
-        rows[n - 1 - r][s - 1] = 1
-        return ShiftVector(n, tuple(tuple(row) for row in rows))
+        return ShiftVector.of(n, {(r, s): 1})
 
     @staticmethod
     def of(n: int, entries: dict) -> "ShiftVector":
@@ -177,14 +189,14 @@ class ShiftVector(NamedTuple):
 
     def __add__(self, other: "ShiftVector") -> "ShiftVector":
         return ShiftVector(self.n, tuple(
-            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
+            tuple(map(operator.add, ra, rb)) for ra, rb in zip(self.rows, other.rows)
         ))
 
     def __sub__(self, other: "ShiftVector") -> "ShiftVector":
         return self + (-other)
 
     def __neg__(self) -> "ShiftVector":
-        return ShiftVector(self.n, tuple(tuple(-a for a in row) for row in self.rows))
+        return ShiftVector(self.n, tuple(tuple(map(operator.neg, row)) for row in self.rows))
 
     def swapped(self, k: int, i: int, j: int) -> "ShiftVector":
         """The shift with entries (k,i) and (k,j) exchanged."""
@@ -209,15 +221,10 @@ class ShiftVector(NamedTuple):
 
 def window_shifts(n: int, bound: int) -> Iterator[ShiftVector]:
     """All shift vectors with every component in [-bound, bound]."""
-    sizes = list(range(n - 1, 0, -1))
-    total = sum(sizes)
-    for flat in itertools.product(range(-bound, bound + 1), repeat=total):
-        rows = []
-        pos = 0
-        for size in sizes:
-            rows.append(tuple(flat[pos:pos + size]))
-            pos += size
-        yield ShiftVector(n, tuple(rows))
+    values = range(-bound, bound + 1)
+    rows = (itertools.product(values, repeat=r) for r in range(n - 1, 0, -1))
+    for shift in itertools.product(*rows):
+        yield ShiftVector(n, shift)
 
 
 def epsilon(n: int, r: int, s: int) -> ShiftVector:
@@ -303,7 +310,7 @@ class PermTuple(NamedTuple):
         if isinstance(w, Tableau):
             # rows[ridx] is row n - ridx, permuted by inv[n - ridx - 1]
             return Tableau(tuple(tuple(row[x - 1] for x in inv[w.n - ridx - 1])
-                                 for ridx, row in enumerate(w.rows)))
+                                 for ridx, row in enumerate(w.rows)), w.scale)
         if isinstance(w, ShiftVector):
             if not self.is_identity_row(w.n):
                 raise ValueError("permutation moves the fixed top row")

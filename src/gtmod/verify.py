@@ -125,6 +125,14 @@ class Tally:
         )
 
 
+def _integer(value, key: str) -> int:
+    """A config value as an int; ValueError names the key otherwise."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Config:
     """One verification target: a base point (with an optional singular
@@ -142,7 +150,11 @@ class Config:
 
     @staticmethod
     def from_dict(data: dict) -> "Config":
-        n = int(data["n"])
+        if not isinstance(data, dict):
+            raise ValueError(f"a config is a JSON object, not {type(data).__name__}")
+        n = _integer(data["n"], "n")
+        if not isinstance(data["base"], str):
+            raise ValueError(f"base must be a tableau string, got {data['base']!r}")
         base = Tableau.from_text(data["base"])
         if base.n != n:
             raise ValueError(f"base tableau has {base.n} rows, config says n={n}")
@@ -154,7 +166,7 @@ class Config:
         unknown = [name for name in suites if name not in SUITES]
         if unknown:
             raise ValueError(f"unknown suite(s) {unknown}; expected some of {sorted(SUITES)}")
-        window = int(data.get("window", 2))
+        window = _integer(data.get("window", 2), "window")
         gens = tuple((int(a), int(b)) for a, b in data.get("export_generators", ()))
         crs = tuple((int(r), int(s)) for r, s in data.get("export_crs", ()))
         bad = (([f"window={window}"] if window < 0 else [])
@@ -164,7 +176,7 @@ class Config:
             raise ValueError(f"out of range for n={n}: {', '.join(bad)}")
         return Config(
             n=n, base=base, frame=frame, window=window, suites=suites,
-            seed=int(data.get("seed", 20240601)),
+            seed=_integer(data.get("seed", 20240601), "seed"),
             out_dir=str(data.get("out_dir", "reports")),
             export_generators=gens, export_crs=crs,
         )
@@ -457,7 +469,7 @@ def sweep_coefficient_identities(cfg: Config, tally: Tally):
         for l in range(1, n + 1):
             for m in range(1, n + 1):
                 inside = min(l, m) <= k <= max(l, m) - 1
-                direct = coeffs.perm_action(l, m, mod.int_tableau_at(z))
+                direct = coeffs.perm_action(l, m, mod.tableau_at(z))
                 eps = epsilon(n, l, m)
                 for idx, sigma in enumerate(phi_set(l, m, n)):
                     w = sigma(frame.tableau_at(z))

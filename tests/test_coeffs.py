@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from gtmod import core, fixtures
 from gtmod.coeffs import (
-    Jet, classical_action, coeff_e, coeff_ratfun, gamma, int_tableau, perm_action,
+    Jet, classical_action, coeff_e, coeff_ratfun, gamma, perm_action,
 )
 from gtmod.ratfun import ONE, Poly, RatFun, T, TWO_T
 from gtmod.tableaux import (
@@ -188,16 +188,21 @@ def _outcome(l, m, t):
 @settings(max_examples=150, deadline=None)
 @given(t_tableaux(), st.data())
 def test_perm_action_on_the_integer_tableau_matches_the_tableau(w, data):
-    """A module's integer tableau at z, its base scaled once plus L*z, gives
-    the same jets and shifts as the rational tableau at z, and raises
-    ZeroDivisionError on the same generators."""
+    """A module's tableau at z, its base's integer cells plus L*z, equals the
+    tableau rebuilt from the shifted rational entries with the t-coefficients
+    restored, and gives the same jets and shifts."""
     n = w.n
     z = ShiftVector(n, tuple(tuple(data.draw(st.integers(-2, 2)) for _ in range(r))
                              for r in range(n - 1, 0, -1)))
-    scaled = core.int_tableau_at(SimpleNamespace(_int_base=int_tableau(w)), z)
+    shifted = core.tableau_at(SimpleNamespace(base=w), z)
+    cells = [(r, s) for r in range(n, 0, -1) for s in range(1, r + 1)]
+    rebuilt = Tableau.from_rows(
+        [[w.base(r, s) + (z.get(r, s) if r < n else 0) for s in range(1, r + 1)]
+         for r in range(n, 0, -1)]).with_tcoefs({rs: w.entry(*rs)[1] for rs in cells})
+    assert shifted == rebuilt
     for l in range(1, n + 1):
         for m in range(1, n + 1):
-            assert _outcome(l, m, scaled) == _outcome(l, m, w.with_shift(z))
+            assert _outcome(l, m, shifted) == _outcome(l, m, rebuilt)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ def test_omega_plus_cases():
 
 def test_omega_plus_deterministic_on_rebuilt_copy():
     t = Tableau.from_rows([[2, F(1, 3), F(-5, 3)], [0, F(1, 3)], [F(1, 3)]])
-    rebuilt = Tableau.from_rows([[e[0] for e in row] for row in t.rows])
+    rebuilt = Tableau.from_rows([[b for b, _ in row] for row in t.fraction_rows()])
     assert omega_plus(t) == omega_plus(rebuilt)
     assert omega_plus(t) == omega_plus(t)
 
@@ -232,6 +232,33 @@ def test_text_roundtrip():
     z = ShiftVector.from_text(3, "(1,-2|0)")
     assert z.get(2, 1) == 1 and z.get(2, 2) == -2 and z.get(1, 1) == 0
     assert ShiftVector.from_text(3, z.to_text()) == z
+    rng = random.Random(11)
+    for _ in range(50):
+        n = rng.randint(1, 5)
+        t = Tableau.from_rows([[F(rng.randint(-20, 20), rng.choice([1, 2, 3, 4, 6, 7]))
+                                for _ in range(r)] for r in range(n, 0, -1)])
+        assert Tableau.from_text(t.to_text()) == t
+
+
+def test_spellings_of_one_value_give_one_tableau():
+    a = Tableau.from_rows([[F(2, 4), 3, 0], [F(3, 3), F(1, 6)], [-1]])
+    b = Tableau.from_rows([[F(1, 2), 3, 0], [1, F(1, 6)], [-1]])
+    assert a == b and hash(a) == hash(b)
+    c, d = Tableau.from_text("(2/4,3/3|0)"), Tableau.from_text("(1/2,1|0)")
+    assert c == d and hash(c) == hash(d)
+
+
+def test_shift_tcoefs_and_permutation_keep_the_scale():
+    t = Tableau.from_text("(2,1/3,-5/3|1/4,7/10|1/7)")
+    assert t.scale == 420
+    z = ShiftVector.from_text(3, "(1,-2|3)")
+    line = t.with_t(2, 1, 2)
+    sigma = PermTuple.row_transposition(3, 2, 1, 2)
+    for u in (t.with_shift(z), line, line.with_shift(z), sigma(line), sigma(t.with_shift(z))):
+        assert u.scale == t.scale
+    assert line.entry(2, 1) == (F(1, 4), 1) and line.entry(2, 2) == (F(7, 10), -1)
+    assert line.with_shift(z).entry(2, 2) == (F(7, 10) - 2, -1)
+    assert sigma(line).entry(2, 1) == (F(7, 10), -1)
 
 
 @pytest.mark.parametrize("text", ["(1,2|34", "(1,2,3|4)", "(1,2|3|4)"],

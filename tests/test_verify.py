@@ -141,8 +141,8 @@ def test_planted_valuation_off_by_one_is_caught(monkeypatch):
 def _plant_unscaled_diagonal_constant(monkeypatch):
     real = coeffs._factors
 
-    def planted(r, s, w, one=1):  # the constant r - 1 not times the scale
-        num, den = real(r, s, w, one)
+    def planted(r, s, rows, one=1):  # the constant r - 1 not times the scale
+        num, den = real(r, s, rows, one)
         if r == s:
             [(b, c)] = num
             num = [(b - (r - 1) * (one - 1), c)]
@@ -159,14 +159,13 @@ def _plant_swap_one_short(monkeypatch):
 
 
 def _plant_shift_without_scale(monkeypatch):
-    real = core.int_tableau_at
+    real = core.tableau_at
 
     def planted(self, z):  # B + z instead of B + L*z
-        base = self._int_base
-        return real(SimpleNamespace(_int_base=base._replace(scale=1)), z)._replace(
-            scale=base.scale)
+        return real(SimpleNamespace(base=self.base._replace(scale=1)), z)._replace(
+            scale=self.base.scale)
 
-    monkeypatch.setattr(singular.SingularModule, "int_tableau_at", planted)
+    monkeypatch.setattr(singular.SingularModule, "tableau_at", planted)
 
 
 def _plant_numerators_not_rescaled(monkeypatch):
@@ -376,6 +375,21 @@ def test_config_range_is_checked(tmp_path, capsys, key, value):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     assert "out of range" in _cli_error(capsys, path)
+
+
+@pytest.mark.parametrize("patch, match", [
+    (lambda data: {**data, "n": None}, "n must be an integer"),
+    (lambda data: {**data, "base": 5}, "base must be a tableau string"),
+    (lambda data: [data["n"], data["base"]], "JSON object"),
+    (lambda data: {**data, "seed": None}, "seed must be an integer"),
+], ids=["null-n", "numeric-base", "top-level-list", "null-seed"])
+def test_config_types_are_checked(tmp_path, capsys, patch, match):
+    data = patch(json.loads(open(f"{FIXTURES}/generic_n3.json", encoding="utf-8").read()))
+    with pytest.raises(ValueError, match=match):
+        Config.from_dict(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert match in _cli_error(capsys, path)
 
 
 def test_planted_sign_flip_fails_the_finite_dim_sweep(monkeypatch):
