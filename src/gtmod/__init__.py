@@ -8,16 +8,18 @@ algebraic identity with zero tolerance.
 Layers, bottom up:
 
 * :mod:`gtmod.ratfun`   -- univariate rational functions over Q and the
-  point operators at t = 0 (the oracle form of a coefficient);
+  point operators at t = 0 (the oracle form of a coefficient, which no
+  module family reads);
 * :mod:`gtmod.tableaux` -- tableaux, shift vectors, row permutations,
   singular frames;
-* :mod:`gtmod.coeffs`   -- the coefficient functions e_rs (as 2-jets at
-  t = 0, and as whole functions for the oracles) / gamma_rs, the
-  permutation form every family acts by, and the classical oracle;
+* :mod:`gtmod.coeffs`   -- the coefficient functions e_rs (as integer
+  2-jets at t = 0, and as whole functions for the oracles) and gamma_rs
+  (as its half-derivative and value at t = 0), the permutation form every
+  family acts by, and the classical oracle;
 * :mod:`gtmod.lincomb`  -- sparse formal linear combinations;
 * :mod:`gtmod.core`     -- the operations shared by the module families
   (action on combinations, bracket defects, composed central words, the
-  memoized closed-form gamma_rs);
+  memoized closed-form gamma_rs pair);
 * :mod:`gtmod.generic`, :mod:`gtmod.singular`, :mod:`gtmod.finite` -- the
   three module families, each supplying only its action on one symbol;
 * :mod:`gtmod.n3`       -- the ten-piece decomposition over the all-equal

@@ -8,7 +8,8 @@ Usage:
 
 Exit status is 0 iff the suite ran at least one check and every check
 passed, 1 when a check failed or none ran, and 2 on a usage or config error
-or an unwritable ``--json`` path.
+(a bad ``--window``/``--seed`` override or a config the suite cannot run on
+included) or an unwritable ``--json`` path.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import contextlib
 import json
 import sys
 
-from .verify import SUITES, Config, run_suite
+from .verify import PRECONDITIONS, SUITES, Config, run_suite
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,7 +49,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     path = args.config
     try:
-        cfg = Config.from_file(path)
+        cfg = Config.from_file(path).with_overrides(window=args.window, seed=args.seed)
+        if args.suite in PRECONDITIONS:
+            PRECONDITIONS[args.suite](cfg)
         # opened before the suite runs, so an unwritable path costs no run
         path = args.json
         out = open(path, "w", encoding="utf-8") if path else None
@@ -57,7 +60,7 @@ def main(argv=None) -> int:
         print(f"error: {path}: {msg}", file=sys.stderr)
         return 2
     with out or contextlib.nullcontext():
-        report = run_suite(args.suite, cfg.with_overrides(window=args.window, seed=args.seed))
+        report = run_suite(args.suite, cfg)
         print(report.summary())
         for ex in report.exemplars:
             print(f"  exemplar: {ex}")

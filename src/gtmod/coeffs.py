@@ -21,11 +21,11 @@ Two presentations of the gl(n) action on tableaux live here:
 
 The closed forms, with empty products equal to 1 (every factor is linear
 in t, so :func:`coeff_e` folds them into a jet with no polynomial
-arithmetic and no gcd -- forward-mode truncated Taylor arithmetic).  Read
-off a :class:`~gtmod.tableaux.Tableau`'s integer cells, each factor is
+arithmetic -- forward-mode truncated Taylor arithmetic).  Read off a
+:class:`~gtmod.tableaux.Tableau`'s integer cells, each factor is
 (B + C*t)/L with integers B and C (constants such as r - 1 and -1 scaled
-too); numerator and denominator fold into integer jets, and each jet
-component is built as one ``Fraction``:
+too); numerator and denominator fold into integer jets, and their quotient
+is an integer :class:`Jet` reduced by one gcd:
 
     e_t^+(w)      = prod_{j=2}^{t+1} (w_t1 - w_{t+1,j}) / prod_{j=2}^{t} (w_t1 - w_tj)
     e_{t+1}^-(w)  = prod_{j=2}^{t-1} (w_t1 - w_{t-1,j}) / prod_{j=2}^{t} (w_t1 - w_tj)
@@ -47,6 +47,7 @@ displayed sum.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -55,8 +56,6 @@ from .tableaux import ShiftVector, Tableau, phi_picks
 
 __all__ = ["Jet", "coeff_e", "coeff_ratfun", "gamma", "gamma_at_point",
            "classical_action", "perm_action"]
-
-_ZERO = Fraction(0)
 
 Factor = tuple[Fraction | int, int]  # the linear function b + c*t
 
@@ -69,18 +68,21 @@ def _prod(factors) -> Poly:
 
 
 class Jet(NamedTuple):
-    """The 2-jet t^v * (u0 + u1*t + O(t^2)) of a coefficient at t = 0.
+    """The 2-jet t^v * (a0 + a1*t + O(t^2)) / q of a coefficient at t = 0,
+    in integers with q > 0 and gcd(a0, a1, q) = 1, so equal jets are equal
+    tuples.
 
-    u0 != 0 unless the coefficient is identically zero, which is the jet
-    (0, 0, 0); so v is the order of vanishing (a pole when v < 0).
+    a0 != 0 unless the coefficient is identically zero, which is the jet
+    (0, 0, 0, 1); so v is the order of vanishing (a pole when v < 0).
     """
 
     v: int
-    u0: Fraction
-    u1: Fraction
+    a0: int
+    a1: int
+    q: int
 
     def __neg__(self) -> "Jet":
-        return Jet(self.v, -self.u0, -self.u1)
+        return self._replace(a0=-self.a0, a1=-self.a1)
 
     def d_ev(self) -> tuple[Fraction, Fraction]:
         """The half-derivative f'(0)/2 and the value f(0); raises
@@ -91,17 +93,17 @@ class Jet(NamedTuple):
     def d_ev_ratios(self) -> tuple[tuple[int, int], tuple[int, int]]:
         """:meth:`d_ev` as integer (numerator, denominator) pairs, not
         reduced."""
-        v, u0, u1 = self
+        v, a0, a1, q = self
         if v < 0:
             raise PoleError(f"pole of order {-v} at t=0: {self!r}")
-        d, ev = (u1, u0) if v == 0 else (u0, 0) if v == 1 else (0, 0)
-        return (d.numerator, 2 * d.denominator), (ev.numerator, ev.denominator)
+        d = a1 if v == 0 else a0 if v == 1 else 0
+        return (d, 2 * q), (a0 if v == 0 else 0, q)
 
     def const_value(self) -> Fraction:
-        """u0, for a coefficient read on a plain tableau (v = 0, u1 = 0)."""
-        if self.v or self.u1:
+        """a0/q, for a coefficient read on a plain tableau (v = 0, a1 = 0)."""
+        if self.v or self.a1:
             raise ValueError(f"{self!r} is not constant")
-        return self.u0
+        return Fraction(self.a0, self.q)
 
 
 def _diffs(rows, a: int, b: int, lo: int, hi: int) -> list[Factor]:
@@ -173,16 +175,17 @@ def coeff_e(r: int, s: int, w: Tableau) -> Jet:
         raise ZeroDivisionError("zero denominator in coefficient function")
     f = _fold(num)
     if f is None:
-        return Jet(0, _ZERO, _ZERO)
+        return Jet(0, 0, 0, 1)
     v, x0, x1 = f
     dv, d0, d1 = d
     # Every factor carries one 1/L, so e = L^(#den - #num) (x0 + x1 t) /
     # (d0 + d1 t) t^(v - dv), and (x0 + x1 t) / (d0 + d1 t) =
-    # x0/d0 + (x1 d0 - x0 d1)/d0^2 t + O(t^2).
+    # (x0 d0 + (x1 d0 - x0 d1) t) / d0^2 + O(t^2).
     k = len(den) - len(num)
     top, bottom = (scale ** k, 1) if k >= 0 else (1, scale ** -k)
-    return Jet(v - dv, Fraction(top * x0, bottom * d0),
-               Fraction(top * (x1 * d0 - x0 * d1), bottom * d0 * d0))
+    a0, a1, q = top * x0 * d0, top * (x1 * d0 - x0 * d1), bottom * d0 * d0
+    g = math.gcd(a0, a1, q)
+    return Jet(v - dv, a0 // g, a1 // g, q // g)
 
 
 def coeff_ratfun(r: int, s: int, w: Tableau) -> RatFun:
@@ -192,11 +195,12 @@ def coeff_ratfun(r: int, s: int, w: Tableau) -> RatFun:
     return RatFun(_prod(map(Poly, num)), _prod(map(Poly, den)))
 
 
-def gamma(r: int, s: int, w: Tableau) -> RatFun:
-    """The symmetric function gamma_{rs} on the row-r entries of w, as a
-    polynomial in t, interpolated from :func:`gamma_at_point` at t = 0..d
-    (d = s if some row-r entry carries t, else 0); repeated entries need no
-    special case.
+def gamma(r: int, s: int, w: Tableau) -> tuple[Fraction, Fraction]:
+    """(g'(0)/2, g(0)), as :meth:`Jet.d_ev`, for g = gamma_{rs} on the
+    row-r entries of w: g(0) = D^0 g(0) and g'(0) = sum_{q>=1} (-1)^(q+1)
+    D^q g(0)/q over the forward differences of :func:`gamma_at_point` at
+    t = 0..d (d = s if some row-r entry carries t, else 0); repeated
+    entries need no special case.
 
     gamma_{rs} has total degree <= s in the entries, since reducing
     g(x) (P(x - 1) - P(x)) mod P(x) keeps weighted degree <= s + r - 1; so
@@ -208,13 +212,11 @@ def gamma(r: int, s: int, w: Tableau) -> RatFun:
     row = w.fraction_rows()[n - r]
     ys = [gamma_at_point(r, s, [b + c * q for b, c in row])
           for q in range(s + 1 if any(c for _, c in row) else 1)]
-    # Newton's forward-difference form on the samples t = 0, 1, ...
-    total, falling = Poly(), Poly([1])
-    for q in range(len(ys)):
-        total = total + falling * ys[0]
+    value, slope = ys[0], Fraction(0)
+    for q in range(1, len(ys)):
         ys = [b - a for a, b in zip(ys, ys[1:])]
-        falling = falling * Poly([Fraction(-q, q + 1), Fraction(1, q + 1)])
-    return RatFun(total)
+        slope += Fraction((-1) ** (q + 1), q) * ys[0]
+    return slope / 2, value
 
 
 def gamma_at_point(r: int, s: int, entries: list[Fraction]) -> Fraction:

@@ -6,7 +6,7 @@ module, the t-line).  Everything here is built on those alone and is
 bound into each family's class body (``act = core.act``), so every family
 keeps these names in its own namespace.  ``act_symbol`` memoizes the
 generator action per module, keyed by (l, m, symbol), and ``gamma`` the
-closed-form gamma_{rs}.
+closed-form gamma_{rs} as its (half-derivative, value) pair at t = 0.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from . import coeffs
 from .lincomb import LinComb
-from .ratfun import RatFun
 from .tableaux import Tableau
 
 __all__ = ["tableau_at", "act_symbol", "act", "bracket_defect", "crs_via_composition",
@@ -74,9 +73,10 @@ def crs_via_composition(self, r: int, s: int, x: LinComb) -> LinComb:
     return LinComb.total(word(tup) for tup in itertools.product(range(1, r + 1), repeat=s))
 
 
-def gamma(self, r: int, s: int, z) -> RatFun:
-    """gamma_{rs} at the basis tableau of shift z, as a polynomial in t,
-    memoized by the row-r shifts (none for the fixed top row r = n)."""
+def gamma(self, r: int, s: int, z) -> tuple[Fraction, Fraction]:
+    """gamma_{rs} at the basis tableau of shift z, as its half-derivative
+    and value at t = 0 (:func:`~gtmod.coeffs.gamma`), memoized by the row-r
+    shifts (none for the fixed top row r = n)."""
     key = (r, s, z.rows[self.n - 1 - r] if r < self.n else ())
     hit = self._gamma_cache.get(key)
     if hit is None:
@@ -87,7 +87,7 @@ def gamma(self, r: int, s: int, z) -> RatFun:
 def character(self, z, max_row: int | None = None) -> tuple:
     """The values gamma_{rs} at t = 0 of shift z, for 1 <= s <= r <= max_row."""
     top = max_row if max_row is not None else self.n
-    return tuple(self.gamma(r, s, z).ev()
+    return tuple(self.gamma(r, s, z)[1]
                  for r in range(1, top + 1) for s in range(1, r + 1))
 
 
@@ -97,5 +97,5 @@ def gamma_action(self, r: int, s: int, x: LinComb) -> LinComb:
 
 
 def gamma_eigenvalue(self, r: int, s: int, z) -> Fraction:
-    """gamma_{rs} at shift z, on a family where it is a constant."""
-    return self.gamma(r, s, z).const_value()
+    """gamma_{rs} at shift z, on a family whose tableaux carry no t."""
+    return self.gamma(r, s, z)[1]

@@ -5,8 +5,10 @@ entries are substituted, becomes a rational function of a single formal
 variable ``t`` (the direction transverse to the singular hyperplane: the
 two singular entries are ``a + t`` and ``a - t``, everything else is an
 exact rational constant).  The module action reads coefficients as
-2-jets (:class:`gtmod.coeffs.Jet`); this module holds the whole functions,
-which the central characters gamma_rs and the ``formulas`` oracles need:
+integer 2-jets (:class:`gtmod.coeffs.Jet`) and gamma_rs as a value and
+half-derivative pair; this module holds the whole functions, which only
+the ``formulas`` oracles and the tests need (``coeffs`` also uses
+:class:`Poly` for its residue form of gamma_rs in the row entries):
 
 * :class:`Poly` -- dense univariate polynomials with ``Fraction``
   coefficients,
@@ -291,15 +293,6 @@ class RatFun:
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
-
-    @property
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
-
-    def const_value(self) -> Fraction:
-        if not self.is_constant:
-            raise ValueError(f"{self!r} is not constant")
-        return self.num.coefficient(0)  # den is monic constant, hence 1
 
     # -- the point operators at t = 0 ---------------------------------------
 

@@ -24,10 +24,10 @@ rational function of t, read through its 2-jet at t = 0
 with z' = z + sigma(eps_lm), ev the value at t = 0 and d the
 half-derivative there.  The derivative line requires tau(z) != z, which
 keeps every coefficient smooth; on the regular line the prefactor 2t
-absorbs the (at most simple) poles.  For a jet t^v (u0 + u1 t + ...) that
-is: on the regular line (d, ev) = (u1, 2 u0) at v = -1, (u0, 0) at v = 0
-and 0 above; on the derivative line (u1/2, u0) at v = 0, (u0/2, 0) at
-v = 1 and 0 above.  A larger pole is an :class:`InvariantViolation`.
+absorbs the (at most simple) poles.  For a jet t^v (a0 + a1 t + ...)/q
+that is, over q: (d, ev) = (a1, 2 a0) at v = -1, (a0, 0) at v = 0 and 0
+above on the regular line; (a1/2, a0) at v = 0, (a0/2, 0) at v = 1 and 0
+above on the derivative line.  A larger pole is an :class:`InvariantViolation`.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class BasisSymbol(NamedTuple):
 def _x_minus_y_d_ev(e: coeffs.Jet) -> tuple[tuple[int, int], tuple[int, int]]:
     """The half-derivative and value at t = 0 of (x - y) * e = XY_SLOPE * t * e
     on the line, as integer (numerator, denominator) pairs."""
-    (dn, dd), (en, ed) = coeffs.Jet(e.v + 1, e.u0, e.u1).d_ev_ratios()
+    (dn, dd), (en, ed) = e._replace(v=e.v + 1).d_ev_ratios()
     return (XY_SLOPE * dn, dd), (XY_SLOPE * en, ed)
 
 
@@ -138,7 +138,7 @@ class SingularModule:
         frame = self.frame
         terms = []
         for e, dz in coeffs.perm_action(l, m, self.tableau_at(z)):
-            if not e.u0:
+            if not e.a0:
                 continue
             reg, der = point(e)
             target = z + dz
@@ -198,20 +198,20 @@ class SingularModule:
     character = core.character
 
     def gamma_value(self, r: int, s: int, z: ShiftVector) -> Fraction:
-        return self.gamma(r, s, z).ev()
+        return self.gamma(r, s, z)[1]
 
     def gamma_dvalue(self, r: int, s: int, z: ShiftVector) -> Fraction:
-        return self.gamma(r, s, z).d()
+        return self.gamma(r, s, z)[0]
 
     def gamma_action(self, r: int, s: int, x: LinComb) -> LinComb:
         """c_{rs} in closed form: eigenvalue on Reg, a 2x2 upper-triangular
         contribution Der -> Der + Reg."""
         terms = []
         for sym, c in x.items():
-            g = self.gamma(r, s, sym.shift)
-            terms.append((sym, c * g.ev()))
+            d, ev = self.gamma(r, s, sym.shift)
+            terms.append((sym, c * ev))
             if sym.kind == DER:
-                terms.append((canonicalize(REG, sym.shift, self.frame)[1], c * g.d()))
+                terms.append((canonicalize(REG, sym.shift, self.frame)[1], c * d))
         return LinComb.sum_terms(terms)
 
     def character_classes(self, bound: int) -> dict[tuple, list[BasisSymbol]]:

@@ -55,7 +55,7 @@ from .tableaux import (
 )
 
 __all__ = [
-    "Config", "VerificationReport", "SUITES", "run_suite",
+    "Config", "VerificationReport", "SUITES", "PRECONDITIONS", "run_suite",
     "module_for", "window_symbols",
     "check_commutators", "check_gamma", "check_formulas", "check_n3",
     "Tally", "sweep_classical_vs_perm", "sweep_finite_dim", "sweep_coefficient_identities",
@@ -125,12 +125,30 @@ class Tally:
         )
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _integer(value, key: str) -> int:
-    """A config value as an int; ValueError names the key otherwise."""
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{key} must be an integer, got {value!r}") from None
+    """A config value that is a JSON integer, not a float or a boolean;
+    ValueError names the key otherwise."""
+    if not _is_integer(value):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _integers(value, key: str, size: int) -> tuple[int, ...]:
+    """A config value that is a list of ``size`` JSON integers."""
+    if not (isinstance(value, list) and len(value) == size and all(map(_is_integer, value))):
+        raise ValueError(f"{key} must be a list of {size} integers, got {value!r}")
+    return tuple(value)
+
+
+def _pairs(value, key: str) -> tuple[tuple[int, ...], ...]:
+    """A config value that is a list of integer pairs."""
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list of integer pairs, got {value!r}")
+    return tuple(_integers(pair, key, 2) for pair in value)
 
 
 @dataclass(frozen=True)
@@ -148,6 +166,14 @@ class Config:
     export_generators: tuple[tuple[int, int], ...] = ()
     export_crs: tuple[tuple[int, int], ...] = ()
 
+    def __post_init__(self):
+        n = self.n
+        bad = (([f"window={self.window}"] if self.window < 0 else [])
+               + [f"E{g}" for g in self.export_generators if not (1 <= min(g) and max(g) <= n)]
+               + [f"c{g}" for g in self.export_crs if not (1 <= g[0] <= n and g[1] >= 1)])
+        if bad:
+            raise ValueError(f"out of range for n={n}: {', '.join(bad)}")
+
     @staticmethod
     def from_dict(data: dict) -> "Config":
         if not isinstance(data, dict):
@@ -159,26 +185,23 @@ class Config:
         if base.n != n:
             raise ValueError(f"base tableau has {base.n} rows, config says n={n}")
         frame = None
-        if data.get("frame"):
-            k, i, j = (int(x) for x in data["frame"])
-            frame = SingularFrame(k, i, j, base)
-        suites = tuple(data.get("suites", ("commutators", "gamma", "formulas")))
+        if data.get("frame") is not None:
+            frame = SingularFrame(*_integers(data["frame"], "frame", 3), base)
+        suites = data.get("suites", ["commutators", "gamma", "formulas"])
+        if not (isinstance(suites, list) and all(isinstance(name, str) for name in suites)):
+            raise ValueError(f"suites must be a list of suite names, got {suites!r}")
         unknown = [name for name in suites if name not in SUITES]
         if unknown:
             raise ValueError(f"unknown suite(s) {unknown}; expected some of {sorted(SUITES)}")
-        window = _integer(data.get("window", 2), "window")
-        gens = tuple((int(a), int(b)) for a, b in data.get("export_generators", ()))
-        crs = tuple((int(r), int(s)) for r, s in data.get("export_crs", ()))
-        bad = (([f"window={window}"] if window < 0 else [])
-               + [f"E{g}" for g in gens if not (1 <= min(g) and max(g) <= n)]
-               + [f"c{g}" for g in crs if not (1 <= g[0] <= n and g[1] >= 1)])
-        if bad:
-            raise ValueError(f"out of range for n={n}: {', '.join(bad)}")
+        out_dir = data.get("out_dir", "reports")
+        if not isinstance(out_dir, str):
+            raise ValueError(f"out_dir must be a path string, got {out_dir!r}")
         return Config(
-            n=n, base=base, frame=frame, window=window, suites=suites,
-            seed=_integer(data.get("seed", 20240601), "seed"),
-            out_dir=str(data.get("out_dir", "reports")),
-            export_generators=gens, export_crs=crs,
+            n=n, base=base, frame=frame, window=_integer(data.get("window", 2), "window"),
+            suites=tuple(suites), seed=_integer(data.get("seed", 20240601), "seed"),
+            out_dir=out_dir,
+            export_generators=_pairs(data.get("export_generators", []), "export_generators"),
+            export_crs=_pairs(data.get("export_crs", []), "export_crs"),
         )
 
     @staticmethod
@@ -187,12 +210,11 @@ class Config:
             return Config.from_dict(json.load(fh))
 
     def with_overrides(self, window=None, seed=None) -> "Config":
-        cfg = self
-        if window is not None:
-            cfg = replace(cfg, window=window)
-        if seed is not None:
-            cfg = replace(cfg, seed=seed)
-        return cfg
+        """This config with the given window and seed, each checked as in a
+        config file; None keeps the config's own."""
+        given = {"window": window, "seed": seed}
+        return replace(self, **{key: _integer(value, key)
+                                for key, value in given.items() if value is not None})
 
     def describe(self) -> str:
         if self.frame is not None:
@@ -253,10 +275,11 @@ def _gamma_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def _gamma_k2_leading_coefficient(frame: SingularFrame) -> Fraction:
-    """Coefficient of the square of the (k,i) entry in gamma_{k,2}, read off
-    a probe tableau that varies only that entry."""
-    probe = frame.vbar.with_tcoefs({(frame.k, frame.i): 1})
-    return coeffs.gamma(frame.k, 2, probe).num.coefficient(2)
+    """Coefficient of the square of the (k,i) entry in gamma_{k,2}: half the
+    second difference of its samples on a probe that varies only that entry."""
+    row = frame.vbar.with_tcoefs({(frame.k, frame.i): 1}).fraction_rows()[frame.n - frame.k]
+    y0, y1, y2 = (coeffs.gamma_at_point(frame.k, 2, [b + c * q for b, c in row]) for q in range(3))
+    return (y2 - 2 * y1 + y0) / 2
 
 
 def _check_central_word(tally: Tally, kind: str, mod, r: int, s: int, sym) -> None:
@@ -443,11 +466,11 @@ def sweep_finite_dim(tally: Tally):
 
 
 def _jet_matches(jet: coeffs.Jet, e: RatFun) -> bool:
-    """The jet (v, u0, u1) is the 2-jet of the whole function e at t = 0:
+    """The jet (v, a0, a1, q) is the 2-jet of the whole function e at t = 0:
     the same zero-ness and pole order, and the same value and half-derivative
     once the pole is multiplied away (of e itself when there is none)."""
     poles = e.pole_order()
-    if e.is_zero != (not jet.u0) or max(-jet.v, 0) != poles:
+    if e.is_zero != (not jet.a0) or max(-jet.v, 0) != poles:
         return False
     smooth = RatFun(T ** poles) * e if poles else e
     return jet._replace(v=jet.v + poles).d_ev() == (smooth.d(), smooth.ev())
@@ -540,15 +563,21 @@ def sweep_coefficient_identities(cfg: Config, tally: Tally):
 # n3
 # ---------------------------------------------------------------------------
 
+def n3_precondition(cfg: Config) -> None:
+    """ValueError unless the ten-piece suite can run on cfg: a singular
+    n = 3 config over the all-equal base point."""
+    if cfg.frame is None or cfg.n != 3:
+        raise ValueError("the ten-piece suite needs a singular n=3 config")
+    first = cfg.base.base(3, 1)
+    if any(cfg.base.base(r, s) != first for r in range(1, 4) for s in range(1, r + 1)):
+        raise ValueError("the ten-piece suite needs the all-equal base point")
+
+
 def check_n3(cfg: Config) -> VerificationReport:
     started = time.perf_counter()
     tally = Tally()
+    n3_precondition(cfg)
     frame = cfg.frame
-    if frame is None or cfg.n != 3:
-        raise ValueError("the ten-piece suite needs a singular n=3 config")
-    first = frame.vbar.base(3, 1)
-    if any(frame.vbar.base(r, s) != first for r in range(1, 4) for s in range(1, r + 1)):
-        raise ValueError("the ten-piece suite needs the all-equal base point")
     mod = SingularModule(frame)
 
     # classification is total and unambiguous; the action never climbs layers
@@ -645,6 +674,9 @@ SUITES = {
     "formulas": check_formulas,
     "n3": check_n3,
 }
+
+# What a suite needs of its config, checked before it runs.
+PRECONDITIONS = {"n3": n3_precondition}
 
 
 def run_suite(name: str, cfg: Config) -> VerificationReport:

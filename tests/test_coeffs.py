@@ -1,6 +1,7 @@
 """Coefficient functions e_rs and gamma_rs, and the two action presentations."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -23,20 +24,20 @@ F = Fraction
 
 def test_e12_n2_direct_substitution():
     w = Tableau.from_rows([[3, 0], [1]])
-    assert coeff_e(1, 2, w) == Jet(0, 2, 0)  # -(1-3)(1-0)
+    assert coeff_e(1, 2, w) == Jet(0, 2, 0, 1)  # -(1-3)(1-0)
 
 
 def test_e21_is_one():
     rng = random.Random(1)
     for _ in range(10):
         w = fixtures.random_generic_tableau(rng, rng.randint(2, 4))
-        assert coeff_e(2, 1, w) == Jet(0, 1, 0)
+        assert coeff_e(2, 1, w) == Jet(0, 1, 0, 1)
 
 
 def test_e32_on_singular_line():
     frame = fixtures.frame_all_equal(0)
     w = frame.tableau_at(ShiftVector.zero(3))
-    assert coeff_e(3, 2, w) == Jet(0, F(1, 2), 0)  # t / 2t
+    assert coeff_e(3, 2, w) == Jet(0, 1, 0, 2)  # t / 2t
 
 
 def test_gamma_closed_forms():
@@ -44,10 +45,10 @@ def test_gamma_closed_forms():
     for _ in range(20):
         w = fixtures.random_generic_tableau(rng, 3)
         w11, w21, w22 = w.base(1, 1), w.base(2, 1), w.base(2, 2)
-        assert gamma(1, 1, w) == RatFun(w11)
-        assert gamma(2, 1, w) == RatFun(w21 + w22 + 1)
+        assert gamma(1, 1, w) == (0, w11)
+        assert gamma(2, 1, w) == (0, w21 + w22 + 1)
         expected = (w21 + 1) ** 2 + (w22 + 1) ** 2 - (w21 + w22 + 2)
-        assert gamma(2, 2, w) == RatFun(expected)
+        assert gamma(2, 2, w) == (0, expected)
 
 
 def _displayed_gamma(r, s, w):
@@ -68,7 +69,7 @@ def _displayed_gamma(r, s, w):
 
 def test_gamma_pole_cancels_on_singular_line(frame_n3):
     """The displayed sum is a polynomial on the line (its poles at t = 0
-    cancel), and it is the polynomial that gamma interpolates."""
+    cancel), and gamma reads its half-derivative and value at t = 0."""
     cases = [(frame_n3, z, 3) for z in window_shifts(3, 2)]
     rng = random.Random(48)
     for frame in (fixtures.frame_n4(), fixtures.frame_n4_row3()):
@@ -79,7 +80,7 @@ def test_gamma_pole_cancels_on_singular_line(frame_n3):
             for s in range(1, r + 1):
                 displayed = _displayed_gamma(r, s, w)
                 assert displayed.den == ONE  # symmetric-function cancellation
-                assert displayed == gamma(r, s, w)
+                assert (displayed.d(), displayed.ev()) == gamma(r, s, w)
 
 
 def test_classical_highest_weight_n2():
@@ -131,7 +132,7 @@ def test_perm_action_e32_pairs_on_singular_line():
     shifts = sorted(p[1].to_text() for p in pairs)
     assert shifts == ["(-1,0|0)", "(0,-1|0)"]
     for fn, _ in pairs:
-        assert fn == Jet(0, F(1, 2), 0)
+        assert fn == Jet(0, 1, 0, 2)
 
 
 @st.composite
@@ -157,9 +158,9 @@ def t_tableaux(draw):
 @settings(max_examples=300, deadline=None)
 @given(t_tableaux())
 def test_jet_is_the_2_jet_of_the_whole_coefficient(w):
-    """coeff_e(r, s, w) = (v, u0, u1) means coeff_ratfun(r, s, w) =
-    t^v (u0 + u1 t + O(t^2)) with u0 != 0, or both are zero; a vanishing
-    denominator raises in both."""
+    """coeff_e(r, s, w) = (v, a0, a1, q) means coeff_ratfun(r, s, w) =
+    t^v (a0 + a1 t + O(t^2)) / q with a0 != 0, q > 0 and gcd(a0, a1, q) = 1,
+    or both are zero; a vanishing denominator raises in both."""
     for r in range(1, w.n + 1):
         for s in range(1, w.n + 1):
             try:
@@ -170,12 +171,13 @@ def test_jet_is_the_2_jet_of_the_whole_coefficient(w):
                 continue
             jet = coeff_e(r, s, w)
             if e.is_zero:
-                assert jet == (0, 0, 0)
+                assert jet == (0, 0, 0, 1)
                 continue
-            v, u0, u1 = jet
+            v, a0, a1, q = jet
             f = e * (RatFun(ONE, T ** v) if v >= 0 else RatFun(T ** -v))
             assert f.pole_order() == 0
-            assert (f.ev(), f.d()) == (u0, u1 / 2) and u0 != 0
+            assert (f.ev(), f.d()) == (F(a0, q), F(a1, 2 * q)) and a0 != 0
+            assert q > 0 and math.gcd(a0, a1, q) == 1
 
 
 def _outcome(l, m, t):
@@ -402,8 +404,9 @@ def test_gamma_symbolic_linear():
     frame = fixtures.frame_n3()
     w = frame.tableau_at(ShiftVector.zero(3))
     # gamma_{21} on the line: (1/3 + t) + (1/3 - t) + 1 = 5/3, constant in t
-    assert gamma(2, 1, w) == RatFun(F(5, 3))
-    # gamma_{22} keeps a t^2 term
-    g = gamma(2, 2, w)
-    assert g.den == ONE
-    assert g.num.degree == 2
+    assert gamma(2, 1, w) == (0, F(5, 3))
+    # gamma_{22} = (4/3 + t)^2 + (4/3 - t)^2 - 8/3 = 8/9 + 2t^2, even in t
+    assert gamma(2, 2, w) == (0, F(8, 9))
+    # with t on w_21 alone: (4/3 + t)^2 + 16/9 - (8/3 + t) = 8/9 + 5/3 t + t^2,
+    # whose slope needs the second difference
+    assert gamma(2, 2, frame.vbar.with_tcoefs({(2, 1): 1})) == (F(5, 6), F(8, 9))

@@ -13,7 +13,7 @@ import pytest
 
 import gtmod
 import gtmod.coeffs as coeffs
-from gtmod import core, singular
+from gtmod import core, singular, verify
 from gtmod.cli import main as cli_main
 from gtmod.lincomb import LinComb
 from gtmod.tableaux import Tableau
@@ -179,16 +179,66 @@ def _plant_numerators_not_rescaled(monkeypatch):
     monkeypatch.setattr(LinComb, "from_ratios", staticmethod(planted))
 
 
-@pytest.mark.parametrize("plant, formulas_kinds", [
-    (_plant_unscaled_diagonal_constant, {"classical-vs-permutation", "jet-vs-ratfun"}),
-    (_plant_swap_one_short, {"classical-vs-permutation", "finite-dim-bracket",
-                             "finite-dim-gamma", "perm-action-vs-phi-set",
-                             "regular-action-tau-even", "derivative-action-tau-odd"}),
-    (_plant_shift_without_scale, {"perm-action-vs-phi-set"}),
-    (_plant_numerators_not_rescaled, {"finite-dim-bracket", "finite-dim-gamma"}),
+def _plant_d_ev_swapped(monkeypatch):
+    real = coeffs.Jet.d_ev_ratios
+    monkeypatch.setattr(coeffs.Jet, "d_ev_ratios", lambda self: real(self)[::-1])
+
+
+def _plant_gamma_d_negated(monkeypatch):
+    real = coeffs.gamma
+
+    def planted(r, s, w):
+        d, ev = real(r, s, w)
+        return -d, ev
+
+    monkeypatch.setattr(coeffs, "gamma", planted)
+
+
+def _plant_der_sign_dropped(monkeypatch):
+    real = singular.canonicalize
+
+    def planted(kind, z, frame):  # Der(z) = +Der(tau(z)) instead of -Der(tau(z))
+        sign, sym = real(kind, z, frame)
+        return (abs(sign) if kind == singular.DER else sign), sym
+
+    monkeypatch.setattr(singular, "canonicalize", planted)
+
+
+JORDAN_EIGEN = {"composition-jordan", "jordan-square-zero", "regular-eigenvector"}
+
+
+@pytest.mark.parametrize("plant, kinds", [
+    (_plant_unscaled_diagonal_constant, {
+        "formulas": {"classical-vs-permutation", "jet-vs-ratfun"},
+        "commutators": {"bracket"}, "gamma": JORDAN_EIGEN}),
+    (_plant_swap_one_short, {
+        "formulas": {"classical-vs-permutation", "finite-dim-bracket", "finite-dim-gamma",
+                     "perm-action-vs-phi-set", "regular-action-tau-even",
+                     "derivative-action-tau-odd"},
+        "commutators": {"bracket"}, "gamma": {"composition-jordan"}}),
+    (_plant_shift_without_scale, {
+        "formulas": {"perm-action-vs-phi-set"},
+        "commutators": {"bracket"}, "gamma": JORDAN_EIGEN | {"jordan-offdiagonal-model"}}),
+    (_plant_numerators_not_rescaled, {
+        "formulas": {"finite-dim-bracket", "finite-dim-gamma"},
+        "commutators": {"bracket"}, "gamma": JORDAN_EIGEN}),
+    (_plant_d_ev_swapped, {
+        "formulas": {"jet-vs-ratfun", "regular-action-tau-even", "derivative-action-tau-odd",
+                     "regular-action-ev-crosscheck"},
+        "commutators": {"bracket"},
+        "gamma": JORDAN_EIGEN | {"connectivity", "witness-derivative-closed-form",
+                                 "witness-step3"}}),
+    (_plant_gamma_d_negated, {
+        "formulas": set(), "commutators": set(),
+        "gamma": {"composition-jordan", "jordan-offdiagonal-model"}}),
+    (_plant_der_sign_dropped, {
+        "formulas": {"derivative-action-tau-odd"},
+        "commutators": {"bracket"}, "gamma": {"composition-jordan"}}),
 ], ids=["diagonal-constant-unscaled", "swap-one-short", "shift-without-scale",
-        "numerators-not-rescaled"])
-def test_planted_kernel_defect_is_caught(monkeypatch, plant, formulas_kinds):
+        "numerators-not-rescaled", "d-ev-swapped", "gamma-d-negated", "der-sign-dropped"])
+def test_planted_kernel_defect_is_caught(monkeypatch, plant, kinds):
+    """A planted defect fails exactly the recorded check kinds of each suite
+    on singular_n3 at window 1 (a suite with none recorded passes)."""
     failing: set[str] = set()
     check = Tally.check
 
@@ -200,11 +250,13 @@ def test_planted_kernel_defect_is_caught(monkeypatch, plant, formulas_kinds):
     monkeypatch.setattr(Tally, "check", recording)
     plant(monkeypatch)
     cfg = _cfg("singular_n3.json", window=1)
-    assert check_formulas(cfg).failed > 0
-    assert failing == formulas_kinds
-    failing.clear()
-    assert check_commutators(cfg).failed > 0
-    assert failing == {"bracket"}
+    seen = {}
+    for suite in kinds:
+        failing.clear()
+        report = run_suite(suite, cfg)
+        assert (report.failed > 0) == bool(failing)
+        seen[suite] = set(failing)
+    assert seen == kinds
 
 
 def test_export_diagonal_generator_is_diagonal():
@@ -268,9 +320,9 @@ def test_cli_pass_and_fail_exit_codes(tmp_path, monkeypatch):
     assert code == 1
 
 
-def test_cli_empty_window_is_not_a_pass(capsys):
-    code = cli_main(["commutators", "--config", f"{FIXTURES}/singular_n3.json",
-                     "--window", "-1"])
+def test_cli_empty_window_is_not_a_pass(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "window_symbols", lambda cfg: [])
+    code = cli_main(["commutators", "--config", f"{FIXTURES}/singular_n3.json"])
     out = capsys.readouterr().out
     assert code == 1
     assert "checked=0" in out and out.rstrip().endswith("FAIL")
@@ -312,8 +364,8 @@ def test_planted_gamma_defect_is_caught(monkeypatch):
         assert report.exemplars[0]["input"].startswith("c(2,2) on ")
 
 
-def _cli_error(capsys, path, *extra):
-    code = cli_main(["gamma", "--config", str(path), *extra])
+def _cli_error(capsys, path, *extra, suite="gamma"):
+    code = cli_main([suite, "--config", str(path), *extra])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -364,9 +416,10 @@ def test_cli_unwritable_json_fails_before_the_suite(tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [
     ("window", -1),
     ("export_generators", [[1, 2], [0, 1]]),
+    ("export_generators", [[1, 4]]),
     ("export_crs", [[4, 2]]),
     ("export_crs", [[2, 0]]),
-], ids=["negative-window", "generator-index", "crs-r", "crs-s"])
+], ids=["negative-window", "generator-index", "generator-index-high", "crs-r", "crs-s"])
 def test_config_range_is_checked(tmp_path, capsys, key, value):
     data = json.loads(open(f"{FIXTURES}/generic_n3.json", encoding="utf-8").read())
     data[key] = value
@@ -382,7 +435,19 @@ def test_config_range_is_checked(tmp_path, capsys, key, value):
     (lambda data: {**data, "base": 5}, "base must be a tableau string"),
     (lambda data: [data["n"], data["base"]], "JSON object"),
     (lambda data: {**data, "seed": None}, "seed must be an integer"),
-], ids=["null-n", "numeric-base", "top-level-list", "null-seed"])
+    (lambda data: {**data, "window": 2.7}, "window must be an integer, got 2.7"),
+    (lambda data: {**data, "seed": 1.5}, "seed must be an integer, got 1.5"),
+    (lambda data: {**data, "window": True}, "window must be an integer, got True"),
+    (lambda data: {**data, "n": 3.0}, "n must be an integer, got 3.0"),
+    (lambda data: {**data, "suites": "gamma"}, "suites must be a list of suite names"),
+    (lambda data: {**data, "frame": [2, 1]}, "frame must be a list of 3 integers"),
+    (lambda data: {**data, "frame": [2, 1, 2.0]}, "frame must be a list of 3 integers"),
+    (lambda data: {**data, "export_crs": [[2, "2"]]}, "export_crs must be a list of 2 integers"),
+    (lambda data: {**data, "export_generators": "12"}, "export_generators must be a list of"),
+    (lambda data: {**data, "out_dir": 5}, "out_dir must be a path string"),
+], ids=["null-n", "numeric-base", "top-level-list", "null-seed", "float-window", "float-seed",
+        "boolean-window", "float-n", "suites-string", "short-frame", "float-frame",
+        "string-crs-index", "string-generators", "numeric-out-dir"])
 def test_config_types_are_checked(tmp_path, capsys, patch, match):
     data = patch(json.loads(open(f"{FIXTURES}/generic_n3.json", encoding="utf-8").read()))
     with pytest.raises(ValueError, match=match):
@@ -404,3 +469,36 @@ def test_planted_sign_flip_fails_the_finite_dim_sweep(monkeypatch):
     sweep_finite_dim(tally)
     assert tally.failed > 0
     assert {ex["check"] for ex in tally.exemplars} == {"finite-dim-bracket", "finite-dim-gamma"}
+
+
+def test_overrides_are_checked_like_config_values(capsys):
+    cfg = _cfg("generic_n3.json")
+    for window, seed, match in ((2.5, None, "window must be an integer"),
+                                (None, True, "seed must be an integer"),
+                                (-1, None, "out of range")):
+        with pytest.raises(ValueError, match=match):
+            cfg.with_overrides(window=window, seed=seed)
+    ok = cfg.with_overrides(window=0, seed=7)
+    assert (ok.window, ok.seed) == (0, 7)
+    line = _cli_error(capsys, f"{FIXTURES}/generic_n3.json", "--window", "-1")
+    assert line.endswith("out of range for n=3: window=-1")
+
+
+@pytest.mark.parametrize("name, match", [
+    ("singular_n3.json", "needs the all-equal base point"),
+    ("generic_n3.json", "needs a singular n=3 config"),
+])
+def test_cli_n3_precondition_exits_2(tmp_path, capsys, name, match):
+    out = tmp_path / "r.json"
+    line = _cli_error(capsys, f"{FIXTURES}/{name}", "--json", str(out), suite="n3")
+    assert line == f"error: {FIXTURES}/{name}: the ten-piece suite {match}"
+    assert not out.exists()
+
+
+def test_cli_error_inside_a_sweep_is_not_a_config_error(monkeypatch):
+    def broken(z):
+        raise ValueError("planted")
+
+    monkeypatch.setattr(verify, "classify_shift", broken)
+    with pytest.raises(ValueError, match="planted"):
+        cli_main(["n3", "--config", f"{FIXTURES}/all_equal_n3.json", "--window", "0"])
