@@ -37,7 +37,7 @@ for sym, c in out.items():
 
 print("\nc_22 in the pair basis {Reg(tau z), Der(z)}: a 2x2 Jordan block")
 z = ShiftVector.of(3, {(2, 1): 2, (2, 2): -1})
-gamma = mod.gamma_value(2, 2, z)
+_, gamma = mod.gamma(2, 2, z)
 der = mod.der(z)
 reg = mod.reg(z)
 print(f"   eigenvalue gamma = {gamma}")

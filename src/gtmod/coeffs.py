@@ -40,9 +40,16 @@ and the symmetric functions
 
     gamma_{rs}(w) = sum_{i=1}^r (w_ri + r - 1)^s prod_{j != i} (1 - 1/(w_ri - w_rj)),
 
-which always simplify to polynomials in the row-r entries; they are
-computed from that polynomial (:func:`gamma_at_point`), never from the
-displayed sum.
+which always simplify to polynomials in the row-r entries.  The sum is
+minus the finite residues of (x + r - 1)^s prod_i (x - 1 - w_ri)/(x - w_ri),
+so it is the residue at infinity: with x = 1/u,
+
+    gamma_{rs}(w) = -[u^{s+1}] (1 + (r-1)u)^s prod_i (1 - u/(1 - w_ri u)),
+
+the generating series of the eigenvalues of the central elements (Molev,
+arXiv:math/0211289).  :func:`gamma` reads that coefficient off the series
+truncated at u^{s+1}, in integer 2-jets on the tableau's cells, never from
+the displayed sum; repeated entries need no special case.
 """
 
 from __future__ import annotations
@@ -54,8 +61,7 @@ from typing import NamedTuple
 from .ratfun import PoleError, Poly, RatFun
 from .tableaux import ShiftVector, Tableau, phi_picks
 
-__all__ = ["Jet", "coeff_e", "coeff_ratfun", "gamma", "gamma_at_point",
-           "classical_action", "perm_action"]
+__all__ = ["Jet", "coeff_e", "coeff_ratfun", "gamma", "classical_action", "perm_action"]
 
 Factor = tuple[Fraction | int, int]  # the linear function b + c*t
 
@@ -197,42 +203,31 @@ def coeff_ratfun(r: int, s: int, w: Tableau) -> RatFun:
 
 def gamma(r: int, s: int, w: Tableau) -> tuple[Fraction, Fraction]:
     """(g'(0)/2, g(0)), as :meth:`Jet.d_ev`, for g = gamma_{rs} on the
-    row-r entries of w: g(0) = D^0 g(0) and g'(0) = sum_{q>=1} (-1)^(q+1)
-    D^q g(0)/q over the forward differences of :func:`gamma_at_point` at
-    t = 0..d (d = s if some row-r entry carries t, else 0); repeated
-    entries need no special case.
+    row-r entries of w, read off its generating series.
 
-    gamma_{rs} has total degree <= s in the entries, since reducing
-    g(x) (P(x - 1) - P(x)) mod P(x) keeps weighted degree <= s + r - 1; so
-    it has degree <= s in t.
+    With U = u/L (L the tableau's scale) and the row-r cells (b_i, c_i),
+    w_ri u = (b_i + c_i t) U, so every U^k coefficient of
+    (1 + (r-1)LU)^s prod_i (1 - LU/(1 - (b_i + c_i t)U)) is an integer
+    polynomial in t, kept as its 2-jet (x0, x1); gamma_{rs} is minus the
+    U^{s+1} coefficient over L^{s+1}.
     """
-    n = w.n
+    rows, scale = w
+    n = len(rows)
     if not (1 <= s and 1 <= r <= n):
         raise ValueError(f"gamma({r},{s}) out of range for n={n}")
-    row = w.fraction_rows()[n - r]
-    ys = [gamma_at_point(r, s, [b + c * q for b, c in row])
-          for q in range(s + 1 if any(c for _, c in row) else 1)]
-    value, slope = ys[0], Fraction(0)
-    for q in range(1, len(ys)):
-        ys = [b - a for a, b in zip(ys, ys[1:])]
-        slope += Fraction((-1) ** (q + 1), q) * ys[0]
-    return slope / 2, value
-
-
-def gamma_at_point(r: int, s: int, entries: list[Fraction]) -> Fraction:
-    """Polynomial value of gamma_{rs} at given row-r entries, repeated
-    entries allowed.
-
-    With P(x) = prod_i (x - e_i) and g(x) = (x + r - 1)^s the sum equals
-    - sum_i g(e_i) P(e_i - 1) / P'(e_i), a sum of residues, which is minus
-    the x^{r-1} coefficient of g(x) P(x - 1) mod P(x); the remainder form
-    needs no distinctness.
-    """
-    p = _prod(Poly([-e, 1]) for e in entries)
-    shifted = _prod(Poly([-(e + 1), 1]) for e in entries)
-    g = Poly([r - 1, 1]) ** s
-    rem = (g * shifted) % p
-    return -rem.coefficient(r - 1)
+    series = [(math.comb(s, k) * ((r - 1) * scale) ** k, 0) for k in range(s + 2)]
+    for b, c in rows[n - r]:
+        # times 1 - LU/(1 - aU), a = b + c*t: V = series * U/(1 - aU) has
+        # V_k = series_{k-1} + a*V_{k-1}, and the product is series - L*V
+        v0 = v1 = 0
+        out = series[:1]
+        for (p0, p1), (x0, x1) in zip(series, series[1:]):
+            v0, v1 = p0 + b * v0, p1 + b * v1 + c * v0
+            out.append((x0 - scale * v0, x1 - scale * v1))
+        series = out
+    x0, x1 = series[s + 1]
+    den = scale ** (s + 1)
+    return Fraction(-x1, 2 * den), Fraction(-x0, den)
 
 
 def classical_action(l: int, m: int, t: Tableau) -> list[tuple[Fraction, ShiftVector]]:

@@ -7,8 +7,7 @@ two singular entries are ``a + t`` and ``a - t``, everything else is an
 exact rational constant).  The module action reads coefficients as
 integer 2-jets (:class:`gtmod.coeffs.Jet`) and gamma_rs as a value and
 half-derivative pair; this module holds the whole functions, which only
-the ``formulas`` oracles and the tests need (``coeffs`` also uses
-:class:`Poly` for its residue form of gamma_rs in the row entries):
+the ``formulas`` oracles and the tests need:
 
 * :class:`Poly` -- dense univariate polynomials with ``Fraction``
   coefficients,

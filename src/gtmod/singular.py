@@ -197,12 +197,6 @@ class SingularModule:
     gamma = core.gamma
     character = core.character
 
-    def gamma_value(self, r: int, s: int, z: ShiftVector) -> Fraction:
-        return self.gamma(r, s, z)[1]
-
-    def gamma_dvalue(self, r: int, s: int, z: ShiftVector) -> Fraction:
-        return self.gamma(r, s, z)[0]
-
     def gamma_action(self, r: int, s: int, x: LinComb) -> LinComb:
         """c_{rs} in closed form: eigenvalue on Reg, a 2x2 upper-triangular
         contribution Der -> Der + Reg."""

@@ -107,7 +107,7 @@ def test_criterion_5_jordan_cell(singular_mod):
         if frame.is_tau_fixed(z):
             continue
         seen += 1
-        gam = singular_mod.gamma_value(k, 2, z)
+        _, gam = singular_mod.gamma(k, 2, z)
         der = singular_mod.der(z)
         once = singular_mod.crs_via_composition(k, 2, der) - gam * der
         twice = singular_mod.crs_via_composition(k, 2, once) - gam * once

@@ -77,7 +77,7 @@ def test_gamma_pole_cancels_on_singular_line(frame_n3):
     for frame, z, top in cases:
         w = frame.tableau_at(z)
         for r in range(1, top + 1):
-            for s in range(1, r + 1):
+            for s in range(1, r + 2):
                 displayed = _displayed_gamma(r, s, w)
                 assert displayed.den == ONE  # symmetric-function cancellation
                 assert (displayed.d(), displayed.ev()) == gamma(r, s, w)
@@ -361,12 +361,15 @@ def test_parity_twisted_conjugation_branch():
             assert (two_t * e_star_tz).d() == (two_t * e_z).d()
 
 
-def test_gamma_polynomial_extension_matches_sum():
-    """Dual route: the residue/remainder evaluation agrees with the displayed
-    sum on distinct entries, and with its perturbation limit on repeated ones."""
-    from gtmod.coeffs import gamma_at_point
-    from gtmod.ratfun import RatFun as RF, Poly as P
+def _plain_row(entries):
+    """A plain tableau whose top row is ``entries`` and whose lower rows are zero."""
+    r = len(entries)
+    return Tableau.from_rows([entries] + [[0] * q for q in range(r - 1, 0, -1)])
 
+
+def test_gamma_polynomial_extension_matches_sum():
+    """Dual route: the generating series agrees with the displayed sum on
+    distinct entries, and with its perturbation limit on repeated ones."""
     rng = random.Random(301)
     for _ in range(30):
         r = rng.randint(1, 4)
@@ -381,23 +384,23 @@ def test_gamma_polynomial_extension_matches_sum():
                 if j != i:
                     term = term * RatFun(1 - 1 / (entries[i] - entries[j]))
             direct = direct + term
-        assert direct == RatFun(gamma_at_point(r, s, entries))
+        assert (0, direct.ev()) == gamma(r, s, _plain_row(entries))
 
     # repeated entries: perturb by distinct multiples of a formal u and let u -> 0
     for entries, r, s in (([F(0), F(0), F(0)], 3, 2), ([F(1), F(1), F(-2)], 3, 3),
                           ([F(1, 2), F(1, 2)], 2, 2)):
-        perturbed = [P([e, i + 1]) for i, e in enumerate(entries)]  # e + (i+1)u
-        total = RF(0)
+        perturbed = [Poly([e, i + 1]) for i, e in enumerate(entries)]  # e + (i+1)u
+        total = RatFun(0)
         for i in range(r):
             num = (perturbed[i] + (r - 1)) ** s
-            den = P([1])
+            den = Poly([1])
             for j in range(r):
                 if j != i:
                     d = perturbed[i] - perturbed[j]
                     num = num * (d - 1)
                     den = den * d
-            total = total + RF(num, den)
-        assert total.ev() == gamma_at_point(r, s, entries)
+            total = total + RatFun(num, den)
+        assert (0, total.ev()) == gamma(r, s, _plain_row(entries))
 
 
 def test_gamma_symbolic_linear():

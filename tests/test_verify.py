@@ -1,10 +1,12 @@
 """Verification harness: suites, reports, determinism, export, CLI."""
 
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,10 +15,10 @@ import pytest
 
 import gtmod
 import gtmod.coeffs as coeffs
-from gtmod import core, singular, verify
+from gtmod import core, n3, singular, verify
 from gtmod.cli import main as cli_main
 from gtmod.lincomb import LinComb
-from gtmod.tableaux import Tableau
+from gtmod.tableaux import SingularFrame, Tableau
 from gtmod.verify import (
     Config, Tally, build_action_matrix, check_commutators, check_formulas, check_gamma,
     check_n3, export_action, load_action_matrix, run_suite, sweep_finite_dim,
@@ -204,41 +206,73 @@ def _plant_der_sign_dropped(monkeypatch):
     monkeypatch.setattr(singular, "canonicalize", planted)
 
 
+def _plant_classical_index_off_by_one(monkeypatch):
+    # classical_action recompiled with one range bound short, so e_{k,k+1}
+    # loses its last factor (w_ki - w_{k+1,k+1})
+    source = textwrap.dedent(inspect.getsource(coeffs.classical_action))
+    assert source.count("range(1, k + 2)") == 1
+    scope = {}
+    exec(compile(source.replace("range(1, k + 2)", "range(1, k + 1)"), "<planted>", "exec"),
+         vars(coeffs), scope)
+    monkeypatch.setattr(coeffs, "classical_action", scope["classical_action"])
+
+
+def _plant_loewy_layers_swapped(monkeypatch):
+    layers = n3.LOEWY_LAYERS
+    for piece, layer in (("L7", layers["L5'"]), ("L5'", layers["L7"])):
+        monkeypatch.setitem(layers, piece, layer)
+
+
+def _plant_tau_wrong_positions(monkeypatch):
+    # tau exchanges positions 1 and j of row k, which is right only when i = 1
+    monkeypatch.setattr(SingularFrame, "tau", lambda self, z: z.swapped(self.k, 1, self.j))
+
+
 JORDAN_EIGEN = {"composition-jordan", "jordan-square-zero", "regular-eigenvector"}
+SINGULAR_N3 = ("singular_n3.json", 1)
 
 
-@pytest.mark.parametrize("plant, kinds", [
-    (_plant_unscaled_diagonal_constant, {
+@pytest.mark.parametrize("plant, config, kinds", [
+    (_plant_unscaled_diagonal_constant, SINGULAR_N3, {
         "formulas": {"classical-vs-permutation", "jet-vs-ratfun"},
         "commutators": {"bracket"}, "gamma": JORDAN_EIGEN}),
-    (_plant_swap_one_short, {
+    (_plant_swap_one_short, SINGULAR_N3, {
         "formulas": {"classical-vs-permutation", "finite-dim-bracket", "finite-dim-gamma",
                      "perm-action-vs-phi-set", "regular-action-tau-even",
                      "derivative-action-tau-odd"},
         "commutators": {"bracket"}, "gamma": {"composition-jordan"}}),
-    (_plant_shift_without_scale, {
+    (_plant_shift_without_scale, SINGULAR_N3, {
         "formulas": {"perm-action-vs-phi-set"},
         "commutators": {"bracket"}, "gamma": JORDAN_EIGEN | {"jordan-offdiagonal-model"}}),
-    (_plant_numerators_not_rescaled, {
+    (_plant_numerators_not_rescaled, SINGULAR_N3, {
         "formulas": {"finite-dim-bracket", "finite-dim-gamma"},
         "commutators": {"bracket"}, "gamma": JORDAN_EIGEN}),
-    (_plant_d_ev_swapped, {
+    (_plant_d_ev_swapped, SINGULAR_N3, {
         "formulas": {"jet-vs-ratfun", "regular-action-tau-even", "derivative-action-tau-odd",
                      "regular-action-ev-crosscheck"},
         "commutators": {"bracket"},
         "gamma": JORDAN_EIGEN | {"connectivity", "witness-derivative-closed-form",
                                  "witness-step3"}}),
-    (_plant_gamma_d_negated, {
+    (_plant_gamma_d_negated, SINGULAR_N3, {
         "formulas": set(), "commutators": set(),
         "gamma": {"composition-jordan", "jordan-offdiagonal-model"}}),
-    (_plant_der_sign_dropped, {
+    (_plant_der_sign_dropped, SINGULAR_N3, {
         "formulas": {"derivative-action-tau-odd"},
         "commutators": {"bracket"}, "gamma": {"composition-jordan"}}),
+    (_plant_classical_index_off_by_one, SINGULAR_N3, {
+        "formulas": {"classical-vs-permutation"}, "commutators": set(), "gamma": set()}),
+    (_plant_loewy_layers_swapped, ("all_equal_n3.json", 4), {"n3": {"loewy-monotone"}}),
+    # canonicalize's Der(z) -> -Der(tau(z)) meets a tau-fixed shift
+    (_plant_tau_wrong_positions, ("singular_n4_row3.json", 0), {
+        "formulas": set(), "commutators": ValueError,
+        "gamma": {"jordan-offdiagonal-nonzero", "jordan-square-zero", "regular-eigenvector"}}),
 ], ids=["diagonal-constant-unscaled", "swap-one-short", "shift-without-scale",
-        "numerators-not-rescaled", "d-ev-swapped", "gamma-d-negated", "der-sign-dropped"])
-def test_planted_kernel_defect_is_caught(monkeypatch, plant, kinds):
+        "numerators-not-rescaled", "d-ev-swapped", "gamma-d-negated", "der-sign-dropped",
+        "classical-index-off-by-one", "loewy-layers-swapped", "tau-wrong-positions"])
+def test_planted_kernel_defect_is_caught(monkeypatch, plant, config, kinds):
     """A planted defect fails exactly the recorded check kinds of each suite
-    on singular_n3 at window 1 (a suite with none recorded passes)."""
+    on the given fixture and window (a suite with none recorded passes, and
+    one recorded as ``ValueError`` stops with it)."""
     failing: set[str] = set()
     check = Tally.check
 
@@ -249,11 +283,16 @@ def test_planted_kernel_defect_is_caught(monkeypatch, plant, kinds):
 
     monkeypatch.setattr(Tally, "check", recording)
     plant(monkeypatch)
-    cfg = _cfg("singular_n3.json", window=1)
+    name, window = config
+    cfg = _cfg(name, window=window)
     seen = {}
     for suite in kinds:
         failing.clear()
-        report = run_suite(suite, cfg)
+        try:
+            report = run_suite(suite, cfg)
+        except ValueError:
+            seen[suite] = ValueError
+            continue
         assert (report.failed > 0) == bool(failing)
         seen[suite] = set(failing)
     assert seen == kinds
@@ -349,13 +388,13 @@ def test_config_validation():
 
 
 def test_planted_gamma_defect_is_caught(monkeypatch):
-    original = coeffs.gamma_at_point
+    original = coeffs.gamma
 
-    def planted(r, s, entries):
-        value = original(r, s, entries)
-        return value + 1 if (r, s) == (2, 2) else value
+    def planted(r, s, w):
+        d, ev = original(r, s, w)
+        return (d, ev + 1) if (r, s) == (2, 2) else (d, ev)
 
-    monkeypatch.setattr(coeffs, "gamma_at_point", planted)
+    monkeypatch.setattr(coeffs, "gamma", planted)
     for name, kind in (("singular_n3.json", "composition-jordan"),
                        ("generic_n3.json", "composition-eigenvalue")):
         report = check_gamma(_cfg(name, window=1))
@@ -445,9 +484,10 @@ def test_config_range_is_checked(tmp_path, capsys, key, value):
     (lambda data: {**data, "export_crs": [[2, "2"]]}, "export_crs must be a list of 2 integers"),
     (lambda data: {**data, "export_generators": "12"}, "export_generators must be a list of"),
     (lambda data: {**data, "out_dir": 5}, "out_dir must be a path string"),
+    (lambda data: {**data, "base": "(0,0,0|0,0|0)"}, "is not generic, and no frame is given"),
 ], ids=["null-n", "numeric-base", "top-level-list", "null-seed", "float-window", "float-seed",
         "boolean-window", "float-n", "suites-string", "short-frame", "float-frame",
-        "string-crs-index", "string-generators", "numeric-out-dir"])
+        "string-crs-index", "string-generators", "numeric-out-dir", "frameless-singular-base"])
 def test_config_types_are_checked(tmp_path, capsys, patch, match):
     data = patch(json.loads(open(f"{FIXTURES}/generic_n3.json", encoding="utf-8").read()))
     with pytest.raises(ValueError, match=match):
