@@ -16,10 +16,12 @@ Layers, bottom up:
   2-jets at t = 0, and as whole functions for the oracles) and gamma_rs
   (as its half-derivative and value at t = 0), the permutation form every
   family acts by, and the classical oracle;
-* :mod:`gtmod.lincomb`  -- sparse formal linear combinations;
+* :mod:`gtmod.lincomb`  -- sparse formal linear combinations, and sums of
+  their scaled images under linear maps;
 * :mod:`gtmod.core`     -- the operations shared by the module families
-  (action on combinations, bracket defects, composed central words, the
-  memoized closed-form gamma_rs pair);
+  (action on combinations; bracket defects and composed central words, both
+  summed by one evaluator of signed generator words; the memoized
+  closed-form gamma_rs pair);
 * :mod:`gtmod.generic`, :mod:`gtmod.singular`, :mod:`gtmod.finite` -- the
   three module families, each supplying only its action on one symbol;
 * :mod:`gtmod.n3`       -- the ten-piece decomposition over the all-equal

@@ -7,6 +7,8 @@ bound into each family's class body (``act = core.act``), so every family
 keeps these names in its own namespace.  ``act_symbol`` memoizes the
 generator action per module, keyed by (l, m, symbol), and ``gamma`` the
 closed-form gamma_{rs} as its (half-derivative, value) pair at t = 0.
+Bracket defects and composed central words are both sums of signed
+generator words, evaluated by the one ``_word_sum``.
 """
 
 from __future__ import annotations
@@ -40,37 +42,44 @@ def act_symbol(self, l: int, m: int, sym) -> LinComb:
 
 def act(self, l: int, m: int, x: LinComb) -> LinComb:
     """E_{lm} on a linear combination of basis symbols."""
-    return x.linear_image(functools.partial(self.act_symbol, l, m))
+    return LinComb.images([(1, x, functools.partial(self.act_symbol, l, m))])
+
+
+def _word_sum(self, words, x: LinComb) -> LinComb:
+    """The sum of c * E_{g1} E_{g2} ... E_{gL} x over ``(c, (g1, ..., gL))``:
+    each word's prefix E_{g2} ... E_{gL} x by ``act``, stopping at zero, and
+    its last generator E_{g1} read off the ``act_symbol`` columns, all words
+    summed in one pass."""
+    parts = []
+    for c, (first, *prefix) in words:
+        y = x
+        for l, m in reversed(prefix):
+            y = self.act(l, m, y)
+            if y.is_zero:
+                break
+        parts.append((c, y, functools.partial(self.act_symbol, *first)))
+    return LinComb.images(parts)
 
 
 def bracket_defect(self, g1: tuple[int, int], g2: tuple[int, int], sym) -> LinComb:
     """[E_{g1}, E_{g2}] minus its structure-constant value on one symbol;
-    zero iff the commutation relation holds there."""
+    zero iff the commutation relation holds there.  With g1 = (a, b) and
+    g2 = (c, d) that is E_ab E_cd - E_cd E_ab - delta_bc E_ad + delta_da E_cb."""
     a, b = g1
     c, d = g2
-    x = LinComb.single(sym)
-    lhs = self.act(a, b, self.act(c, d, x)) - self.act(c, d, self.act(a, b, x))
-    rhs = LinComb.zero()
+    words = [(1, (g1, g2)), (-1, (g2, g1))]
     if b == c:
-        rhs = rhs + self.act(a, d, x)
+        words.append((-1, ((a, d),)))
     if d == a:
-        rhs = rhs - self.act(c, b, x)
-    return lhs - rhs
+        words.append((1, ((c, b),)))
+    return _word_sum(self, words, LinComb.single(sym))
 
 
 def crs_via_composition(self, r: int, s: int, x: LinComb) -> LinComb:
     """The central generator c_{rs} as a sum of composed generator words
     E_{i_1 i_2} E_{i_2 i_3} ... E_{i_s i_1} over all index tuples."""
-
-    def word(tup: tuple[int, ...]) -> LinComb:
-        y = x
-        for l, m in reversed(list(zip(tup, tup[1:] + tup[:1]))):
-            y = self.act(l, m, y)
-            if y.is_zero:
-                break
-        return y
-
-    return LinComb.total(word(tup) for tup in itertools.product(range(1, r + 1), repeat=s))
+    return _word_sum(self, ((1, tuple(zip(tup, tup[1:] + tup[:1])))
+                            for tup in itertools.product(range(1, r + 1), repeat=s)), x)
 
 
 def gamma(self, r: int, s: int, z) -> tuple[Fraction, Fraction]:

@@ -3,8 +3,10 @@
 Module vectors are finite formal sums of basis symbols (any hashable keys)
 with exact rational coefficients, stored as nonzero integer numerators over
 one denominator D > 0 with gcd(D, numerators) = 1, so equal combinations
-have equal state.  Sums and scalings run in integers, with one lcm per
-operation and one gcd per result; ``items`` and ``coeff`` give ``Fraction``s.
+have equal state.  Sums, scalings and ``images`` (a sum of scaled images
+of combinations under linear maps, given by their columns) run in integers,
+with one lcm per operation and one gcd per result; ``items`` and ``coeff``
+give ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ __all__ = ["LinComb"]
 
 
 def _combine(parts) -> "LinComb":
-    """The sum of p/q * x over ``(p, q, x)``: integers p, q > 0, combination x."""
+    """The sum of p/q * x over ``(p, q, x)``: integers p and q > 0, combination x."""
     return LinComb.from_ratios((key, p * num, q * x._den) for p, q, x in parts
                                for key, num in x._terms.items())
 
@@ -89,15 +91,12 @@ class LinComb:
         return LinComb.from_ratios((key, c.numerator, c.denominator) for key, c in pairs)
 
     @staticmethod
-    def total(combos) -> "LinComb":
-        """The sum of an iterable of combinations."""
-        return _combine((1, 1, x) for x in combos)
-
-    def linear_image(self, column) -> "LinComb":
-        """The image of self under the linear map sending each key to the
-        combination ``column(key)``."""
-        den = self._den
-        return _combine([(num, den, column(key)) for key, num in self._terms.items()])
+    def images(parts) -> "LinComb":
+        """The sum of c * column(x) over ``(c, x, column)``: an ``int`` or
+        ``Fraction`` c, a combination x, and the linear map sending each key
+        to the combination ``column(key)``."""
+        return _combine([(c.numerator * num, c.denominator * x._den, column(key))
+                         for c, x, column in parts for key, num in x._terms.items()])
 
     def __add__(self, other: "LinComb") -> "LinComb":
         if not isinstance(other, LinComb):

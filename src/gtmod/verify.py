@@ -9,7 +9,8 @@ carry exemplars showing the input and the two sides.
 Suites:
 
 * ``commutators`` -- the defining relations [E_ab, E_cd] on every window
-  basis symbol (generic base or singular frame, per config);
+  basis symbol (generic base or singular frame, per config); a bracket
+  whose evaluation raises fails, its exemplar naming the error;
 * ``gamma``       -- the commutative central family: composed generator
   words against closed-form eigenvalues, the 2x2 nilpotent action on
   derivative symbols, character multiplicities and separation, and the
@@ -46,8 +47,8 @@ from .lincomb import LinComb
 from .n3 import classify_shift, loewy_layer, weight_key
 from .ratfun import T, RatFun, TWO_T
 from .singular import (
-    REG, SingularModule, canonical_window, canonicalize, connecting_shift,
-    generation_witnesses, irreducibility_hypothesis,
+    REG, InvariantViolation, SingularModule, canonical_window, canonicalize,
+    connecting_shift, generation_witnesses, irreducibility_hypothesis,
 )
 from .tableaux import (
     PermTuple, SingularFrame, Tableau, epsilon, is_generic, phi_set, tau_star, window_shifts,
@@ -260,9 +261,14 @@ def check_commutators(cfg: Config) -> VerificationReport:
     mod = module_for(cfg)
     for sym in window_symbols(cfg):
         for g1, g2 in pairs:
-            defect = mod.bracket_defect(g1, g2, sym)
-            tally.check(defect.is_zero, "bracket", lambda s=sym, a=g1, b=g2, d=defect: {
-                "input": f"[E{a}, E{b}] on {s!r}", "defect": repr(d)})
+            try:
+                defect = mod.bracket_defect(g1, g2, sym)
+                ok = defect.is_zero
+            except (ValueError, ArithmeticError, InvariantViolation) as exc:
+                # a bracket that cannot be evaluated fails, naming the error
+                defect, ok = f"raised {type(exc).__name__}: {exc}", False
+            tally.check(ok, "bracket", lambda s=sym, a=g1, b=g2, d=defect: {
+                "input": f"[E{a}, E{b}] on {s!r}", "defect": str(d)})
     return tally.report("commutators", cfg.describe(), cfg.window, cfg.seed, started)
 
 
@@ -474,7 +480,7 @@ def _jet_matches(jet: coeffs.Jet, e: RatFun) -> bool:
 def sweep_coefficient_identities(cfg: Config, tally: Tally):
     frame = cfg.frame
     n, k = cfg.n, frame.k
-    mod = SingularModule(frame)
+    mod = module_for(cfg)
     two_t = RatFun(TWO_T)
     special_rows = {
         PermTuple.row_transposition(n, k, 1, frame.i).row(k),
@@ -573,7 +579,7 @@ def check_n3(cfg: Config) -> VerificationReport:
     tally = Tally()
     n3_precondition(cfg)
     frame = cfg.frame
-    mod = SingularModule(frame)
+    mod = module_for(cfg)
 
     # classification is total and unambiguous; the action never climbs layers
     for sym in canonical_window(frame, cfg.window):

@@ -118,14 +118,18 @@ def test_lincomb_agrees_with_a_dict_oracle(first, second, later, q):
 
 
 @settings(max_examples=100, deadline=None)
-@given(pair_lists, st.dictionaries(keys, pair_lists))
-def test_linear_image_agrees_with_a_dict_oracle(first, columns):
-    """The combination ``core.act`` makes: sum_k c_k * column(k)."""
-    x = LinComb.sum_terms(first)
-    image = x.linear_image(lambda key: LinComb.sum_terms(columns.get(key, [])))
-    ox = oracle(first)
-    want = oracle((k2, c * v) for k, c in ox.items()
-                  for k2, v in oracle(columns.get(k, [])).items())
+@given(st.lists(st.tuples(wide_scalars, pair_lists), max_size=4),
+       st.dictionaries(keys, pair_lists))
+def test_images_agrees_with_a_dict_oracle(parts, columns):
+    """The combination ``core._word_sum`` makes: sum_i c_i * column_i(x_i),
+    with the identity column (a plain sum) next to a general one."""
+    def column(key):
+        return LinComb.sum_terms(columns.get(key, []))
+
+    xs = [(c, LinComb.sum_terms(first)) for c, first in parts]
+    image = LinComb.images([(c, x, col) for c, x in xs for col in (column, LinComb.single)])
+    want = oracle((k2, c * a * v) for c, first in parts
+                  for col in (lambda k: oracle(columns.get(k, [])), lambda k: {k: 1})
+                  for k, a in oracle(first).items() for k2, v in col(k).items())
     assert_agrees(image, want)
-    assert_agrees(LinComb.total([x, image, -x]),
-                  oracle([*ox.items(), *want.items(), *((k, -c) for k, c in ox.items())]))
+    assert_agrees(LinComb.images([]), {})

@@ -15,7 +15,7 @@ import pytest
 
 import gtmod
 import gtmod.coeffs as coeffs
-from gtmod import core, n3, singular, verify
+from gtmod import core, finite, generic, n3, singular, verify
 from gtmod.cli import main as cli_main
 from gtmod.lincomb import LinComb
 from gtmod.tableaux import SingularFrame, Tableau
@@ -228,6 +228,18 @@ def _plant_tau_wrong_positions(monkeypatch):
     monkeypatch.setattr(SingularFrame, "tau", lambda self, z: z.swapped(self.k, 1, self.j))
 
 
+def _plant_structure_constant_dropped(monkeypatch):
+    # bracket_defect recompiled without its delta_da word, and rebound on
+    # every module family
+    source = textwrap.dedent(inspect.getsource(core.bracket_defect))
+    word = "    if d == a:\n        words.append((1, ((c, b),)))\n"
+    assert source.count(word) == 1
+    scope = {}
+    exec(compile(source.replace(word, ""), "<planted>", "exec"), vars(core), scope)
+    for family in (singular.SingularModule, generic.GenericModule, finite.FiniteModule):
+        monkeypatch.setattr(family, "bracket_defect", scope["bracket_defect"])
+
+
 JORDAN_EIGEN = {"composition-jordan", "jordan-square-zero", "regular-eigenvector"}
 SINGULAR_N3 = ("singular_n3.json", 1)
 
@@ -262,17 +274,20 @@ SINGULAR_N3 = ("singular_n3.json", 1)
     (_plant_classical_index_off_by_one, SINGULAR_N3, {
         "formulas": {"classical-vs-permutation"}, "commutators": set(), "gamma": set()}),
     (_plant_loewy_layers_swapped, ("all_equal_n3.json", 4), {"n3": {"loewy-monotone"}}),
-    # canonicalize's Der(z) -> -Der(tau(z)) meets a tau-fixed shift
+    # canonicalize's Der(z) -> -Der(tau(z)) meets a tau-fixed shift, which
+    # fails the bracket that raises it
     (_plant_tau_wrong_positions, ("singular_n4_row3.json", 0), {
-        "formulas": set(), "commutators": ValueError,
+        "formulas": set(), "commutators": {"bracket"},
         "gamma": {"jordan-offdiagonal-nonzero", "jordan-square-zero", "regular-eigenvector"}}),
+    (_plant_structure_constant_dropped, SINGULAR_N3, {
+        "formulas": {"finite-dim-bracket"}, "commutators": {"bracket"}, "gamma": set()}),
 ], ids=["diagonal-constant-unscaled", "swap-one-short", "shift-without-scale",
         "numerators-not-rescaled", "d-ev-swapped", "gamma-d-negated", "der-sign-dropped",
-        "classical-index-off-by-one", "loewy-layers-swapped", "tau-wrong-positions"])
+        "classical-index-off-by-one", "loewy-layers-swapped", "tau-wrong-positions",
+        "structure-constant-dropped"])
 def test_planted_kernel_defect_is_caught(monkeypatch, plant, config, kinds):
     """A planted defect fails exactly the recorded check kinds of each suite
-    on the given fixture and window (a suite with none recorded passes, and
-    one recorded as ``ValueError`` stops with it)."""
+    on the given fixture and window (a suite with none recorded passes)."""
     failing: set[str] = set()
     check = Tally.check
 
@@ -288,11 +303,7 @@ def test_planted_kernel_defect_is_caught(monkeypatch, plant, config, kinds):
     seen = {}
     for suite in kinds:
         failing.clear()
-        try:
-            report = run_suite(suite, cfg)
-        except ValueError:
-            seen[suite] = ValueError
-            continue
+        report = run_suite(suite, cfg)
         assert (report.failed > 0) == bool(failing)
         seen[suite] = set(failing)
     assert seen == kinds
