@@ -10,7 +10,6 @@ Every check is exact; a suite passes iff failed == 0, and the report is
 reproducible for a fixed (config, seed).
 """
 
-from dataclasses import replace
 from pathlib import Path
 
 from gtmod.verify import Config, export_action, run_suite
@@ -25,7 +24,6 @@ cfg_eq = Config.from_file(root / "fixtures" / "all_equal_n3.json").with_override
 print(run_suite("n3", cfg_eq).summary())
 
 print("\nexporting window action matrices ...")
-out = replace(cfg, window=1, out_dir="reports", export_generators=((1, 2), (2, 1)),
-              export_crs=((2, 2),))
-for path in export_action(out):
+operators = [("E", (1, 2)), ("E", (2, 1)), ("c", (2, 2))]
+for path in export_action(cfg.with_overrides(window=1), operators, "reports"):
     print(f"   wrote {path}")

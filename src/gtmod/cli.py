@@ -1,15 +1,16 @@
 """Command-line entry point for the verification suites.
 
 Usage:
-    verify commutators --config fixtures/singular_n3.json
-    verify gamma       --config fixtures/singular_n3.json --json report.json
-    verify formulas    --config fixtures/singular_n3.json --seed 7
-    verify n3          --config fixtures/all_equal_n3.json --window 4
+    verify SUITE --config CONFIG [--window W] [--seed S] [--json OUT]
+
+with one subcommand per entry of :data:`gtmod.verify.SUITES`, whose help is
+the first line of the suite's docstring (``verify --help`` lists them).
 
 Exit status is 0 iff the suite ran at least one check and every check
-passed, 1 when a check failed or none ran, and 2 on a usage or config error
-(a bad ``--window``/``--seed`` override or a config the suite cannot run on
-included) or an unwritable ``--json`` path.
+passed, 1 when a check failed or none ran (an evaluation error that ends
+the suite is one failed ``evaluation`` check), and 2 on a usage or config
+error (an unknown config key, a bad ``--window``/``--seed`` override or a
+config the suite cannot run on included) or an unwritable ``--json`` path.
 """
 
 from __future__ import annotations
@@ -27,14 +28,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="verify",
         description="Exact verification suites for tableau modules of gl(n).")
     sub = parser.add_subparsers(dest="suite", required=True)
-    help_lines = {
-        "commutators": "defining relations on every window basis symbol",
-        "gamma": "central family: eigenvalues, 2x2 blocks, multiplicities",
-        "formulas": "coefficient identities, parity, poles, finite-dim regression",
-        "n3": "ten-piece decomposition over the all-equal n=3 base",
-    }
-    for name in SUITES:
-        p = sub.add_parser(name, help=help_lines[name])
+    for name, suite in SUITES.items():
+        # the help is the docstring's first line (none under python -OO)
+        p = sub.add_parser(name, help=(suite.__doc__ or "").partition("\n")[0])
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--window", type=int, default=None,
                        help="override the window bound")
@@ -50,7 +46,7 @@ def main(argv=None) -> int:
     path = args.config
     try:
         cfg = Config.from_file(path).with_overrides(window=args.window, seed=args.seed)
-        if args.suite in PRECONDITIONS:
+        if args.suite in PRECONDITIONS:  # before --json is opened; run_suite checks it too
             PRECONDITIONS[args.suite](cfg)
         # opened before the suite runs, so an unwritable path costs no run
         path = args.json

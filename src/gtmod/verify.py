@@ -1,29 +1,16 @@
 """Batch verification suites with exact, reproducible reports.
 
-Each suite sweeps one family of algebraic identities over a configured
-frame and window and returns a :class:`VerificationReport` with exact
-pass/fail counts (tolerance is zero everywhere: both sides of every
-comparison are exact rationals or canonical rational functions).  Failures
-carry exemplars showing the input and the two sides.
-
-Suites:
-
-* ``commutators`` -- the defining relations [E_ab, E_cd] on every window
-  basis symbol (generic base or singular frame, per config); a bracket
-  whose evaluation raises fails, its exemplar naming the error;
-* ``gamma``       -- the commutative central family: composed generator
-  words against closed-form eigenvalues, the 2x2 nilpotent action on
-  derivative symbols, character multiplicities and separation, and the
-  generation-witness coefficients;
-* ``formulas``    -- the coefficient-level identities: classical versus
-  permutation presentation, each coefficient's jet against its whole
-  rational function, the permutation form on the module's integer tableau
-  against the ``PermTuple`` action, pole-order bound, parity relations, the
-  point-operator exchange rules, the evaluation cross-check, and the
-  finite-dimensional regression;
-* ``n3``          -- the ten-piece decomposition over the all-equal n = 3
-  base: classification totality, layer monotonicity of the action, and
-  growth of the two infinite-multiplicity pieces.
+A suite is one ``check_*(cfg, tally)`` sweep, registered once in
+:data:`SUITES`; the first line of its docstring is its command-line help.
+Each sweeps one family of algebraic identities over a configured frame and
+window, recording every comparison in a :class:`Tally` (tolerance is zero
+everywhere: both sides of every comparison are exact rationals or canonical
+rational functions).  :func:`run_suite` alone owns the suite lifecycle: it
+checks the suite's :data:`PRECONDITIONS` entry (a config the suite cannot
+run on raises ``ValueError``), times the sweep, turns an evaluation error
+that ends it into one failed ``evaluation`` check, and builds the
+:class:`VerificationReport`.  Failures carry exemplars showing the input
+and the two sides.
 
 Reports are deterministic given (config, seed); randomized sweeps draw
 from a seeded generator recorded in the report.
@@ -36,7 +23,7 @@ import json
 import math
 import random
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import coeffs
@@ -63,6 +50,15 @@ __all__ = [
 ]
 
 MAX_EXEMPLARS = 5
+
+# The errors an evaluation can raise on input it cannot handle (a pole, a
+# bad index, a broken invariant); any other exception is a program bug.
+EVALUATION_ERRORS = (ValueError, ArithmeticError, InvariantViolation)
+
+
+def raised(exc: Exception) -> str:
+    """The exemplar text of an evaluation error."""
+    return f"raised {type(exc).__name__}: {exc}"
 
 
 @dataclass
@@ -144,17 +140,11 @@ def _integers(value, key: str, size: int) -> tuple[int, ...]:
     return tuple(value)
 
 
-def _pairs(value, key: str) -> tuple[tuple[int, ...], ...]:
-    """A config value that is a list of integer pairs."""
-    if not isinstance(value, list):
-        raise ValueError(f"{key} must be a list of integer pairs, got {value!r}")
-    return tuple(_integers(pair, key, 2) for pair in value)
-
-
 @dataclass(frozen=True)
 class Config:
     """One verification target: a base point (with an optional singular
-    triple), a window bound, the suites to run, a seed, an output dir."""
+    triple), a window bound, the suites to run and a seed.  A config file
+    holds these keys and no others."""
 
     n: int
     base: Tableau
@@ -162,17 +152,10 @@ class Config:
     window: int = 2
     suites: tuple[str, ...] = ("commutators", "gamma", "formulas")
     seed: int = 20240601
-    out_dir: str = "reports"
-    export_generators: tuple[tuple[int, int], ...] = ()
-    export_crs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        n = self.n
-        bad = (([f"window={self.window}"] if self.window < 0 else [])
-               + [f"E{g}" for g in self.export_generators if not (1 <= min(g) and max(g) <= n)]
-               + [f"c{g}" for g in self.export_crs if not (1 <= g[0] <= n and g[1] >= 1)])
-        if bad:
-            raise ValueError(f"out of range for n={n}: {', '.join(bad)}")
+        if self.window < 0:
+            raise ValueError(f"out of range for n={self.n}: window={self.window}")
         if self.frame is None and not is_generic(self.base):
             raise ValueError(f"base {self.base.to_text()} is not generic, and no frame is given")
 
@@ -180,6 +163,10 @@ class Config:
     def from_dict(data: dict) -> "Config":
         if not isinstance(data, dict):
             raise ValueError(f"a config is a JSON object, not {type(data).__name__}")
+        keys = [f.name for f in fields(Config)]
+        unknown = [key for key in data if key not in keys]
+        if unknown:
+            raise ValueError(f"unknown key(s) {unknown}; expected some of {keys}")
         n = _integer(data["n"], "n")
         if not isinstance(data["base"], str):
             raise ValueError(f"base must be a tableau string, got {data['base']!r}")
@@ -195,15 +182,9 @@ class Config:
         unknown = [name for name in suites if name not in SUITES]
         if unknown:
             raise ValueError(f"unknown suite(s) {unknown}; expected some of {sorted(SUITES)}")
-        out_dir = data.get("out_dir", "reports")
-        if not isinstance(out_dir, str):
-            raise ValueError(f"out_dir must be a path string, got {out_dir!r}")
         return Config(
             n=n, base=base, frame=frame, window=_integer(data.get("window", 2), "window"),
             suites=tuple(suites), seed=_integer(data.get("seed", 20240601), "seed"),
-            out_dir=out_dir,
-            export_generators=_pairs(data.get("export_generators", []), "export_generators"),
-            export_crs=_pairs(data.get("export_crs", []), "export_crs"),
         )
 
     @staticmethod
@@ -253,9 +234,13 @@ def window_symbols(cfg: Config) -> list:
 # commutators
 # ---------------------------------------------------------------------------
 
-def check_commutators(cfg: Config) -> VerificationReport:
-    started = time.perf_counter()
-    tally = Tally()
+def check_commutators(cfg: Config, tally: Tally) -> None:
+    """defining relations on every window basis symbol
+
+    [E_ab, E_cd] against its structure constants on each basis symbol of
+    the window (generic base or singular frame, per config); a bracket whose
+    evaluation raises fails, its exemplar naming the error, and the sweep
+    goes on."""
     gens = _generators(cfg.n)
     pairs = list(itertools.combinations(gens, 2))
     mod = module_for(cfg)
@@ -264,12 +249,10 @@ def check_commutators(cfg: Config) -> VerificationReport:
             try:
                 defect = mod.bracket_defect(g1, g2, sym)
                 ok = defect.is_zero
-            except (ValueError, ArithmeticError, InvariantViolation) as exc:
-                # a bracket that cannot be evaluated fails, naming the error
-                defect, ok = f"raised {type(exc).__name__}: {exc}", False
+            except EVALUATION_ERRORS as exc:
+                defect, ok = raised(exc), False
             tally.check(ok, "bracket", lambda s=sym, a=g1, b=g2, d=defect: {
                 "input": f"[E{a}, E{b}] on {s!r}", "defect": str(d)})
-    return tally.report("commutators", cfg.describe(), cfg.window, cfg.seed, started)
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +274,13 @@ def _check_central_word(tally: Tally, kind: str, mod, r: int, s: int, sym) -> No
         "input": f"c({r},{s}) on {sym!r}", "lhs": repr(got), "rhs": repr(want)})
 
 
-def check_gamma(cfg: Config) -> VerificationReport:
-    started = time.perf_counter()
-    tally = Tally()
+def check_gamma(cfg: Config, tally: Tally) -> None:
+    """central family: eigenvalues, 2x2 blocks, multiplicities
+
+    The commutative central family: composed generator words against
+    closed-form eigenvalues, the 2x2 nilpotent action on derivative
+    symbols, character multiplicities and separation, and the
+    generation-witness coefficients."""
     rng = random.Random(cfg.seed)
     mod = module_for(cfg)
     window = window_symbols(cfg)
@@ -310,7 +297,7 @@ def check_gamma(cfg: Config) -> VerificationReport:
             tally.check(len(zs) == 1, "generic-multiplicity-one",
                         lambda zs_=zs: {"input": f"shifts {zs_!r}",
                                         "detail": "shared eigenvalue tuple"})
-        return tally.report("gamma", cfg.describe(), cfg.window, cfg.seed, started)
+        return
 
     frame = cfg.frame
     k = frame.k
@@ -407,22 +394,24 @@ def check_gamma(cfg: Config) -> VerificationReport:
                         "witness-step3",
                         lambda r_=rep: {"input": r_["shift"]})
 
-    return tally.report("gamma", cfg.describe(), cfg.window, cfg.seed, started)
-
 
 # ---------------------------------------------------------------------------
 # formulas
 # ---------------------------------------------------------------------------
 
-def check_formulas(cfg: Config) -> VerificationReport:
-    started = time.perf_counter()
-    tally = Tally()
-    rng = random.Random(cfg.seed)
-    sweep_classical_vs_perm(tally, rng, samples=100)
+def check_formulas(cfg: Config, tally: Tally) -> None:
+    """coefficient identities, parity, poles, finite-dim regression
+
+    The coefficient-level identities: classical versus permutation
+    presentation, each coefficient's jet against its whole rational
+    function, the permutation form on the module's integer tableau against
+    the ``PermTuple`` action, pole-order bound, parity relations, the
+    point-operator exchange rules, the evaluation cross-check, and the
+    finite-dimensional regression."""
+    sweep_classical_vs_perm(tally, random.Random(cfg.seed), samples=100)
     sweep_finite_dim(tally)
     if cfg.frame is not None:
         sweep_coefficient_identities(cfg, tally)
-    return tally.report("formulas", cfg.describe(), cfg.window, cfg.seed, started)
 
 
 def sweep_classical_vs_perm(tally: Tally, rng: random.Random, samples: int = 100):
@@ -531,9 +520,9 @@ def sweep_coefficient_identities(cfg: Config, tally: Tally):
                             tally.check(h.ev() == 2 * e.d(), "divided-difference",
                                         lambda e_=e: {"input": repr(e_)})
                     # parity across the swap
-                    e_t = coeffs.coeff_ratfun(l, m, sigma(frame.tableau_at(tz)))
                     if not special and l != m:
-                        tally.check(e_t.ev() == e.ev() and e_t.d() == -e.d(),
+                        d_t, ev_t = coeffs.coeff_e(l, m, sigma(frame.tableau_at(tz))).d_ev()
+                        tally.check(ev_t == e.ev() and d_t == -e.d(),
                                     "parity-plain", lambda e_=e: {"input": repr(e_)})
                     if special and l != m:
                         star = tau_star(sigma, k, frame.i, frame.j)
@@ -574,10 +563,12 @@ def n3_precondition(cfg: Config) -> None:
         raise ValueError("the ten-piece suite needs the all-equal base point")
 
 
-def check_n3(cfg: Config) -> VerificationReport:
-    started = time.perf_counter()
-    tally = Tally()
-    n3_precondition(cfg)
+def check_n3(cfg: Config, tally: Tally) -> None:
+    """ten-piece decomposition over the all-equal n=3 base
+
+    Classification totality, layer monotonicity of the action, and growth
+    of the two infinite-multiplicity pieces; runs only on configs that
+    pass :func:`n3_precondition`."""
     frame = cfg.frame
     mod = module_for(cfg)
 
@@ -613,8 +604,6 @@ def check_n3(cfg: Config) -> VerificationReport:
                     lambda k_=key, a=base_count, b=c3, c=c4: {
                         "input": f"weight {k_}", "counts": f"{a} -> {b} -> {c}"})
 
-    return tally.report("n3", cfg.describe(), cfg.window, cfg.seed, started)
-
 
 # ---------------------------------------------------------------------------
 # matrix export
@@ -649,13 +638,12 @@ def build_action_matrix(cfg: Config, kind: str, indices: tuple[int, int]) -> dic
     }
 
 
-def export_action(cfg: Config) -> list[Path]:
-    """Write one JSON matrix file per configured operator; returns paths."""
-    out_dir = Path(cfg.out_dir)
+def export_action(cfg: Config, operators, out_dir) -> list[Path]:
+    """Write the :func:`build_action_matrix` of each ``(kind, (a, b))`` in
+    ``operators`` to ``out_dir/<kind>_<a>_<b>.json``; returns the paths."""
+    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    operators = ([("E", g) for g in cfg.export_generators or _generators(cfg.n)]
-                 + [("c", rs) for rs in cfg.export_crs])
     for kind, (a, b) in operators:
         path = out_dir / f"{kind}_{a}_{b}.json"
         matrix = build_action_matrix(cfg, kind, (a, b))
@@ -681,8 +669,21 @@ PRECONDITIONS = {"n3": n3_precondition}
 
 
 def run_suite(name: str, cfg: Config) -> VerificationReport:
+    """Run one suite on cfg and report it.  ValueError, before anything
+    runs, for an unknown suite or a config the suite cannot run on; an
+    evaluation error that ends the sweep is one failed ``evaluation`` check,
+    whose exemplar names it and is kept even when the others are full."""
     try:
         suite = SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; expected one of {sorted(SUITES)}")
-    return suite(cfg)
+    if name in PRECONDITIONS:
+        PRECONDITIONS[name](cfg)
+    started = time.perf_counter()
+    tally = Tally()
+    try:
+        suite(cfg, tally)
+    except EVALUATION_ERRORS as exc:
+        del tally.exemplars[MAX_EXEMPLARS - 1:]
+        tally.check(False, "evaluation", {"detail": raised(exc)})
+    return tally.report(name, cfg.describe(), cfg.window, cfg.seed, started)

@@ -22,7 +22,7 @@ from gtmod.singular import (
 )
 from gtmod.tableaux import ShiftVector, window_shifts
 from gtmod.verify import (
-    Config, Tally, check_commutators, check_n3, sweep_classical_vs_perm,
+    Config, Tally, run_suite, sweep_classical_vs_perm,
     sweep_coefficient_identities, sweep_finite_dim,
 )
 
@@ -49,7 +49,7 @@ def all_equal_mod():
 def test_criterion_1_bracket_suite_generic():
     started = time.perf_counter()
     cfg = Config(n=3, base=fixtures.generic_base_n3(), frame=None, window=2, seed=SEED)
-    report = check_commutators(cfg)
+    report = run_suite("commutators", cfg)
     ok = report.ok and report.checked == 125 * 36
     _announce(1, "generic bracket relations, n=3, window 2, all 36 pairs",
               started, ok)
@@ -60,7 +60,7 @@ def test_criterion_2_bracket_suite_singular():
     ok = True
     for frame in (fixtures.frame_all_equal(0), fixtures.frame_n3()):
         cfg = Config(n=3, base=frame.vbar, frame=frame, window=2, seed=SEED)
-        report = check_commutators(cfg)
+        report = run_suite("commutators", cfg)
         ok = ok and report.ok and report.checked == 125 * 36
     _announce(2, "singular bracket relations on both reference frames, window 2",
               started, ok)
@@ -134,7 +134,7 @@ def test_criterion_7_ten_piece_decomposition():
     started = time.perf_counter()
     frame = fixtures.frame_all_equal(0)
     cfg = Config(n=3, base=frame.vbar, frame=frame, window=4, seed=SEED)
-    report = check_n3(cfg)
+    report = run_suite("n3", cfg)
     ok = report.ok
     # spot-check the published classifications
     ok = ok and classify_shift(ShiftVector(3, ((0, 0), (0,)))) == "L1"

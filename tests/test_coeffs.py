@@ -280,26 +280,31 @@ def _sigma_is_special(sigma, frame):
 
 
 def test_parity_outside_special_set():
-    frame = fixtures.frame_n3()
+    # on a row-2 frame of n = 3 every sigma is special (k = 2 leaves row k
+    # only the two transpositions), so the row-3 frame of n = 4 is used
+    frame = fixtures.frame_n4_row3()
     n = frame.n
     rng = random.Random(17)
     two_t = RatFun(TWO_T)
+    checked = 0
     for _ in range(200):
         z = ShiftVector(n, tuple(
-            tuple(rng.randint(-2, 2) for _ in range(r)) for r in (2, 1)))
+            tuple(rng.randint(-2, 2) for _ in range(r)) for r in range(n - 1, 0, -1)))
         tz = frame.tau(z)
-        l, m = rng.choice([(a, b) for a in range(1, 4) for b in range(1, 4) if a != b])
+        l, m = rng.choice([(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b])
         for sigma in phi_set(l, m, n):
-            e_z = coeff_ratfun(l, m, sigma(frame.tableau_at(z)))
-            e_tz = coeff_ratfun(l, m, sigma(frame.tableau_at(tz)))
             if _sigma_is_special(sigma, frame):
                 continue
+            checked += 1
+            e_z = coeff_ratfun(l, m, sigma(frame.tableau_at(z)))
+            e_tz = coeff_ratfun(l, m, sigma(frame.tableau_at(tz)))
             assert e_tz.ev() == e_z.ev()
             assert e_tz.d() == -e_z.d()
             if frame.is_tau_fixed(z):
                 assert e_z.d() == 0
             assert (two_t * e_tz).ev() == (two_t * e_z).ev() == 0
             assert (two_t * e_tz).d() == (two_t * e_z).d()
+    assert checked > 0
 
 
 def test_parity_on_special_set():

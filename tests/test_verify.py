@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -20,8 +21,8 @@ from gtmod.cli import main as cli_main
 from gtmod.lincomb import LinComb
 from gtmod.tableaux import SingularFrame, Tableau
 from gtmod.verify import (
-    Config, Tally, build_action_matrix, check_commutators, check_formulas, check_gamma,
-    check_n3, export_action, load_action_matrix, run_suite, sweep_finite_dim,
+    Config, Tally, build_action_matrix, export_action, load_action_matrix, run_suite,
+    sweep_finite_dim,
 )
 
 FIXTURES = "fixtures"
@@ -34,7 +35,7 @@ def _cfg(name, **overrides):
 
 def test_commutators_pass_generic_and_singular():
     for name in ("generic_n3.json", "singular_n3.json"):
-        report = check_commutators(_cfg(name, window=1))
+        report = run_suite("commutators", _cfg(name, window=1))
         assert report.ok
         assert report.checked == 27 * 36
         assert report.exemplars == []
@@ -42,17 +43,17 @@ def test_commutators_pass_generic_and_singular():
 
 def test_gamma_suite_passes_both_singular_frames():
     for name in ("singular_n3.json", "all_equal_n3.json"):
-        report = check_gamma(_cfg(name, window=2))
+        report = run_suite("gamma", _cfg(name, window=2))
         assert report.ok
 
 
 def test_gamma_suite_passes_generic():
-    report = check_gamma(_cfg("generic_n3.json", window=1))
+    report = run_suite("gamma", _cfg("generic_n3.json", window=1))
     assert report.ok
 
 
 def test_n3_suite_passes():
-    report = check_n3(_cfg("all_equal_n3.json", window=2))
+    report = run_suite("n3", _cfg("all_equal_n3.json", window=2))
     assert report.ok
 
 
@@ -78,15 +79,15 @@ def test_report_counts_are_pinned(name, counts):
 
 def test_n3_suite_rejects_wrong_frame():
     with pytest.raises(ValueError):
-        check_n3(_cfg("singular_n3.json"))
+        run_suite("n3", _cfg("singular_n3.json"))
     with pytest.raises(ValueError):
-        check_n3(_cfg("generic_n3.json"))
+        run_suite("n3", _cfg("generic_n3.json"))
 
 
 def test_report_schema_and_determinism(tmp_path):
     cfg = _cfg("singular_n3.json", window=1)
-    r1 = check_gamma(cfg)
-    r2 = check_gamma(cfg)
+    r1 = run_suite("gamma", cfg)
+    r2 = run_suite("gamma", cfg)
     d1, d2 = r1.to_dict(), r2.to_dict()
     assert set(d1) == {"suite", "frame", "window", "checked", "passed",
                        "failed", "exemplars", "seed", "elapsed_ms"}
@@ -94,7 +95,7 @@ def test_report_schema_and_determinism(tmp_path):
     d2.pop("elapsed_ms")
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
     # a different seed still passes but may sample different inputs
-    r3 = check_gamma(cfg.with_overrides(seed=7))
+    r3 = run_suite("gamma", cfg.with_overrides(seed=7))
     assert r3.ok and r3.seed == 7
 
 
@@ -108,7 +109,7 @@ def test_corrupted_coefficient_is_caught(monkeypatch):
         return value
 
     monkeypatch.setattr(coeffs, "coeff_e", corrupted)
-    report = check_commutators(_cfg("singular_n3.json", window=1))
+    report = run_suite("commutators", _cfg("singular_n3.json", window=1))
     assert not report.ok
     assert report.failed > 0
     assert report.exemplars, "failures must carry exemplars"
@@ -117,7 +118,7 @@ def test_corrupted_coefficient_is_caught(monkeypatch):
 
 def test_dropped_prefactor_fails_the_evaluation_crosscheck(monkeypatch):
     monkeypatch.setattr(singular, "XY_SLOPE", 1)  # (x - y) taken as t, not 2t
-    report = check_formulas(_cfg("singular_n3.json", window=1))
+    report = run_suite("formulas", _cfg("singular_n3.json", window=1))
     assert not report.ok
     assert report.failed == 162
     assert {ex["check"] for ex in report.exemplars} == {"regular-action-ev-crosscheck"}
@@ -132,10 +133,10 @@ def test_planted_valuation_off_by_one_is_caught(monkeypatch):
 
     monkeypatch.setattr(coeffs, "coeff_e", planted)
     cfg = _cfg("singular_n3.json", window=1)
-    formulas = check_formulas(cfg)
+    formulas = run_suite("formulas", cfg)
     assert formulas.failed > 0
     assert {ex["check"] for ex in formulas.exemplars} == {"jet-vs-ratfun"}
-    commutators = check_commutators(cfg)
+    commutators = run_suite("commutators", cfg)
     assert commutators.failed > 0
     assert {ex["check"] for ex in commutators.exemplars} == {"bracket"}
 
@@ -217,10 +218,18 @@ def _plant_classical_index_off_by_one(monkeypatch):
     monkeypatch.setattr(coeffs, "classical_action", scope["classical_action"])
 
 
-def _plant_loewy_layers_swapped(monkeypatch):
-    layers = n3.LOEWY_LAYERS
-    for piece, layer in (("L7", layers["L5'"]), ("L5'", layers["L7"])):
-        monkeypatch.setitem(layers, piece, layer)
+def _loewy_layers_swapped(first, second):
+    def plant(monkeypatch):
+        layers = n3.LOEWY_LAYERS
+        for piece, layer in ((first, layers[second]), (second, layers[first])):
+            monkeypatch.setitem(layers, piece, layer)
+    return plant
+
+
+def _plant_tau_fixed_never(monkeypatch):
+    # every shift taken as tau-unfixed, so the pole of a coefficient at a
+    # tau-fixed shift is met where none is expected
+    monkeypatch.setattr(SingularFrame, "is_tau_fixed", lambda self, z: False)
 
 
 def _plant_tau_wrong_positions(monkeypatch):
@@ -273,7 +282,9 @@ SINGULAR_N3 = ("singular_n3.json", 1)
         "commutators": {"bracket"}, "gamma": {"composition-jordan"}}),
     (_plant_classical_index_off_by_one, SINGULAR_N3, {
         "formulas": {"classical-vs-permutation"}, "commutators": set(), "gamma": set()}),
-    (_plant_loewy_layers_swapped, ("all_equal_n3.json", 4), {"n3": {"loewy-monotone"}}),
+    (_loewy_layers_swapped("L7", "L5'"), ("all_equal_n3.json", 4), {"n3": {"loewy-monotone"}}),
+    # a coverage gap: the swap turns no generator step in the window into a climb
+    (_loewy_layers_swapped("L3", "L7"), ("all_equal_n3.json", 4), {"n3": set()}),
     # canonicalize's Der(z) -> -Der(tau(z)) meets a tau-fixed shift, which
     # fails the bracket that raises it
     (_plant_tau_wrong_positions, ("singular_n4_row3.json", 0), {
@@ -281,10 +292,14 @@ SINGULAR_N3 = ("singular_n3.json", 1)
         "gamma": {"jordan-offdiagonal-nonzero", "jordan-square-zero", "regular-eigenvector"}}),
     (_plant_structure_constant_dropped, SINGULAR_N3, {
         "formulas": {"finite-dim-bracket"}, "commutators": {"bracket"}, "gamma": set()}),
+    # formulas and gamma end on the pole they meet, each as one failed check
+    (_plant_tau_fixed_never, SINGULAR_N3, {
+        "formulas": {"evaluation"}, "commutators": set(),
+        "gamma": {"evaluation", "jordan-offdiagonal-nonzero", "tau-unfixed-multiplicity-two"}}),
 ], ids=["diagonal-constant-unscaled", "swap-one-short", "shift-without-scale",
         "numerators-not-rescaled", "d-ev-swapped", "gamma-d-negated", "der-sign-dropped",
-        "classical-index-off-by-one", "loewy-layers-swapped", "tau-wrong-positions",
-        "structure-constant-dropped"])
+        "classical-index-off-by-one", "loewy-layers-swapped", "loewy-l3-l7-swapped",
+        "tau-wrong-positions", "structure-constant-dropped", "tau-fixed-never"])
 def test_planted_kernel_defect_is_caught(monkeypatch, plant, config, kinds):
     """A planted defect fails exactly the recorded check kinds of each suite
     on the given fixture and window (a suite with none recorded passes)."""
@@ -305,6 +320,9 @@ def test_planted_kernel_defect_is_caught(monkeypatch, plant, config, kinds):
         failing.clear()
         report = run_suite(suite, cfg)
         assert (report.failed > 0) == bool(failing)
+        # an error that ends a suite always shows among its exemplars
+        assert ("evaluation" in failing) == any(
+            ex["check"] == "evaluation" for ex in report.exemplars)
         seen[suite] = set(failing)
     assert seen == kinds
 
@@ -331,12 +349,8 @@ def test_export_c22_block_structure_singular():
 
 
 def test_export_roundtrip(tmp_path):
-    from dataclasses import replace
-    cfg = replace(_cfg("singular_n3.json", window=1),
-                  out_dir=str(tmp_path),
-                  export_generators=((2, 1), (1, 2)),
-                  export_crs=((2, 2),))
-    paths = export_action(cfg)
+    cfg = _cfg("singular_n3.json", window=1)
+    paths = export_action(cfg, [("E", (2, 1)), ("E", (1, 2)), ("c", (2, 2))], tmp_path)
     assert sorted(p.name for p in paths) == ["E_1_2.json", "E_2_1.json", "c_2_2.json"]
     for path in paths:
         reloaded = load_action_matrix(path)
@@ -408,7 +422,7 @@ def test_planted_gamma_defect_is_caught(monkeypatch):
     monkeypatch.setattr(coeffs, "gamma", planted)
     for name, kind in (("singular_n3.json", "composition-jordan"),
                        ("generic_n3.json", "composition-eigenvalue")):
-        report = check_gamma(_cfg(name, window=1))
+        report = run_suite("gamma", _cfg(name, window=1))
         assert not report.ok
         assert report.exemplars[0]["check"] == kind
         assert report.exemplars[0]["input"].startswith("c(2,2) on ")
@@ -465,11 +479,7 @@ def test_cli_unwritable_json_fails_before_the_suite(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("window", -1),
-    ("export_generators", [[1, 2], [0, 1]]),
-    ("export_generators", [[1, 4]]),
-    ("export_crs", [[4, 2]]),
-    ("export_crs", [[2, 0]]),
-], ids=["negative-window", "generator-index", "generator-index-high", "crs-r", "crs-s"])
+], ids=["negative-window"])
 def test_config_range_is_checked(tmp_path, capsys, key, value):
     data = json.loads(open(f"{FIXTURES}/generic_n3.json", encoding="utf-8").read())
     data[key] = value
@@ -492,16 +502,15 @@ def test_config_range_is_checked(tmp_path, capsys, key, value):
     (lambda data: {**data, "suites": "gamma"}, "suites must be a list of suite names"),
     (lambda data: {**data, "frame": [2, 1]}, "frame must be a list of 3 integers"),
     (lambda data: {**data, "frame": [2, 1, 2.0]}, "frame must be a list of 3 integers"),
-    (lambda data: {**data, "export_crs": [[2, "2"]]}, "export_crs must be a list of 2 integers"),
-    (lambda data: {**data, "export_generators": "12"}, "export_generators must be a list of"),
-    (lambda data: {**data, "out_dir": 5}, "out_dir must be a path string"),
     (lambda data: {**data, "base": "(0,0,0|0,0|0)"}, "is not generic, and no frame is given"),
+    (lambda data: {**data, "windw": 1, "out_dir": "reports"},
+     "unknown key(s) ['windw', 'out_dir']"),
 ], ids=["null-n", "numeric-base", "top-level-list", "null-seed", "float-window", "float-seed",
         "boolean-window", "float-n", "suites-string", "short-frame", "float-frame",
-        "string-crs-index", "string-generators", "numeric-out-dir", "frameless-singular-base"])
+        "frameless-singular-base", "unknown-key"])
 def test_config_types_are_checked(tmp_path, capsys, patch, match):
     data = patch(json.loads(open(f"{FIXTURES}/generic_n3.json", encoding="utf-8").read()))
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=re.escape(match)):
         Config.from_dict(data)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -546,10 +555,13 @@ def test_cli_n3_precondition_exits_2(tmp_path, capsys, name, match):
     assert not out.exists()
 
 
-def test_cli_error_inside_a_sweep_is_not_a_config_error(monkeypatch):
+def test_cli_error_inside_a_sweep_is_not_a_config_error(monkeypatch, capsys):
     def broken(z):
         raise ValueError("planted")
 
     monkeypatch.setattr(verify, "classify_shift", broken)
-    with pytest.raises(ValueError, match="planted"):
-        cli_main(["n3", "--config", f"{FIXTURES}/all_equal_n3.json", "--window", "0"])
+    code = cli_main(["n3", "--config", f"{FIXTURES}/all_equal_n3.json", "--window", "0"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "failed=1" in out and out.count("exemplar") == 1
+    assert "'check': 'evaluation', 'detail': 'raised ValueError: planted'" in out
