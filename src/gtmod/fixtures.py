@@ -10,7 +10,7 @@ from .tableaux import ShiftVector, SingularFrame, Tableau
 
 __all__ = [
     "generic_base_n3", "frame_n3", "frame_all_equal", "frame_n4",
-    "frame_n4_row3", "random_generic_tableau", "random_shift",
+    "frame_n4_row3", "random_generic_tableau", "random_shift", "random_unfixed_shift",
 ]
 
 
@@ -61,3 +61,11 @@ def random_shift(rng: random.Random, n: int, bound: int = 3) -> ShiftVector:
     return ShiftVector(n, tuple(
         tuple(rng.randint(-bound, bound) for _ in range(r))
         for r in range(n - 1, 0, -1)))
+
+
+def random_unfixed_shift(rng: random.Random, frame: SingularFrame, bound: int = 3) -> ShiftVector:
+    """The first :func:`random_shift` that the frame's swap moves."""
+    while True:
+        z = random_shift(rng, frame.n, bound)
+        if not frame.is_tau_fixed(z):
+            return z

@@ -53,6 +53,15 @@ def _text_cells(text: str) -> list[list[str]]:
     return [part.split(",") for part in body.split("|")]
 
 
+def _text_entry(cell: str) -> Fraction:
+    """One rational cell of the text form; ValueError names a cell whose
+    denominator is zero."""
+    try:
+        return Fraction(cell)
+    except ZeroDivisionError:
+        raise ValueError(f"entry {cell.strip()!r} has a zero denominator") from None
+
+
 def _check_shape(rows: Sequence[Sequence], top: int) -> None:
     """Rows must have lengths top, top-1, ..., 1."""
     if len(rows) != top:
@@ -138,7 +147,7 @@ class Tableau(NamedTuple):
 
     @staticmethod
     def from_text(text: str) -> "Tableau":
-        return Tableau.from_rows([[Fraction(x) for x in row] for row in _text_cells(text)])
+        return Tableau.from_rows([[_text_entry(x) for x in row] for row in _text_cells(text)])
 
     def __repr__(self) -> str:
         if self.is_plain:
@@ -494,6 +503,12 @@ class SingularFrame:
 
     def is_tau_fixed(self, z: ShiftVector) -> bool:
         return z.get(self.k, self.i) == z.get(self.k, self.j)
+
+    def is_special(self, sigma: PermTuple) -> bool:
+        """sigma's row-k part is (1, i) or (1, j): where a coefficient may
+        have a pole, and where the twist ``tau_star`` acts."""
+        return sigma.row(self.k) in (_transposition(self.k, 1, self.i),
+                                     _transposition(self.k, 1, self.j))
 
     def stratum(self, z: ShiftVector) -> int:
         """The index m with |z_{ki} - z_{kj}| = m."""

@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import coeffs
 from .finite import FiniteModule, standard_tableaux, weyl_dimension
-from .fixtures import random_generic_tableau, random_shift
+from .fixtures import random_generic_tableau, random_unfixed_shift
 from .generic import GenericModule
 from .lincomb import LinComb
 from .n3 import classify_shift, loewy_layer, weight_key
@@ -38,7 +38,7 @@ from .singular import (
     connecting_shift, generation_witnesses, irreducibility_hypothesis,
 )
 from .tableaux import (
-    PermTuple, SingularFrame, Tableau, epsilon, is_generic, phi_set, tau_star, window_shifts,
+    SingularFrame, Tableau, epsilon, is_generic, phi_set, tau_perm, tau_star, window_shifts,
 )
 
 __all__ = [
@@ -284,12 +284,15 @@ def check_gamma(cfg: Config, tally: Tally) -> None:
     rng = random.Random(cfg.seed)
     mod = module_for(cfg)
     window = window_symbols(cfg)
+    frame = cfg.frame
 
-    if cfg.frame is None:
-        for (r, s) in _gamma_pairs(cfg.n):
-            for _ in range(20):
-                _check_central_word(tally, "composition-eigenvalue", mod, r, s,
-                                    rng.choice(window))
+    # composed words against the closed-form action
+    kind = "composition-eigenvalue" if frame is None else "composition-jordan"
+    for (r, s) in _gamma_pairs(cfg.n):
+        for _ in range(20):
+            _check_central_word(tally, kind, mod, r, s, rng.choice(window))
+
+    if frame is None:
         chars = {}
         for z in window:
             chars.setdefault(mod.character(z), []).append(z)
@@ -298,22 +301,11 @@ def check_gamma(cfg: Config, tally: Tally) -> None:
                         lambda zs_=zs: {"input": f"shifts {zs_!r}",
                                         "detail": "shared eigenvalue tuple"})
         return
-
-    frame = cfg.frame
     k = frame.k
 
-    # composed words against the closed-form action
-    for (r, s) in _gamma_pairs(cfg.n):
-        for _ in range(20):
-            _check_central_word(tally, "composition-jordan", mod, r, s, rng.choice(window))
-
     # the 2x2 nilpotent structure on derivative symbols
-    seen = 0
-    while seen < 20:
-        z = random_shift(rng, cfg.n, max(cfg.window, 2))
-        if frame.is_tau_fixed(z):
-            continue
-        seen += 1
+    for _ in range(20):
+        z = random_unfixed_shift(rng, frame, max(cfg.window, 2))
         d, gam = mod.gamma(k, 2, z)
         der = mod.der(z)
         once = mod.crs_via_composition(k, 2, der) - gam * der
@@ -374,12 +366,8 @@ def check_gamma(cfg: Config, tally: Tally) -> None:
 
     # generation witnesses under the irreducibility hypothesis
     if irreducibility_hypothesis(frame):
-        seen = 0
-        while seen < 10:
-            z = random_shift(rng, cfg.n, max(cfg.window, 2))
-            if frame.is_tau_fixed(z):
-                continue
-            seen += 1
+        for _ in range(10):
+            z = random_unfixed_shift(rng, frame, max(cfg.window, 2))
             rep = generation_witnesses(frame, z)
             tally.check(rep["derivative_coefficient"] != 0, "witness-derivative",
                         lambda z_=z: {"input": f"z={z_!r}"})
@@ -466,26 +454,44 @@ def _jet_matches(jet: coeffs.Jet, e: RatFun) -> bool:
     return jet._replace(v=jet.v + poles).d_ev() == (smooth.d(), smooth.ev())
 
 
+def _action_exemplar(l: int, m: int, z, lhs: LinComb, rhs: LinComb):
+    """The lazy exemplar of an E(l,m) comparison at shift z: both sides."""
+    return lambda: {"input": f"E({l},{m}) at {z!r}", "lhs": repr(lhs), "rhs": repr(rhs)}
+
+
 def sweep_coefficient_identities(cfg: Config, tally: Tally):
+    """Every coefficient e_lm(sigma(v+z)), sigma in Phi_lm, and the module
+    action at every window shift z of a singular config.
+
+    Per coefficient: its jet against its whole rational function
+    (``jet-vs-ratfun``), the module's ``perm_action`` term against it
+    (``perm-action-vs-phi-set``), the pole-order bound at tau-fixed z
+    (``pole-bound``, and ``pole-smooth`` off the special set), the
+    point-operator exchange rules (``ev-equals-d-shifted``,
+    ``symmetric-derivative-zero``, ``divided-difference``) and parity across
+    the swap (``parity-plain`` off the special set, ``parity-twisted`` on
+    it).  Per generator: the regular action is tau-even
+    (``regular-action-tau-even``) and, at tau-unfixed z, the derivative
+    action tau-odd (``derivative-action-tau-odd``) and the regular action
+    equal to its evaluation form (``regular-action-ev-crosscheck``)."""
     frame = cfg.frame
     n, k = cfg.n, frame.k
     mod = module_for(cfg)
     two_t = RatFun(TWO_T)
-    special_rows = {
-        PermTuple.row_transposition(n, k, 1, frame.i).row(k),
-        PermTuple.row_transposition(n, k, 1, frame.j).row(k),
-    }
+    # from (k, i, j), not frame.tau, so the oracle shares no code with the swap it checks
+    taup = tau_perm(n, k, frame.i, frame.j)
 
     for z in window_shifts(n, cfg.window):
         fixed = frame.is_tau_fixed(z)
         tz = frame.tau(z)
+        line_z, line_tz, module_z = frame.tableau_at(z), frame.tableau_at(tz), mod.tableau_at(z)
         for l in range(1, n + 1):
             for m in range(1, n + 1):
                 inside = min(l, m) <= k <= max(l, m) - 1
-                direct = coeffs.perm_action(l, m, mod.tableau_at(z))
+                direct = coeffs.perm_action(l, m, module_z)
                 eps = epsilon(n, l, m)
                 for idx, sigma in enumerate(phi_set(l, m, n)):
-                    w = sigma(frame.tableau_at(z))
+                    w = sigma(line_z)
                     e = coeffs.coeff_ratfun(l, m, w)
                     jet = coeffs.coeff_e(l, m, w)
                     tally.check(_jet_matches(jet, e), "jet-vs-ratfun",
@@ -499,7 +505,7 @@ def sweep_coefficient_identities(cfg: Config, tally: Tally):
                                 lambda d_=direct[idx:idx + 1], p_=pair, s_=sigma, l_=l, m_=m: {
                                     "input": f"E({l_},{m_}) term {s_!r} at v+{z!r}",
                                     "lhs": repr(d_), "rhs": repr([p_])})
-                    special = sigma.row(k) in special_rows
+                    special = frame.is_special(sigma)
                     if fixed:
                         # pole-order bound, and smoothness off the special set
                         tally.check(e.pole_order() <= 1, "pole-bound",
@@ -521,32 +527,31 @@ def sweep_coefficient_identities(cfg: Config, tally: Tally):
                                         lambda e_=e: {"input": repr(e_)})
                     # parity across the swap
                     if not special and l != m:
-                        d_t, ev_t = coeffs.coeff_e(l, m, sigma(frame.tableau_at(tz))).d_ev()
+                        d_t, ev_t = coeffs.coeff_e(l, m, sigma(line_tz)).d_ev()
                         tally.check(ev_t == e.ev() and d_t == -e.d(),
                                     "parity-plain", lambda e_=e: {"input": repr(e_)})
                     if special and l != m:
                         star = tau_star(sigma, k, frame.i, frame.j)
-                        taup = PermTuple.row_transposition(n, k, frame.i, frame.j)
-                        lhs = coeffs.coeff_ratfun(l, m, star(frame.tableau_at(z)))
-                        rhs = coeffs.coeff_ratfun(l, m, (sigma * taup)(frame.tableau_at(z)))
+                        lhs = coeffs.coeff_ratfun(l, m, star(line_z))
+                        rhs = coeffs.coeff_ratfun(l, m, (sigma * taup)(line_z))
                         tally.check(lhs == rhs, "parity-twisted",
                                     lambda a=lhs, b=rhs: {"lhs": repr(a), "rhs": repr(b)})
 
         # compatibility of the module action with the swap
         for l in range(1, n + 1):
             for m in range(1, n + 1):
-                same = mod.act_on_regular(l, m, z) == mod.act_on_regular(l, m, tz)
-                tally.check(same, "regular-action-tau-even",
-                            lambda z_=z, l_=l, m_=m: {"input": f"E({l_},{m_}) at {z_!r}"})
+                reg = mod.act_on_regular(l, m, z)
+                reg_t = mod.act_on_regular(l, m, tz)
+                tally.check(reg == reg_t, "regular-action-tau-even",
+                            _action_exemplar(l, m, z, reg, reg_t))
                 if not fixed:
-                    odd = (mod.act_on_derivative(l, m, z)
-                           == -mod.act_on_derivative(l, m, tz))
-                    tally.check(odd, "derivative-action-tau-odd",
-                                lambda z_=z, l_=l, m_=m: {"input": f"E({l_},{m_}) at {z_!r}"})
+                    der = mod.act_on_derivative(l, m, z)
+                    der_t = -mod.act_on_derivative(l, m, tz)
+                    tally.check(der == der_t, "derivative-action-tau-odd",
+                                _action_exemplar(l, m, z, der, der_t))
                     ev_form = mod.act_on_regular_by_evaluation(l, m, z)
-                    tally.check(mod.act_on_regular(l, m, z) == ev_form,
-                                "regular-action-ev-crosscheck",
-                                lambda z_=z, l_=l, m_=m: {"input": f"E({l_},{m_}) at {z_!r}"})
+                    tally.check(reg == ev_form, "regular-action-ev-crosscheck",
+                                _action_exemplar(l, m, z, reg, ev_form))
 
 
 # ---------------------------------------------------------------------------

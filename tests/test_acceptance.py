@@ -101,12 +101,8 @@ def test_criterion_5_jordan_cell(singular_mod):
     rng = random.Random(SEED)
     k = frame.k
     ok = True
-    seen = 0
-    while seen < 20:
-        z = fixtures.random_shift(rng, 3, bound=3)
-        if frame.is_tau_fixed(z):
-            continue
-        seen += 1
+    for _ in range(20):
+        z = fixtures.random_unfixed_shift(rng, frame, bound=3)
         _, gam = singular_mod.gamma(k, 2, z)
         der = singular_mod.der(z)
         once = singular_mod.crs_via_composition(k, 2, der) - gam * der
@@ -173,12 +169,8 @@ def test_criterion_10_generation_witnesses():
     frame = fixtures.frame_n3()
     ok = irreducibility_hypothesis(frame)
     rng = random.Random(SEED)
-    seen = 0
-    while seen < 20:
-        z = fixtures.random_shift(rng, 3, bound=3)
-        if frame.is_tau_fixed(z):
-            continue
-        seen += 1
+    for _ in range(20):
+        z = fixtures.random_unfixed_shift(rng, frame, bound=3)
         rep = generation_witnesses(frame, z)
         ok = (ok and rep["derivative_coefficient"] != 0
               and rep["derivative_coefficient"]

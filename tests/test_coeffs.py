@@ -16,7 +16,7 @@ from gtmod.coeffs import (
 )
 from gtmod.ratfun import ONE, Poly, RatFun, T, TWO_T
 from gtmod.tableaux import (
-    PermTuple, ShiftVector, Tableau, phi_set, tau_perm, tau_star, window_shifts,
+    ShiftVector, Tableau, phi_set, tau_perm, tau_star, window_shifts,
 )
 
 F = Fraction
@@ -224,11 +224,7 @@ def _pole_bound_sweep(frame, bound):
                     e = coeff_ratfun(l, m, sigma(frame.tableau_at(z)))
                     order = e.pole_order()
                     assert order <= 1
-                    special = sigma.row(k) in (
-                        PermTuple.row_transposition(n, k, 1, frame.i).row(k),
-                        PermTuple.row_transposition(n, k, 1, frame.j).row(k),
-                    )
-                    if not (inside and special):
+                    if not (inside and frame.is_special(sigma)):
                         assert order == 0
 
 
@@ -254,8 +250,7 @@ def test_pole_bound_n4_window2_sampled():
     rng = random.Random(99)
     zs = []
     while len(zs) < 40:
-        rows = [tuple(rng.randint(-2, 2) for _ in range(r)) for r in (3, 2, 1)]
-        z = ShiftVector(4, tuple(rows))
+        z = fixtures.random_shift(rng, 4, bound=2)
         if frame.is_tau_fixed(z):
             zs.append(z)
     for z in zs:
@@ -273,12 +268,6 @@ def test_pole_bound_n4_window2_sampled():
 # Parity identities for the coefficients
 # ---------------------------------------------------------------------------
 
-def _sigma_is_special(sigma, frame):
-    ti = PermTuple.row_transposition(sigma.n, frame.k, 1, frame.i).row(frame.k)
-    tj = PermTuple.row_transposition(sigma.n, frame.k, 1, frame.j).row(frame.k)
-    return sigma.row(frame.k) in (ti, tj)
-
-
 def test_parity_outside_special_set():
     # on a row-2 frame of n = 3 every sigma is special (k = 2 leaves row k
     # only the two transpositions), so the row-3 frame of n = 4 is used
@@ -288,12 +277,11 @@ def test_parity_outside_special_set():
     two_t = RatFun(TWO_T)
     checked = 0
     for _ in range(200):
-        z = ShiftVector(n, tuple(
-            tuple(rng.randint(-2, 2) for _ in range(r)) for r in range(n - 1, 0, -1)))
+        z = fixtures.random_shift(rng, n, bound=2)
         tz = frame.tau(z)
         l, m = rng.choice([(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b])
         for sigma in phi_set(l, m, n):
-            if _sigma_is_special(sigma, frame):
+            if frame.is_special(sigma):
                 continue
             checked += 1
             e_z = coeff_ratfun(l, m, sigma(frame.tableau_at(z)))
@@ -316,12 +304,11 @@ def test_parity_on_special_set():
         rng = random.Random(23)
         two_t = RatFun(TWO_T)
         for _ in range(100):
-            z = ShiftVector(n, tuple(
-                tuple(rng.randint(-2, 2) for _ in range(r)) for r in (2, 1)))
+            z = fixtures.random_shift(rng, n, bound=2)
             tz = frame.tau(z)
             l, m = rng.choice([(a, b) for a in range(1, 4) for b in range(1, 4) if a != b])
             for sigma in phi_set(l, m, n):
-                if not _sigma_is_special(sigma, frame):
+                if not frame.is_special(sigma):
                     continue
                 star = tau_star(sigma, frame.k, frame.i, frame.j)
                 lhs = coeff_ratfun(l, m, star(frame.tableau_at(z)))
@@ -346,12 +333,11 @@ def test_parity_twisted_conjugation_branch():
     two_t = RatFun(TWO_T)
     rng = random.Random(41)
     for _ in range(15):
-        z = ShiftVector(n, tuple(
-            tuple(rng.randint(-1, 1) for _ in range(r)) for r in (3, 2, 1)))
+        z = fixtures.random_shift(rng, n, bound=1)
         tz = frame.tau(z)
         l, m = rng.choice([(a, b) for a in range(1, 5) for b in range(1, 5) if a != b])
         for sigma in phi_set(l, m, n):
-            if not _sigma_is_special(sigma, frame):
+            if not frame.is_special(sigma):
                 continue
             star = tau_star(sigma, k, frame.i, frame.j)
             lhs = coeff_ratfun(l, m, star(frame.tableau_at(z)))

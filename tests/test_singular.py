@@ -96,14 +96,10 @@ def test_evaluation_form_cross_check():
     for frame in (fixtures.frame_n3(), fixtures.frame_all_equal(0)):
         mod = SingularModule(frame)
         rng = random.Random(83)
-        count = 0
-        while count < 60:
-            z = fixtures.random_shift(rng, 3, bound=2)
-            if frame.is_tau_fixed(z):
-                continue
+        for _ in range(60):
+            z = fixtures.random_unfixed_shift(rng, frame, bound=2)
             l, m = rng.randint(1, 3), rng.randint(1, 3)
             assert mod.act_on_regular(l, m, z) == mod.act_on_regular_by_evaluation(l, m, z)
-            count += 1
 
 
 def test_compatibility_across_the_swap():
@@ -188,12 +184,8 @@ def test_jordan_and_compatibility_n4_row3_pair():
     mod = SingularModule(frame)
     rng = random.Random(223)
     k = frame.k
-    seen = 0
-    while seen < 5:
-        z = fixtures.random_shift(rng, 4, bound=1)
-        if frame.is_tau_fixed(z):
-            continue
-        seen += 1
+    for _ in range(5):
+        z = fixtures.random_unfixed_shift(rng, frame, bound=1)
         _, gam = mod.gamma(k, 2, z)
         der = mod.der(z)
         once = mod.crs_via_composition(k, 2, der) - gam * der
@@ -246,12 +238,8 @@ def test_jordan_cell_nilpotency(frame_n3):
     mod = SingularModule(frame_n3)
     rng = random.Random(113)
     k = frame_n3.k
-    seen = 0
-    while seen < 20:
-        z = fixtures.random_shift(rng, 3, bound=3)
-        if frame_n3.is_tau_fixed(z):
-            continue
-        seen += 1
+    for _ in range(20):
+        z = fixtures.random_unfixed_shift(rng, frame_n3, bound=3)
         _, gam = mod.gamma(k, 2, z)
         der = mod.der(z)
         once = mod.crs_via_composition(k, 2, der) - gam * der
@@ -330,12 +318,8 @@ def test_irreducibility_hypothesis_frames():
 
 def test_generation_witnesses_nonzero(frame_n3):
     rng = random.Random(131)
-    seen = 0
-    while seen < 10:
-        z = fixtures.random_shift(rng, 3, bound=3)
-        if frame_n3.is_tau_fixed(z):
-            continue
-        seen += 1
+    for _ in range(10):
+        z = fixtures.random_unfixed_shift(rng, frame_n3, bound=3)
         rep = generation_witnesses(frame_n3, z)
         assert rep["hypothesis"]
         assert rep["derivative_coefficient"] != 0

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gtmod import fixtures
 from gtmod.tableaux import (
     PermTuple, ShiftVector, SingularFrame, Tableau,
     closest_representative, epsilon, is_generic, is_standard, omega_plus,
@@ -112,9 +113,7 @@ def test_apply_perm_inverse_roundtrip():
                 rng.shuffle(images)
             perms.append(tuple(images))
         sigma = PermTuple(tuple(perms))
-        z = ShiftVector(n, tuple(
-            tuple(rng.randint(-3, 3) for _ in range(r)) for r in range(n - 1, 0, -1)
-        ))
+        z = fixtures.random_shift(rng, n)
         assert sigma.inverse()(sigma(z)) == z
         assert sigma(sigma.inverse()(z)) == z
 
@@ -198,7 +197,7 @@ def test_tau_swaps_only_singular_positions():
         [[0, F(2, 5), F(9, 7)], [F(1, 3), F(1, 3)], [F(1, 11)]]))
     rng = random.Random(11)
     for _ in range(50):
-        z = ShiftVector(3, ((rng.randint(-4, 4), rng.randint(-4, 4)), (rng.randint(-4, 4),)))
+        z = fixtures.random_shift(rng, 3, bound=4)
         tz = frame.tau(z)
         assert tz.get(2, 1) == z.get(2, 2)
         assert tz.get(2, 2) == z.get(2, 1)

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -16,7 +17,7 @@ import pytest
 
 import gtmod
 import gtmod.coeffs as coeffs
-from gtmod import core, finite, generic, n3, singular, verify
+from gtmod import core, finite, fixtures, generic, n3, singular, verify
 from gtmod.cli import main as cli_main
 from gtmod.lincomb import LinComb
 from gtmod.tableaux import SingularFrame, Tableau
@@ -31,6 +32,33 @@ FIXTURES = "fixtures"
 def _cfg(name, **overrides):
     cfg = Config.from_file(f"{FIXTURES}/{name}")
     return cfg.with_overrides(**overrides) if overrides else cfg
+
+
+def _count_checks(monkeypatch) -> Counter:
+    """Count every check from here on by (kind, passed), through a wrapper
+    around ``Tally.check``."""
+    counts = Counter()
+    check = Tally.check
+
+    def recording(self, ok, kind, detail):
+        counts[kind, bool(ok)] += 1
+        return check(self, ok, kind, detail)
+
+    monkeypatch.setattr(Tally, "check", recording)
+    return counts
+
+
+def test_fixture_files_are_the_reference_frames():
+    """Each sample config loads to the frame, or the generic base, that
+    gtmod.fixtures builds."""
+    frames = {"generic_n3": None, "singular_n3": fixtures.frame_n3(),
+              "all_equal_n3": fixtures.frame_all_equal(0), "singular_n4": fixtures.frame_n4(),
+              "singular_n4_row3": fixtures.frame_n4_row3()}
+    assert sorted(path.stem for path in Path(FIXTURES).glob("*.json")) == sorted(frames)
+    for name, frame in frames.items():
+        cfg = _cfg(f"{name}.json")
+        assert cfg.frame == frame
+        assert cfg.base == (fixtures.generic_base_n3() if frame is None else frame.vbar)
 
 
 def test_commutators_pass_generic_and_singular():
@@ -75,6 +103,15 @@ def test_report_counts_are_pinned(name, counts):
         assert report.failed == 0 and report.exemplars == []
         checked[suite] = report.checked
     assert checked == counts
+
+
+def test_formulas_runs_parity_plain_on_the_row3_frame(monkeypatch):
+    """On a row-2 frame every sigma is special, so only a row-3 pair leaves
+    Phi_lm elements for the untwisted parity check."""
+    counts = _count_checks(monkeypatch)
+    report = run_suite("formulas", _cfg("singular_n4_row3.json", window=0))
+    assert report.ok and report.checked == 1321
+    assert counts["parity-plain", True] == 20
 
 
 def test_n3_suite_rejects_wrong_frame():
@@ -122,6 +159,7 @@ def test_dropped_prefactor_fails_the_evaluation_crosscheck(monkeypatch):
     assert not report.ok
     assert report.failed == 162
     assert {ex["check"] for ex in report.exemplars} == {"regular-action-ev-crosscheck"}
+    assert all(ex["lhs"] != ex["rhs"] for ex in report.exemplars)  # both sides named
 
 
 def test_planted_valuation_off_by_one_is_caught(monkeypatch):
@@ -303,22 +341,15 @@ SINGULAR_N3 = ("singular_n3.json", 1)
 def test_planted_kernel_defect_is_caught(monkeypatch, plant, config, kinds):
     """A planted defect fails exactly the recorded check kinds of each suite
     on the given fixture and window (a suite with none recorded passes)."""
-    failing: set[str] = set()
-    check = Tally.check
-
-    def recording(self, ok, kind, detail):
-        if not ok:
-            failing.add(kind)
-        return check(self, ok, kind, detail)
-
-    monkeypatch.setattr(Tally, "check", recording)
+    counts = _count_checks(monkeypatch)
     plant(monkeypatch)
     name, window = config
     cfg = _cfg(name, window=window)
     seen = {}
     for suite in kinds:
-        failing.clear()
+        counts.clear()
         report = run_suite(suite, cfg)
+        failing = {kind for kind, ok in counts if not ok}
         assert (report.failed > 0) == bool(failing)
         # an error that ends a suite always shows among its exemplars
         assert ("evaluation" in failing) == any(
@@ -503,11 +534,13 @@ def test_config_range_is_checked(tmp_path, capsys, key, value):
     (lambda data: {**data, "frame": [2, 1]}, "frame must be a list of 3 integers"),
     (lambda data: {**data, "frame": [2, 1, 2.0]}, "frame must be a list of 3 integers"),
     (lambda data: {**data, "base": "(0,0,0|0,0|0)"}, "is not generic, and no frame is given"),
+    (lambda data: {**data, "base": "(2,1/0,-5/3|1/4,7/10|1/7)"},
+     "entry '1/0' has a zero denominator"),
     (lambda data: {**data, "windw": 1, "out_dir": "reports"},
      "unknown key(s) ['windw', 'out_dir']"),
 ], ids=["null-n", "numeric-base", "top-level-list", "null-seed", "float-window", "float-seed",
         "boolean-window", "float-n", "suites-string", "short-frame", "float-frame",
-        "frameless-singular-base", "unknown-key"])
+        "frameless-singular-base", "zero-denominator", "unknown-key"])
 def test_config_types_are_checked(tmp_path, capsys, patch, match):
     data = patch(json.loads(open(f"{FIXTURES}/generic_n3.json", encoding="utf-8").read()))
     with pytest.raises(ValueError, match=re.escape(match)):
