@@ -20,7 +20,7 @@ from gtmod.n3 import classify_shift, loewy_layer, weight_key
 from gtmod.singular import SingularModule, canonical_window
 from gtmod.tableaux import window_shifts
 
-frame = frame_all_equal(0)
+frame = frame_all_equal()
 mod = SingularModule(frame)
 
 counts = Counter(classify_shift(z) for z in window_shifts(3, 3))

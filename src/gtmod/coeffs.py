@@ -66,13 +66,6 @@ __all__ = ["Jet", "coeff_e", "coeff_ratfun", "gamma", "classical_action", "perm_
 Factor = tuple[Fraction | int, int]  # the linear function b + c*t
 
 
-def _prod(factors) -> Poly:
-    out = Poly([1])
-    for f in factors:
-        out = out * f
-    return out
-
-
 class Jet(NamedTuple):
     """The 2-jet t^v * (a0 + a1*t + O(t^2)) / q of a coefficient at t = 0,
     in integers with q > 0 and gcd(a0, a1, q) = 1, so equal jets are equal
@@ -198,7 +191,8 @@ def coeff_ratfun(r: int, s: int, w: Tableau) -> RatFun:
     """The coefficient function e_{rs} on the tableau w as a whole rational
     function of t: the same factors as :func:`coeff_e`, multiplied out."""
     num, den = _factors(r, s, w.fraction_rows())
-    return RatFun(_prod(map(Poly, num)), _prod(map(Poly, den)))
+    return RatFun(math.prod(map(Poly, num), start=Poly([1])),
+                  math.prod(map(Poly, den), start=Poly([1])))
 
 
 def gamma(r: int, s: int, w: Tableau) -> tuple[Fraction, Fraction]:

@@ -25,10 +25,10 @@ def frame_n3() -> SingularFrame:
     return SingularFrame(2, 1, 2, Tableau.from_text("(0,2/5,9/7|1/3,1/3|1/11)"))
 
 
-def frame_all_equal(a=0) -> SingularFrame:
-    """The all-equal base point: maximally degenerate cross-row structure;
-    the module decomposes into ten pieces."""
-    return SingularFrame(2, 1, 2, Tableau.from_rows([[a, a, a], [a, a], [a]]))
+def frame_all_equal() -> SingularFrame:
+    """The all-equal base point (0,0,0|0,0|0): maximally degenerate
+    cross-row structure; the module decomposes into ten pieces."""
+    return SingularFrame(2, 1, 2, Tableau.from_rows([[0, 0, 0], [0, 0], [0]]))
 
 
 def frame_n4() -> SingularFrame:

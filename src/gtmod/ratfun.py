@@ -39,8 +39,7 @@ class Poly:
     """Univariate polynomial in ``t`` over ``Fraction``.
 
     Coefficients are stored densely by degree with no trailing zeros; the
-    zero polynomial is the empty tuple.  Instances are immutable and
-    hashable.
+    zero polynomial is the empty tuple.  Instances are immutable.
     """
 
     __slots__ = ("coeffs",)
@@ -65,18 +64,12 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
             return self == Poly([other])
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def coefficient(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
@@ -93,16 +86,11 @@ class Poly:
             out[k] += c
         return Poly(out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Poly":
         return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other) -> "Poly":
         return self + (-_as_poly(other))
-
-    def __rsub__(self, other) -> "Poly":
-        return _as_poly(other) - self
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -117,8 +105,6 @@ class Poly:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return Poly(out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -282,12 +268,6 @@ class RatFun:
         if not isinstance(other, RatFun):
             return NotImplemented
         return self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __bool__(self) -> bool:
-        return not self.num.is_zero
 
     @property
     def is_zero(self) -> bool:

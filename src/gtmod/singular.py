@@ -118,15 +118,15 @@ class SingularModule:
 
     # -- canonical single-term combinations ----------------------------------
 
-    def reg(self, z: ShiftVector, coeff=1) -> LinComb:
+    def reg(self, z: ShiftVector) -> LinComb:
         sign, sym = canonicalize(REG, z, self.frame)
-        return LinComb.single(sym, Fraction(coeff) * sign)
+        return LinComb.single(sym, sign)
 
-    def der(self, z: ShiftVector, coeff=1) -> LinComb:
+    def der(self, z: ShiftVector) -> LinComb:
         sign, sym = canonicalize(DER, z, self.frame)
         if sign == 0:
             return LinComb.zero()
-        return LinComb.single(sym, Fraction(coeff) * sign)
+        return LinComb.single(sym, sign)
 
     # -- single-generator action ----------------------------------------------
 
@@ -259,7 +259,8 @@ def generation_witnesses(frame: SingularFrame, z: ShiftVector) -> dict:
     k, i, j = frame.k, frame.i, frame.j
     n = frame.n
 
-    d_coeff = coeffs.coeff_e(k - 1, k, frame.tableau_at(z)).d_ev()[0]
+    w_z = frame.tableau_at(z)
+    d_coeff = coeffs.coeff_e(k - 1, k, w_z).d_ev()[0]
     closed = _derivative_coefficient_closed_form(frame, z)
 
     # tau-fixed neighbour for the regular-to-derivative step
@@ -274,7 +275,7 @@ def generation_witnesses(frame: SingularFrame, z: ShiftVector) -> dict:
 
     step3 = {(l, m, idx): e.d_ev()[1]
              for l in range(1, n + 1) for m in range(1, n + 1) if l != m
-             for idx, (e, _) in enumerate(coeffs.perm_action(l, m, frame.tableau_at(z)))}
+             for idx, (e, _) in enumerate(coeffs.perm_action(l, m, w_z))}
 
     return {
         "hypothesis": irreducibility_hypothesis(frame),

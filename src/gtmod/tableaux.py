@@ -190,19 +190,10 @@ class ShiftVector(NamedTuple):
     def get(self, r: int, s: int) -> int:
         return self.rows[self.n - 1 - r][s - 1]
 
-    def items(self) -> Iterator[tuple[tuple[int, int], int]]:
-        for ridx, row in enumerate(self.rows):
-            r = self.n - 1 - ridx
-            for s, v in enumerate(row, start=1):
-                yield (r, s), v
-
     def __add__(self, other: "ShiftVector") -> "ShiftVector":
         return ShiftVector(self.n, tuple(
             tuple(map(operator.add, ra, rb)) for ra, rb in zip(self.rows, other.rows)
         ))
-
-    def __sub__(self, other: "ShiftVector") -> "ShiftVector":
-        return self + (-other)
 
     def __neg__(self) -> "ShiftVector":
         return ShiftVector(self.n, tuple(tuple(map(operator.neg, row)) for row in self.rows))

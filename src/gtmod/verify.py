@@ -10,7 +10,9 @@ checks the suite's :data:`PRECONDITIONS` entry (a config the suite cannot
 run on raises ``ValueError``), times the sweep, turns an evaluation error
 that ends it into one failed ``evaluation`` check, and builds the
 :class:`VerificationReport`.  Failures carry exemplars showing the input
-and the two sides.
+and the two sides; each check hands :meth:`Tally.check` its exemplar as a
+zero-argument function, called at once and only for a failure that gets an
+exemplar slot.
 
 Reports are deterministic given (config, seed); randomized sweeps draw
 from a seeded generator recorded in the report.
@@ -101,14 +103,17 @@ class Tally:
         self.exemplars: list[dict] = []
 
     def check(self, ok: bool, kind: str, detail) -> bool:
+        """Count one check of ``kind``.  ``detail`` is a zero-argument
+        function returning the exemplar's fields; it is called before this
+        returns, and only for a failure that gets an exemplar slot, so it
+        may read the caller's loop variables directly."""
         self.checked += 1
         if ok:
             self.passed += 1
         else:
             self.failed += 1
             if len(self.exemplars) < MAX_EXEMPLARS:
-                data = detail() if callable(detail) else detail
-                self.exemplars.append({"check": kind, **data})
+                self.exemplars.append({"check": kind, **detail()})
         return ok
 
     def report(self, suite: str, frame: str, window: int, seed: int,
@@ -143,8 +148,9 @@ def _integers(value, key: str, size: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class Config:
     """One verification target: a base point (with an optional singular
-    triple), a window bound, the suites to run and a seed.  A config file
-    holds these keys and no others."""
+    frame over it), a window bound, the suites to run and a seed.  A config
+    file holds these keys and no others.  ``base`` has ``n`` rows, and a
+    frame's base point is ``base``."""
 
     n: int
     base: Tableau
@@ -154,6 +160,11 @@ class Config:
     seed: int = 20240601
 
     def __post_init__(self):
+        if self.base.n != self.n:
+            raise ValueError(f"base tableau has {self.base.n} rows, config says n={self.n}")
+        if self.frame is not None and self.frame.vbar != self.base:
+            raise ValueError(f"frame base point {self.frame.vbar.to_text()} is not "
+                             f"the config's base {self.base.to_text()}")
         if self.window < 0:
             raise ValueError(f"out of range for n={self.n}: window={self.window}")
         if self.frame is None and not is_generic(self.base):
@@ -171,8 +182,6 @@ class Config:
         if not isinstance(data["base"], str):
             raise ValueError(f"base must be a tableau string, got {data['base']!r}")
         base = Tableau.from_text(data["base"])
-        if base.n != n:
-            raise ValueError(f"base tableau has {base.n} rows, config says n={n}")
         frame = None
         if data.get("frame") is not None:
             frame = SingularFrame(*_integers(data["frame"], "frame", 3), base)
@@ -207,13 +216,6 @@ class Config:
 
 def _generators(n: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
-
-
-def _qn(n: int) -> int:
-    out = 1
-    for m in range(1, n):
-        out *= math.factorial(m)
-    return out
 
 
 def module_for(cfg: Config) -> GenericModule | SingularModule:
@@ -251,8 +253,8 @@ def check_commutators(cfg: Config, tally: Tally) -> None:
                 ok = defect.is_zero
             except EVALUATION_ERRORS as exc:
                 defect, ok = raised(exc), False
-            tally.check(ok, "bracket", lambda s=sym, a=g1, b=g2, d=defect: {
-                "input": f"[E{a}, E{b}] on {s!r}", "defect": str(d)})
+            tally.check(ok, "bracket", lambda: {
+                "input": f"[E{g1}, E{g2}] on {sym!r}", "defect": str(defect)})
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +300,7 @@ def check_gamma(cfg: Config, tally: Tally) -> None:
             chars.setdefault(mod.character(z), []).append(z)
         for char, zs in chars.items():
             tally.check(len(zs) == 1, "generic-multiplicity-one",
-                        lambda zs_=zs: {"input": f"shifts {zs_!r}",
-                                        "detail": "shared eigenvalue tuple"})
+                        lambda: {"input": f"shifts {zs!r}", "detail": "shared eigenvalue tuple"})
         return
     k = frame.k
 
@@ -311,58 +312,54 @@ def check_gamma(cfg: Config, tally: Tally) -> None:
         once = mod.crs_via_composition(k, 2, der) - gam * der
         twice = mod.crs_via_composition(k, 2, once) - gam * once
         tally.check(not once.is_zero, "jordan-offdiagonal-nonzero",
-                    lambda z_=z: {"input": f"Der{z_!r}", "detail": "(c-gamma) Der = 0"})
+                    lambda: {"input": f"Der{z!r}", "detail": "(c-gamma) Der = 0"})
         tally.check(twice.is_zero, "jordan-square-zero",
-                    lambda z_=z, t=twice: {"input": f"Der{z_!r}", "residue": repr(t)})
+                    lambda: {"input": f"Der{z!r}", "residue": repr(twice)})
         # gamma_{k2} is sum_i w_ki^2 plus a symmetric part of degree <= 1,
         # whose slope cancels between w_ki + t and w_kj - t; so its
         # half-derivative is (w_ki - w_kj)|_{t=0} = z_ki - z_kj
         model = z.get(k, frame.i) - z.get(k, frame.j)
         tally.check(d == model, "jordan-offdiagonal-model",
-                    lambda z_=z, m_=model, g=d: {
-                        "input": f"Der{z_!r}", "lhs": str(g), "rhs": str(m_)})
+                    lambda: {"input": f"Der{z!r}", "lhs": str(d), "rhs": str(model)})
         reg = mod.reg(z)
         eig = mod.crs_via_composition(k, 2, reg) - gam * reg
         tally.check(eig.is_zero, "regular-eigenvector",
-                    lambda z_=z, e=eig: {"input": f"Reg{z_!r}", "residue": repr(e)})
+                    lambda: {"input": f"Reg{z!r}", "residue": repr(eig)})
 
     # multiplicities: exhaustive over the window
-    qn = _qn(cfg.n)
+    qn = math.prod(map(math.factorial, range(1, cfg.n)))
     for char, syms in mod.character_classes(cfg.window).items():
         size = len(syms)
         tally.check(size <= 2 and size <= qn, "multiplicity-bound",
-                    lambda s_=syms: {"input": repr(s_), "detail": f"class size {len(s_)}"})
+                    lambda: {"input": repr(syms), "detail": f"class size {size}"})
         fixed = [s for s in syms if s.kind == REG and frame.is_tau_fixed(s.shift)]
         if fixed:
-            tally.check(size == 1, "tau-fixed-multiplicity-one",
-                        lambda s_=syms: {"input": repr(s_)})
+            tally.check(size == 1, "tau-fixed-multiplicity-one", lambda: {"input": repr(syms)})
         else:
-            tally.check(size == 2, "tau-unfixed-multiplicity-two",
-                        lambda s_=syms: {"input": repr(s_)})
+            tally.check(size == 2, "tau-unfixed-multiplicity-two", lambda: {"input": repr(syms)})
 
     # characters below the singular row separate shifts of the low rows
+    population = list(window_shifts(cfg.n, cfg.window))
     by_low: dict = {}
-    for z in window_shifts(cfg.n, cfg.window):
+    for z in population:
         low = tuple(z.rows[cfg.n - k:])
         by_low.setdefault(low, set()).add(mod.character(z, max_row=k - 1))
     sub_chars = {}
     for low, subs in by_low.items():
         tally.check(len(subs) == 1, "subcharacter-depends-on-low-rows",
-                    lambda low_=low: {"input": repr(low_)})
+                    lambda: {"input": repr(low)})
         sub_chars[low] = next(iter(subs))
     tally.check(len(set(sub_chars.values())) == len(sub_chars),
-                "subcharacter-separation", {"detail": "collision among low rows"})
+                "subcharacter-separation", lambda: {"detail": "collision among low rows"})
 
     # connectivity: one stratum up, nonzero coefficient back down
-    population = list(window_shifts(cfg.n, cfg.window))
     for z in rng.sample(population, min(40, len(population))):
         t, zrep, zbar = connecting_shift(frame, z)
         out = mod.act_on_regular(k + 1, k - t, zbar)
         _, target = canonicalize(REG, zrep, frame)
         tally.check(out.coeff(target) != 0 and frame.stratum(zbar) == frame.stratum(z) + 1,
                     "connectivity",
-                    lambda z_=z, t_=t, zb=zbar: {
-                        "input": f"z={z_!r}", "step": f"E({k + 1},{k - t_}) at {zb!r}"})
+                    lambda: {"input": f"z={z!r}", "step": f"E({k + 1},{k - t}) at {zbar!r}"})
 
     # generation witnesses under the irreducibility hypothesis
     if irreducibility_hypothesis(frame):
@@ -370,17 +367,17 @@ def check_gamma(cfg: Config, tally: Tally) -> None:
             z = random_unfixed_shift(rng, frame, max(cfg.window, 2))
             rep = generation_witnesses(frame, z)
             tally.check(rep["derivative_coefficient"] != 0, "witness-derivative",
-                        lambda z_=z: {"input": f"z={z_!r}"})
+                        lambda: {"input": f"z={z!r}"})
             tally.check(rep["derivative_coefficient"]
                         == rep["derivative_coefficient_closed_form"],
                         "witness-derivative-closed-form",
-                        lambda r_=rep: {"lhs": str(r_["derivative_coefficient"]),
-                                        "rhs": str(r_["derivative_coefficient_closed_form"])})
+                        lambda: {"lhs": str(rep["derivative_coefficient"]),
+                                 "rhs": str(rep["derivative_coefficient_closed_form"])})
             tally.check(rep["step2_ev_coefficient"] != 0, "witness-step2",
-                        lambda r_=rep: {"input": r_["step2_shift"]})
+                        lambda: {"input": rep["step2_shift"]})
             tally.check(all(v != 0 for v in rep["step3_values"].values()),
                         "witness-step3",
-                        lambda r_=rep: {"input": r_["shift"]})
+                        lambda: {"input": rep["shift"]})
 
 
 # ---------------------------------------------------------------------------
@@ -396,16 +393,16 @@ def check_formulas(cfg: Config, tally: Tally) -> None:
     the ``PermTuple`` action, pole-order bound, parity relations, the
     point-operator exchange rules, the evaluation cross-check, and the
     finite-dimensional regression."""
-    sweep_classical_vs_perm(tally, random.Random(cfg.seed), samples=100)
+    sweep_classical_vs_perm(tally, random.Random(cfg.seed))
     sweep_finite_dim(tally)
     if cfg.frame is not None:
         sweep_coefficient_identities(cfg, tally)
 
 
-def sweep_classical_vs_perm(tally: Tally, rng: random.Random, samples: int = 100):
-    """Classical presentation == permutation presentation on random generic
-    tableaux of sizes 2..4, term for term."""
-    for _ in range(samples):
+def sweep_classical_vs_perm(tally: Tally, rng: random.Random):
+    """Classical presentation == permutation presentation on 100 random
+    generic tableaux of sizes 2..4, term for term."""
+    for _ in range(100):
         n = rng.randint(2, 4)
         t = random_generic_tableau(rng, n)
         for kk in range(1, n):
@@ -415,9 +412,8 @@ def sweep_classical_vs_perm(tally: Tally, rng: random.Random, samples: int = 100
                 perm = LinComb.sum_terms(
                     (dz, fn.const_value()) for fn, dz in coeffs.perm_action(l, m, t))
                 tally.check(classical == perm, "classical-vs-permutation",
-                            lambda t_=t, l_=l, m_=m, c_=classical, p_=perm: {
-                                "input": f"E({l_},{m_}) on {t_.to_text()}",
-                                "lhs": repr(c_), "rhs": repr(p_)})
+                            lambda: {"input": f"E({l},{m}) on {t.to_text()}",
+                                     "lhs": repr(classical), "rhs": repr(perm)})
 
 
 def sweep_finite_dim(tally: Tally):
@@ -428,17 +424,17 @@ def sweep_finite_dim(tally: Tally):
     count = len(standard_tableaux(lam))
     dim = weyl_dimension(lam)
     tally.check(count == dim == 8, "finite-dim-count",
-                {"input": f"lam={lam}", "lhs": str(count), "rhs": str(dim)})
+                lambda: {"input": f"lam={lam}", "lhs": str(count), "rhs": str(dim)})
     gens = _generators(3)
     for z in mod.basis:
         for l, m in gens:
-            out = mod.act_symbol(l, m, z)  # raises if the span is left
+            out = mod.act_symbol(l, m, z)
             for key in out.keys():
                 tally.check(key in mod._basis_set, "finite-dim-span",
-                            lambda k_=key: {"input": repr(k_)})
+                            lambda: {"input": repr(key)})
         for g1, g2 in itertools.combinations(gens, 2):
             tally.check(mod.bracket_defect(g1, g2, z).is_zero, "finite-dim-bracket",
-                        lambda z_=z, a=g1, b=g2: {"input": f"[E{a},E{b}] on {z_!r}"})
+                        lambda: {"input": f"[E{g1},E{g2}] on {z!r}"})
         for (r, s) in _gamma_pairs(3):
             _check_central_word(tally, "finite-dim-gamma", mod, r, s, z)
 
@@ -495,47 +491,44 @@ def sweep_coefficient_identities(cfg: Config, tally: Tally):
                     e = coeffs.coeff_ratfun(l, m, w)
                     jet = coeffs.coeff_e(l, m, w)
                     tally.check(_jet_matches(jet, e), "jet-vs-ratfun",
-                                lambda j_=jet, e_=e, s_=sigma, l_=l, m_=m: {
-                                    "input": f"e({l_},{m_}) at {s_!r}(v+{z!r})",
-                                    "lhs": repr(j_), "rhs": repr(e_)})
+                                lambda: {"input": f"e({l},{m}) at {sigma!r}(v+{z!r})",
+                                         "lhs": repr(jet), "rhs": repr(e)})
                     # the module's integer tableau and direct row swaps
                     # against PermTuple on the rational tableau
                     pair = (jet, sigma(eps))
                     tally.check(direct[idx:idx + 1] == [pair], "perm-action-vs-phi-set",
-                                lambda d_=direct[idx:idx + 1], p_=pair, s_=sigma, l_=l, m_=m: {
-                                    "input": f"E({l_},{m_}) term {s_!r} at v+{z!r}",
-                                    "lhs": repr(d_), "rhs": repr([p_])})
+                                lambda: {"input": f"E({l},{m}) term {sigma!r} at v+{z!r}",
+                                         "lhs": repr(direct[idx:idx + 1]), "rhs": repr([pair])})
                     special = frame.is_special(sigma)
                     if fixed:
                         # pole-order bound, and smoothness off the special set
-                        tally.check(e.pole_order() <= 1, "pole-bound",
-                                    lambda e_=e: {"input": repr(e_)})
+                        tally.check(e.pole_order() <= 1, "pole-bound", lambda: {"input": repr(e)})
                         if not (inside and special):
                             tally.check(e.pole_order() == 0, "pole-smooth",
-                                        lambda e_=e: {"input": repr(e_)})
+                                        lambda: {"input": repr(e)})
                     # point-operator exchange rules on this coefficient
                     g = two_t * e
                     tally.check(g.ev() == (two_t * g).d(), "ev-equals-d-shifted",
-                                lambda g_=g: {"input": repr(g_)})
+                                lambda: {"input": repr(g)})
                     if e.pole_order() == 0:
                         if e == e.tau():
                             tally.check(e.d() == 0, "symmetric-derivative-zero",
-                                        lambda e_=e: {"input": repr(e_)})
+                                        lambda: {"input": repr(e)})
                         h = e.divided_difference()
                         if h.pole_order() == 0:
                             tally.check(h.ev() == 2 * e.d(), "divided-difference",
-                                        lambda e_=e: {"input": repr(e_)})
+                                        lambda: {"input": repr(e)})
                     # parity across the swap
                     if not special and l != m:
                         d_t, ev_t = coeffs.coeff_e(l, m, sigma(line_tz)).d_ev()
                         tally.check(ev_t == e.ev() and d_t == -e.d(),
-                                    "parity-plain", lambda e_=e: {"input": repr(e_)})
+                                    "parity-plain", lambda: {"input": repr(e)})
                     if special and l != m:
                         star = tau_star(sigma, k, frame.i, frame.j)
                         lhs = coeffs.coeff_ratfun(l, m, star(line_z))
                         rhs = coeffs.coeff_ratfun(l, m, (sigma * taup)(line_z))
                         tally.check(lhs == rhs, "parity-twisted",
-                                    lambda a=lhs, b=rhs: {"lhs": repr(a), "rhs": repr(b)})
+                                    lambda: {"lhs": repr(lhs), "rhs": repr(rhs)})
 
         # compatibility of the module action with the swap
         for l in range(1, n + 1):
@@ -590,8 +583,7 @@ def check_n3(cfg: Config, tally: Tally) -> None:
                     ok = False
                     worst = (l, m, out_sym, c)
         tally.check(ok, "loewy-monotone",
-                    lambda s_=sym, p_=piece, w_=worst: {
-                        "input": f"{s_!r} in {p_}", "violation": repr(w_)})
+                    lambda: {"input": f"{sym!r} in {piece}", "violation": repr(worst)})
 
     # weight multiplicities inside L7 grow strictly with the window
     counts = {}
@@ -606,8 +598,7 @@ def check_n3(cfg: Config, tally: Tally) -> None:
         c3 = counts[3].get(key, 0)
         c4 = counts[4].get(key, 0)
         tally.check(base_count < c3 < c4, "l7-weight-growth",
-                    lambda k_=key, a=base_count, b=c3, c=c4: {
-                        "input": f"weight {k_}", "counts": f"{a} -> {b} -> {c}"})
+                    lambda: {"input": f"weight {key}", "counts": f"{base_count} -> {c3} -> {c4}"})
 
 
 # ---------------------------------------------------------------------------
@@ -690,5 +681,5 @@ def run_suite(name: str, cfg: Config) -> VerificationReport:
         suite(cfg, tally)
     except EVALUATION_ERRORS as exc:
         del tally.exemplars[MAX_EXEMPLARS - 1:]
-        tally.check(False, "evaluation", {"detail": raised(exc)})
+        tally.check(False, "evaluation", lambda: {"detail": raised(exc)})
     return tally.report(name, cfg.describe(), cfg.window, cfg.seed, started)

@@ -43,7 +43,7 @@ def singular_mod():
 
 @pytest.fixture(scope="module")
 def all_equal_mod():
-    return SingularModule(fixtures.frame_all_equal(0))
+    return SingularModule(fixtures.frame_all_equal())
 
 
 def test_criterion_1_bracket_suite_generic():
@@ -58,7 +58,7 @@ def test_criterion_1_bracket_suite_generic():
 def test_criterion_2_bracket_suite_singular():
     started = time.perf_counter()
     ok = True
-    for frame in (fixtures.frame_all_equal(0), fixtures.frame_n3()):
+    for frame in (fixtures.frame_all_equal(), fixtures.frame_n3()):
         cfg = Config(n=3, base=frame.vbar, frame=frame, window=2, seed=SEED)
         report = run_suite("commutators", cfg)
         ok = ok and report.ok and report.checked == 125 * 36
@@ -69,7 +69,7 @@ def test_criterion_2_bracket_suite_singular():
 def test_criterion_3_classical_vs_permutation():
     started = time.perf_counter()
     tally = Tally()
-    sweep_classical_vs_perm(tally, random.Random(SEED), samples=100)
+    sweep_classical_vs_perm(tally, random.Random(SEED))
     _announce(3, "classical vs permutation presentation on 100 random generic "
               "tableaux (n <= 4)", started, tally.failed == 0 and tally.checked >= 300)
 
@@ -128,7 +128,7 @@ def test_criterion_6_multiplicity_bound(singular_mod):
 
 def test_criterion_7_ten_piece_decomposition():
     started = time.perf_counter()
-    frame = fixtures.frame_all_equal(0)
+    frame = fixtures.frame_all_equal()
     cfg = Config(n=3, base=frame.vbar, frame=frame, window=4, seed=SEED)
     report = run_suite("n3", cfg)
     ok = report.ok

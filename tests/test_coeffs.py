@@ -35,7 +35,7 @@ def test_e21_is_one():
 
 
 def test_e32_on_singular_line():
-    frame = fixtures.frame_all_equal(0)
+    frame = fixtures.frame_all_equal()
     w = frame.tableau_at(ShiftVector.zero(3))
     assert coeff_e(3, 2, w) == Jet(0, 1, 0, 2)  # t / 2t
 
@@ -126,7 +126,7 @@ def test_perm_action_diagonal_single_term():
 
 
 def test_perm_action_e32_pairs_on_singular_line():
-    frame = fixtures.frame_all_equal(0)
+    frame = fixtures.frame_all_equal()
     w = frame.tableau_at(ShiftVector.zero(3))
     pairs = perm_action(3, 2, w)
     shifts = sorted(p[1].to_text() for p in pairs)
@@ -233,7 +233,7 @@ def test_pole_bound_n3_window2():
 
 
 def test_pole_bound_all_equal_frame():
-    _pole_bound_sweep(fixtures.frame_all_equal(0), 2)
+    _pole_bound_sweep(fixtures.frame_all_equal(), 2)
 
 
 def test_pole_bound_n4_window1():
@@ -298,7 +298,7 @@ def test_parity_outside_special_set():
 def test_parity_on_special_set():
     """On the special set the twisted permutation matches composing with the
     singular swap: e(tau*sigma (v+z)) = e(sigma tau (v+z)) as functions."""
-    for frame in (fixtures.frame_n3(), fixtures.frame_all_equal(0)):
+    for frame in (fixtures.frame_n3(), fixtures.frame_all_equal()):
         n = frame.n
         tau = tau_perm(n, frame.k, frame.i, frame.j)
         rng = random.Random(23)

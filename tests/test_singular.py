@@ -33,7 +33,7 @@ def test_canonicalize_relations(frame_n3):
 
 
 def test_act_on_regular_lowering_examples():
-    mod = SingularModule(fixtures.frame_all_equal(0))
+    mod = SingularModule(fixtures.frame_all_equal())
     z0 = sv3(0, 0, 0)
     out = mod.act(2, 1, LinComb.single(BasisSymbol(REG, z0)))
     assert out == LinComb.single(BasisSymbol(REG, sv3(0, 0, -1)))
@@ -93,7 +93,7 @@ def test_pole_on_derivative_line_is_an_invariant_violation(frame_n3, monkeypatch
 
 
 def test_evaluation_form_cross_check():
-    for frame in (fixtures.frame_n3(), fixtures.frame_all_equal(0)):
+    for frame in (fixtures.frame_n3(), fixtures.frame_all_equal()):
         mod = SingularModule(frame)
         rng = random.Random(83)
         for _ in range(60):
@@ -104,7 +104,7 @@ def test_evaluation_form_cross_check():
 
 def test_compatibility_across_the_swap():
     """The regular action is tau-even, the derivative action tau-odd."""
-    for frame in (fixtures.frame_n3(), fixtures.frame_all_equal(0)):
+    for frame in (fixtures.frame_n3(), fixtures.frame_all_equal()):
         mod = SingularModule(frame)
         rng = random.Random(89)
         for _ in range(80):
@@ -130,7 +130,7 @@ def test_linearity_of_singular_action(frame_n3):
 
 def test_bracket_relations_window1_both_frames():
     gens = [(a, b) for a in range(1, 4) for b in range(1, 4)]
-    for frame in (fixtures.frame_n3(), fixtures.frame_all_equal(0)):
+    for frame in (fixtures.frame_n3(), fixtures.frame_all_equal()):
         mod = SingularModule(frame)
         for sym in canonical_window(frame, 1):
             for g1, g2 in itertools.combinations(gens, 2):
@@ -275,7 +275,7 @@ def test_multiplicity_classes_window2(frame_n3):
 
 
 def test_subcharacters_separate_below_singular_row():
-    for frame in (fixtures.frame_n3(), fixtures.frame_all_equal(0)):
+    for frame in (fixtures.frame_n3(), fixtures.frame_all_equal()):
         mod = SingularModule(frame)
         k = frame.k
         by_low: dict = {}
@@ -291,7 +291,7 @@ def test_subcharacters_separate_below_singular_row():
 
 
 def test_connecting_shift_produces_nonzero_coefficient():
-    for frame in (fixtures.frame_n3(), fixtures.frame_all_equal(0)):
+    for frame in (fixtures.frame_n3(), fixtures.frame_all_equal()):
         mod = SingularModule(frame)
         k = frame.k
         for z in window_shifts(3, 2):
@@ -304,7 +304,7 @@ def test_connecting_shift_produces_nonzero_coefficient():
 
 
 def test_connecting_shift_uses_the_chain_on_integral_frames():
-    frame = fixtures.frame_all_equal(0)
+    frame = fixtures.frame_all_equal()
     t, zrep, zbar = connecting_shift(frame, sv3(0, 0, 1))
     assert t == 1  # the row-1 entry sits exactly one above the singular pair
     assert zbar == sv3(1, 0, 2)
@@ -312,7 +312,7 @@ def test_connecting_shift_uses_the_chain_on_integral_frames():
 
 def test_irreducibility_hypothesis_frames():
     assert irreducibility_hypothesis(fixtures.frame_n3())
-    assert not irreducibility_hypothesis(fixtures.frame_all_equal(0))
+    assert not irreducibility_hypothesis(fixtures.frame_all_equal())
     assert irreducibility_hypothesis(fixtures.frame_n4())
 
 

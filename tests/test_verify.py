@@ -1,6 +1,7 @@
 """Verification harness: suites, reports, determinism, export, CLI."""
 
 import inspect
+import itertools
 import json
 import math
 import os
@@ -52,7 +53,7 @@ def test_fixture_files_are_the_reference_frames():
     """Each sample config loads to the frame, or the generic base, that
     gtmod.fixtures builds."""
     frames = {"generic_n3": None, "singular_n3": fixtures.frame_n3(),
-              "all_equal_n3": fixtures.frame_all_equal(0), "singular_n4": fixtures.frame_n4(),
+              "all_equal_n3": fixtures.frame_all_equal(), "singular_n4": fixtures.frame_n4(),
               "singular_n4_row3": fixtures.frame_n4_row3()}
     assert sorted(path.stem for path in Path(FIXTURES).glob("*.json")) == sorted(frames)
     for name, frame in frames.items():
@@ -358,6 +359,37 @@ def test_planted_kernel_defect_is_caught(monkeypatch, plant, config, kinds):
     assert seen == kinds
 
 
+def test_exemplars_are_the_first_failing_brackets(monkeypatch):
+    """Each exemplar is built while the sweep is at its input: under a
+    planted defect, the five exemplars are the first five failing brackets
+    in sweep order, recomputed here under the same plant."""
+    _plant_unscaled_diagonal_constant(monkeypatch)
+    cfg = _cfg("singular_n3.json", window=1)
+    report = run_suite("commutators", cfg)
+    assert report.failed == 81
+    mod = verify.module_for(cfg)
+    gens = [(a, b) for a in range(1, 4) for b in range(1, 4)]
+    first = []
+    for sym in verify.window_symbols(cfg):
+        for g1, g2 in itertools.combinations(gens, 2):
+            defect = mod.bracket_defect(g1, g2, sym)
+            if not defect.is_zero and len(first) < 5:
+                first.append({"check": "bracket", "input": f"[E{g1}, E{g2}] on {sym!r}",
+                              "defect": str(defect)})
+    assert report.exemplars == first
+    assert len({ex["input"].partition(" on ")[2] for ex in first}) > 1
+
+
+def test_exemplars_name_distinct_inputs(monkeypatch):
+    """Five failures at five different coefficients give five exemplars
+    naming five different inputs, not the last input five times."""
+    _plant_shift_without_scale(monkeypatch)
+    report = run_suite("formulas", _cfg("singular_n3.json", window=1))
+    inputs = [ex["input"] for ex in report.exemplars]
+    assert {ex["check"] for ex in report.exemplars} == {"perm-action-vs-phi-set"}
+    assert len(set(inputs)) == len(inputs) == 5
+
+
 def test_export_diagonal_generator_is_diagonal():
     cfg = _cfg("generic_n3.json", window=1)
     matrix = build_action_matrix(cfg, "E", (1, 1))
@@ -441,6 +473,18 @@ def test_config_validation():
         Config.from_dict({"n": 4, "base": "(0,0,0|0,0|0)"})
     with pytest.raises(ValueError):
         run_suite("nonsense", _cfg("generic_n3.json"))
+
+
+@pytest.mark.parametrize("n, base, frame, match", [
+    (3, lambda: fixtures.frame_all_equal().vbar, fixtures.frame_n3, "is not the config's base"),
+    (4, lambda: fixtures.frame_n3().vbar, fixtures.frame_n3, "base tableau has 3 rows"),
+    (3, fixtures.generic_base_n3, fixtures.frame_n3, "is not the config's base"),
+], ids=["other-base-point", "rank-mismatch", "generic-base-with-frame"])
+def test_config_parts_must_agree(n, base, frame, match):
+    """A Config built in Python, as the benchmark builds its n = 4 sweep,
+    has a base of n rows and a frame over that base."""
+    with pytest.raises(ValueError, match=match):
+        Config(n=n, base=base(), frame=frame(), window=0)
 
 
 def test_planted_gamma_defect_is_caught(monkeypatch):
