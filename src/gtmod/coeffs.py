@@ -54,6 +54,7 @@ the displayed sum; repeated entries need no special case.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -61,9 +62,11 @@ from typing import NamedTuple
 from .ratfun import PoleError, Poly, RatFun
 from .tableaux import ShiftVector, Tableau, phi_picks
 
-__all__ = ["Jet", "coeff_e", "coeff_ratfun", "gamma", "classical_action", "perm_action"]
+__all__ = ["Jet", "coeff_e", "coeff_ratfun", "gamma", "classical_action", "perm_action",
+           "rows_read"]
 
 Factor = tuple[Fraction | int, int]  # the linear function b + c*t
+Cell = tuple[int, int, int]  # the factor rows[a][0] - rows[b][j]
 
 
 class Jet(NamedTuple):
@@ -105,13 +108,52 @@ class Jet(NamedTuple):
         return Fraction(self.a0, self.q)
 
 
-def _diffs(rows, a: int, b: int, lo: int, hi: int) -> list[Factor]:
-    """The factors w_{a1} - w_{bj} for lo <= j < hi (none when lo >= hi,
-    where row b may not exist); rows are top-first, so row r is rows[-r]."""
-    if lo >= hi:
-        return []
-    b1, c1 = rows[-a][0]
-    return [(b1 - b2, c1 - c2) for b2, c2 in rows[-b][lo - 1:hi - 1]]
+def rows_read(l: int, m: int) -> range:
+    """The tableau rows that e_{lm} reads, and so every term of
+    ``perm_action(l, m, .)``: l..m when l < m, m-1..l-1 when l > m, and
+    l-1..l when l = m (there is no row 0)."""
+    if l < m:
+        return range(l, m + 1)
+    if l > m:
+        return range(max(m - 1, 1), l)
+    return range(max(l - 1, 1), l + 1)
+
+
+@functools.cache
+def _factor_cells(r: int, s: int, n: int) -> tuple[tuple[Cell, ...], tuple[Cell, ...]]:
+    """e_{rs}, r != s, as numerator and denominator cells (a, b, j): the
+    factor w_{a1} - w_{bj} read as ``rows[a][0] - rows[b][j]`` off top-first
+    rows (row q is rows[n - q]); the raising constant -1 is not among
+    them."""
+    def diffs(a: int, b: int, lo: int, hi: int) -> list[Cell]:
+        # w_{a1} - w_{bj} for lo <= j < hi; none when lo >= hi, where row b
+        # may not exist
+        return [(n - a, n - b, j - 1) for j in range(lo, hi)]
+
+    num: list[Cell] = []
+    den: list[Cell] = []
+    if r < s:
+        for q in range(r, s - 1):  # e_q^+ for q = r..s-2
+            num += diffs(q, q + 1, 2, q + 2)
+            den += diffs(q, q, 2, q + 1)
+        num += diffs(s - 1, s, 1, s + 1)  # e_{s-1,s}
+        den += diffs(s - 1, s - 1, 2, s)
+    else:
+        num += diffs(s, s - 1, 1, s)
+        den += diffs(s, s, 2, s + 1)
+        for q in range(s + 2, r + 1):  # e_q^- for q = s+2..r, acting on row q-1
+            num += diffs(q - 1, q - 2, 2, q - 1)
+            den += diffs(q - 1, q - 1, 2, q)
+    return tuple(num), tuple(den)
+
+
+def _read_cells(rows, cells) -> list[Factor]:
+    """The factors at the given cells of tableau rows."""
+    out = []
+    for a, b, j in cells:
+        (b1, c1), (b2, c2) = rows[a][0], rows[b][j]
+        out.append((b1 - b2, c1 - c2))
+    return out
 
 
 def _factors(r: int, s: int, rows, one: int = 1) -> tuple[list[Factor], list[Factor]]:
@@ -129,22 +171,11 @@ def _factors(r: int, s: int, rows, one: int = 1) -> tuple[list[Factor], list[Fac
         row, below = rows[-r], rows[1 - r] if r > 1 else ()
         return [((r - 1) * one + sum(b for b, _ in row) - sum(b for b, _ in below),
                  sum(c for _, c in row) - sum(c for _, c in below))], []
-    num: list[Factor] = []
-    den: list[Factor] = []
+    num_cells, den_cells = _factor_cells(r, s, n)
+    num = _read_cells(rows, num_cells)
     if r < s:
-        for q in range(r, s - 1):  # e_q^+ for q = r..s-2
-            num += _diffs(rows, q, q + 1, 2, q + 2)
-            den += _diffs(rows, q, q, 2, q + 1)
-        # e_{s-1,s}, with its leading minus as the constant factor -1
-        num += [(-one, 0)] + _diffs(rows, s - 1, s, 1, s + 1)
-        den += _diffs(rows, s - 1, s - 1, 2, s)
-        return num, den
-    num += _diffs(rows, s, s - 1, 1, s)
-    den += _diffs(rows, s, s, 2, s + 1)
-    for q in range(s + 2, r + 1):  # e_q^- for q = s+2..r, acting on row q-1
-        num += _diffs(rows, q - 1, q - 2, 2, q - 1)
-        den += _diffs(rows, q - 1, q - 1, 2, q)
-    return num, den
+        num.append((-one, 0))  # the leading minus of e_{s-1,s}
+    return num, _read_cells(rows, den_cells)
 
 
 def _fold(factors: list[Factor]) -> tuple[int, int, int] | None:
@@ -274,6 +305,20 @@ def _swap_first(row: tuple, a: int) -> tuple:
     return (row[a - 1],) + row[1:a - 1] + (row[0],) + row[a:]
 
 
+@functools.cache
+def _perm_plan(l: int, m: int, n: int) -> tuple[tuple[tuple, ShiftVector], ...]:
+    """Per pick of :func:`~gtmod.tableaux.phi_picks`, in its order: the
+    swaps (index into top-first rows, a) with a != 1 that sigma makes, and
+    sigma(epsilon_{lm})."""
+    lo, sign = min(l, m), 1 if l < m else -1
+    plan = []
+    for picks in phi_picks(l, m, n):
+        pairs = tuple(enumerate(picks, start=lo))  # (row q, a_q)
+        plan.append((tuple((n - q, a) for q, a in pairs if a != 1),
+                     ShiftVector.of(n, {(q, a): sign for q, a in pairs})))
+    return tuple(plan)
+
+
 def perm_action(l: int, m: int, t: Tableau) -> list[tuple[Jet, ShiftVector]]:
     """Permutation form of the generator action: one
     ``(e_{lm}(sigma(w)), sigma(epsilon_{lm}))`` pair per sigma in Phi_{lm}.
@@ -281,19 +326,14 @@ def perm_action(l: int, m: int, t: Tableau) -> list[tuple[Jet, ShiftVector]]:
     sigma is the row-q transposition (1, a_q) for each pick of
     :func:`~gtmod.tableaux.phi_picks`, so sigma(w) swaps the entries 1 and
     a_q of row q, and sigma(epsilon_{lm}) = +-sum_q delta(q, a_q) (minus
-    when l > m).  The swaps run on t's integer cells.
+    when l > m).  The swaps run on t's integer cells; the swap positions
+    and target shifts are planned once per (l, m, n).
     """
     rows, scale = t
-    n = len(rows)
-    lo, sign = min(l, m), 1 if l < m else -1
-    zero = [(0,) * q for q in range(n - 1, 0, -1)]  # row q at index n-1-q
     out = []
-    for picks in phi_picks(l, m, n):
-        moved, shift = list(rows), zero.copy()
-        for q, a in enumerate(picks, start=lo):
-            if a != 1:
-                moved[n - q] = _swap_first(rows[n - q], a)
-            shift[n - 1 - q] = zero[n - 1 - q][:a - 1] + (sign,) + zero[n - 1 - q][a:]
-        out.append((coeff_e(l, m, Tableau(tuple(moved), scale)),
-                    ShiftVector(n, tuple(shift))))
+    for swaps, shift in _perm_plan(l, m, len(rows)):
+        moved = list(rows)
+        for idx, a in swaps:
+            moved[idx] = _swap_first(rows[idx], a)
+        out.append((coeff_e(l, m, Tableau(tuple(moved), scale)), shift))
     return out

@@ -4,9 +4,15 @@ A family supplies ``_act_uncached(l, m, sym)``, E_{lm} on one basis symbol
 as a :class:`LinComb`, and ``base``, its base tableau (for a singular
 module, the t-line).  Everything here is built on those alone and is
 bound into each family's class body (``act = core.act``), so every family
-keeps these names in its own namespace.  ``act_symbol`` memoizes the
-generator action per module, keyed by (l, m, symbol), and ``gamma`` the
-closed-form gamma_{rs} as its (half-derivative, value) pair at t = 0.
+keeps these names in its own namespace.
+
+The per-module caches: ``act_symbol`` memoizes the generator action, keyed
+by (l, m, symbol); ``perm_terms`` the permutation-form terms a miss reads,
+keyed by (l, m) and the shift rows those terms read; ``gamma`` the
+closed-form gamma_{rs} as its (half-derivative, value) pair at t = 0,
+keyed by (r, s) and the row-r shifts.  A singular module also keeps a
+symbol table, ``_symbols``, through which every canonical basis symbol its
+action makes passes, so equal symbols across cached columns are one object.
 Bracket defects and composed central words are both sums of signed
 generator words, evaluated by the one ``_word_sum``.
 """
@@ -21,13 +27,27 @@ from . import coeffs
 from .lincomb import LinComb
 from .tableaux import Tableau
 
-__all__ = ["tableau_at", "act_symbol", "act", "bracket_defect", "crs_via_composition",
-           "gamma", "character", "gamma_action", "gamma_eigenvalue"]
+__all__ = ["tableau_at", "perm_terms", "act_symbol", "act", "bracket_defect",
+           "crs_via_composition", "gamma", "character", "gamma_action", "gamma_eigenvalue"]
 
 
 def tableau_at(self, z) -> Tableau:
     """The basis tableau at shift z, the top row fixed."""
     return self.base.with_shift(z)
+
+
+def perm_terms(self, l: int, m: int, z) -> tuple:
+    """The permutation-form terms of E_{lm} at the basis tableau of shift z
+    (:func:`~gtmod.coeffs.perm_action`), memoized by the shift rows that
+    they read (:func:`~gtmod.coeffs.rows_read`; the top row is fixed, and
+    the base and its scale belong to the module).  A hit builds no
+    tableau."""
+    rows, n = coeffs.rows_read(l, m), self.n
+    key = (l, m, z.rows[max(n - rows.stop, 0):n - rows.start])
+    hit = self._perm_cache.get(key)
+    if hit is None:
+        hit = self._perm_cache[key] = tuple(coeffs.perm_action(l, m, self.tableau_at(z)))
+    return hit
 
 
 def act_symbol(self, l: int, m: int, sym) -> LinComb:

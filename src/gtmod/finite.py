@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 
-from . import coeffs, core
+from . import core
 from .lincomb import LinComb
 from .tableaux import ShiftVector, Tableau
 
@@ -87,6 +87,7 @@ class FiniteModule:
         self.basis: tuple[ShiftVector, ...] = tuple(shifts)
         self._basis_set = frozenset(shifts)
         self._act_cache: dict = {}
+        self._perm_cache: dict = {}
         self._gamma_cache: dict = {}
 
     @property
@@ -94,6 +95,7 @@ class FiniteModule:
         return len(self.basis)
 
     tableau_at = core.tableau_at
+    perm_terms = core.perm_terms
 
     def _act_uncached(self, l: int, m: int, z: ShiftVector) -> LinComb:
         """E_{lm} at shift z: the permutation form, keeping the summands
@@ -101,7 +103,7 @@ class FiniteModule:
         standard.  No denominator vanishes, since every row of a standard
         tableau is strictly decreasing here."""
         terms = []
-        for fn, dz in coeffs.perm_action(l, m, self.tableau_at(z)):
+        for fn, dz in self.perm_terms(l, m, z):
             target = z + dz
             if target in self._basis_set:
                 terms.append((target, fn.const_value()))

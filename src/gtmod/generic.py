@@ -13,7 +13,7 @@ ever enumerates the (infinite) full basis.
 
 from __future__ import annotations
 
-from . import coeffs, core
+from . import core
 from .lincomb import LinComb
 from .tableaux import ShiftVector, Tableau, is_generic, omega_plus
 
@@ -29,16 +29,18 @@ class GenericModule:
         self.base = base
         self.n = base.n
         self._act_cache: dict = {}
+        self._perm_cache: dict = {}
         self._gamma_cache: dict = {}
 
     tableau_at = core.tableau_at
+    perm_terms = core.perm_terms
 
     # -- generator action ----------------------------------------------------
 
     def _act_uncached(self, l: int, m: int, z: ShiftVector) -> LinComb:
         """E_{lm} applied to the basis tableau at shift z."""
         return LinComb.sum_terms(
-            (z + dz, c) for fn, dz in coeffs.perm_action(l, m, self.tableau_at(z))
+            (z + dz, c) for fn, dz in self.perm_terms(l, m, z)
             if (c := fn.const_value()))
 
     act_symbol = core.act_symbol

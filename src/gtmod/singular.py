@@ -112,9 +112,12 @@ class SingularModule:
         self.n = frame.n
         self.base = frame.line()
         self._act_cache: dict = {}
+        self._perm_cache: dict = {}
         self._gamma_cache: dict = {}
+        self._symbols: dict = {}
 
     tableau_at = core.tableau_at
+    perm_terms = core.perm_terms
 
     # -- canonical single-term combinations ----------------------------------
 
@@ -134,10 +137,11 @@ class SingularModule:
         """Sum over the permutation form of E_lm at v+z of ``point(e)``:
         ``point`` returns the (Reg, Der) coefficients, as integer
         (numerator, denominator) pairs, placed at the shift
-        z + sigma(eps_lm)."""
-        frame = self.frame
+        z + sigma(eps_lm); each symbol is interned in the module's symbol
+        table."""
+        frame, symbols = self.frame, self._symbols
         terms = []
-        for e, dz in coeffs.perm_action(l, m, self.tableau_at(z)):
+        for e, dz in self.perm_terms(l, m, z):
             if not e.a0:
                 continue
             reg, der = point(e)
@@ -146,7 +150,7 @@ class SingularModule:
                 if num:
                     sign, sym = canonicalize(kind, target, frame)
                     if sign:
-                        terms.append((sym, sign * num, den))
+                        terms.append((symbols.setdefault(sym, sym), sign * num, den))
         return LinComb.from_ratios(terms)
 
     def act_on_regular(self, l: int, m: int, z: ShiftVector) -> LinComb:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gtmod import core, fixtures
 from gtmod.coeffs import (
-    Jet, classical_action, coeff_e, coeff_ratfun, gamma, perm_action,
+    Jet, classical_action, coeff_e, coeff_ratfun, gamma, perm_action, rows_read,
 )
 from gtmod.ratfun import ONE, Poly, RatFun, T, TWO_T
 from gtmod.tableaux import (
@@ -136,13 +136,13 @@ def test_perm_action_e32_pairs_on_singular_line():
 
 
 @st.composite
-def t_tableaux(draw):
+def t_tableaux(draw, n=None):
     """A tableau of size 2..5 with +t and -t on one same-row pair; half the
     entries come from a small pool, so equal entries (identically zero
     numerator and denominator factors) are common, and the pair's bases are
     often equal, as on a singular frame; the other half have denominators
     3, 5, 7 and 11, so the common denominator of a tableau varies."""
-    n = draw(st.integers(2, 5))
+    n = n or draw(st.integers(2, 5))
     pool = st.one_of(
         st.sampled_from([F(0), F(1), F(-1), F(1, 2)]),
         st.builds(F, st.integers(-12, 12), st.sampled_from([3, 5, 7, 11])))
@@ -205,6 +205,34 @@ def test_perm_action_on_the_integer_tableau_matches_the_tableau(w, data):
     for l in range(1, n + 1):
         for m in range(1, n + 1):
             assert _outcome(l, m, shifted) == _outcome(l, m, rebuilt)
+
+
+def _rows_from(w, other, keep, plain):
+    """The tableau with w's entries on the rows in ``keep`` and other's on
+    the rest; with no t anywhere when ``plain``."""
+    n = w.n
+    src = {r: w if r in keep else other for r in range(1, n + 1)}
+    cells = [(r, s) for r in range(n, 0, -1) for s in range(1, r + 1)]
+    out = Tableau.from_rows([[src[r].base(r, s) for s in range(1, r + 1)]
+                             for r in range(n, 0, -1)])
+    return out if plain else out.with_tcoefs({(r, s): src[r].entry(r, s)[1] for r, s in cells})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(t_tableaux(), st.booleans(), st.data())
+def test_perm_action_reads_only_the_rows_it_names(w, plain, data):
+    """perm_action(l, m, w) is unchanged, jets and shifts, when every row of
+    w outside rows_read(l, m) is redrawn, on plain and t-carrying tableaux:
+    the fact that the per-module term memo is keyed by."""
+    n = w.n
+    all_rows = set(range(1, n + 1))
+    for l in range(1, n + 1):
+        for m in range(1, n + 1):
+            read = set(rows_read(l, m))
+            assert read <= all_rows
+            other = data.draw(t_tableaux(n))
+            assert (_outcome(l, m, _rows_from(w, other, read, plain))
+                    == _outcome(l, m, _rows_from(w, w, all_rows, plain)))
 
 
 # ---------------------------------------------------------------------------

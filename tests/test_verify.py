@@ -288,6 +288,13 @@ def _plant_structure_constant_dropped(monkeypatch):
         monkeypatch.setattr(family, "bracket_defect", scope["bracket_defect"])
 
 
+def _plant_memo_key_drops_a_row(monkeypatch):
+    # the term memo keyed without the lowest shift row that e_lm reads, so
+    # shifts that differ only there share one entry
+    real = coeffs.rows_read
+    monkeypatch.setattr(coeffs, "rows_read", lambda l, m: real(l, m)[1:])
+
+
 JORDAN_EIGEN = {"composition-jordan", "jordan-square-zero", "regular-eigenvector"}
 SINGULAR_N3 = ("singular_n3.json", 1)
 
@@ -335,10 +342,16 @@ SINGULAR_N3 = ("singular_n3.json", 1)
     (_plant_tau_fixed_never, SINGULAR_N3, {
         "formulas": {"evaluation"}, "commutators": set(),
         "gamma": {"evaluation", "jordan-offdiagonal-nonzero", "tau-unfixed-multiplicity-two"}}),
+    # formulas ends on the pole a wrong memo hit puts at a tau-unfixed shift
+    (_plant_memo_key_drops_a_row, SINGULAR_N3, {
+        "formulas": {"perm-action-vs-phi-set", "finite-dim-bracket", "finite-dim-gamma",
+                     "evaluation"},
+        "commutators": {"bracket"}, "gamma": JORDAN_EIGEN}),
 ], ids=["diagonal-constant-unscaled", "swap-one-short", "shift-without-scale",
         "numerators-not-rescaled", "d-ev-swapped", "gamma-d-negated", "der-sign-dropped",
         "classical-index-off-by-one", "loewy-layers-swapped", "loewy-l3-l7-swapped",
-        "tau-wrong-positions", "structure-constant-dropped", "tau-fixed-never"])
+        "tau-wrong-positions", "structure-constant-dropped", "tau-fixed-never",
+        "memo-key-drops-a-row"])
 def test_planted_kernel_defect_is_caught(monkeypatch, plant, config, kinds):
     """A planted defect fails exactly the recorded check kinds of each suite
     on the given fixture and window (a suite with none recorded passes)."""
@@ -606,6 +619,20 @@ def test_planted_sign_flip_fails_the_finite_dim_sweep(monkeypatch):
     sweep_finite_dim(tally)
     assert tally.failed > 0
     assert {ex["check"] for ex in tally.exemplars} == {"finite-dim-bracket", "finite-dim-gamma"}
+
+
+def test_finite_action_keeping_non_standard_targets_fails_the_span_check(monkeypatch):
+    def keep_every_target(self, l, m, z):
+        return LinComb.sum_terms((z + dz, fn.const_value())
+                                 for fn, dz in self.perm_terms(l, m, z))
+
+    monkeypatch.setattr(finite.FiniteModule, "_act_uncached", keep_every_target)
+    report = run_suite("formulas", _cfg("generic_n3.json", window=0))
+    assert report.failed > 0
+    # the span check fails first; a later bracket then meets a vanishing
+    # denominator on a non-standard tableau and ends the sweep
+    assert report.exemplars[0]["check"] == "finite-dim-span"
+    assert {ex["check"] for ex in report.exemplars} == {"finite-dim-span", "evaluation"}
 
 
 def test_overrides_are_checked_like_config_values(capsys):
