@@ -5,8 +5,9 @@ with exact rational coefficients, stored as nonzero integer numerators over
 one denominator D > 0 with gcd(D, numerators) = 1, so equal combinations
 have equal state.  Sums, scalings and ``images`` (a sum of scaled images
 of combinations under linear maps, given by their columns) run in integers,
-with one lcm per operation and one gcd per result; ``items`` and ``coeff``
-give ``Fraction``s.
+with one lcm per operation and one gcd per result (an image that is one
+column times 1 is that column, as it stands); ``items`` and ``coeff`` give
+``Fraction``s.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class LinComb:
 
     @staticmethod
     def single(key, coeff=1) -> "LinComb":
-        return LinComb({key: coeff})
+        return LinComb.sum_terms(((key, coeff),))
 
     def coeff(self, key) -> Fraction:
         return Fraction(self._terms.get(key, 0), self._den)
@@ -94,9 +95,13 @@ class LinComb:
     def images(parts) -> "LinComb":
         """The sum of c * column(x) over ``(c, x, column)``: an ``int`` or
         ``Fraction`` c, a combination x, and the linear map sending each key
-        to the combination ``column(key)``."""
-        return _combine([(c.numerator * num, c.denominator * x._den, column(key))
-                         for c, x, column in parts for key, num in x._terms.items()])
+        to the combination ``column(key)``.  A lone 1 * column(key) is
+        ``column(key)`` itself: it is already canonical, and immutable."""
+        scaled = [(c.numerator * num, c.denominator * x._den, column(key))
+                  for c, x, column in parts for key, num in x._terms.items()]
+        if len(scaled) == 1 and scaled[0][:2] == (1, 1):
+            return scaled[0][2]
+        return _combine(scaled)
 
     def __add__(self, other: "LinComb") -> "LinComb":
         if not isinstance(other, LinComb):

@@ -9,8 +9,11 @@ integer 2-jets (:class:`gtmod.coeffs.Jet`) and gamma_rs as a value and
 half-derivative pair; this module holds the whole functions, which only
 the ``formulas`` oracles and the tests need:
 
-* :class:`Poly` -- dense univariate polynomials with ``Fraction``
-  coefficients,
+* :class:`Poly` -- dense univariate polynomials over Q, held as integer
+  coefficients over one positive denominator in lowest terms, so sums and
+  products run in integers and equal polynomials have equal state;
+  division is integer pseudo-division, and :func:`poly_gcd` is the
+  primitive Euclidean algorithm over Z (Brown, J. ACM 18, 1971),
 * :class:`RatFun` -- normalized quotients of two such polynomials
   (gcd cancelled, monic denominator), so equal functions have equal
   representations,
@@ -23,6 +26,7 @@ All arithmetic is exact; there is no floating point anywhere.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -36,19 +40,21 @@ class PoleError(ArithmeticError):
 
 
 class Poly:
-    """Univariate polynomial in ``t`` over ``Fraction``.
+    """Univariate polynomial in ``t`` over Q.
 
-    Coefficients are stored densely by degree with no trailing zeros; the
-    zero polynomial is the empty tuple.  Instances are immutable.
+    The state is the integer numerators ``_num``, dense by degree with no
+    trailing zeros (the zero polynomial is the empty tuple), over one
+    denominator ``_den > 0`` with gcd(_den, *_num) = 1, so ``==`` compares
+    plain state.  ``coeffs`` gives the coefficients as ``Fraction``s.
+    Instances are immutable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = list(coeffs)
+        den = math.lcm(*[c.denominator for c in cs])
+        _canonical(self, [c.numerator * (den // c.denominator) for c in cs], den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -56,55 +62,64 @@ class Poly:
     # -- structure ---------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._num)
+
+    @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self._den == other._den and self._num == other._num
         if isinstance(other, (int, Fraction)):
             return self == Poly([other])
         return NotImplemented
 
     def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return Fraction(self._num[k], self._den) if 0 <= k < len(self._num) else Fraction(0)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "Poly":
         other = _as_poly(other)
-        a, b = self.coeffs, other.coeffs
+        den = math.lcm(self._den, other._den)
+        ma, mb = den // self._den, den // other._den
+        a = [c * ma for c in self._num]
+        b = [c * mb for c in other._num]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for k, c in enumerate(b):
-            out[k] += c
-        return Poly(out)
+            a[k] += c
+        return _poly(a, den)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return _poly([-c for c in self._num], self._den)
 
     def __sub__(self, other) -> "Poly":
         return self + (-_as_poly(other))
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
+            return _poly([c * other.numerator for c in self._num],
+                         self._den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        a, b = self._num, other._num
+        if not a or not b:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _poly(out, self._den * other._den)
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -122,19 +137,11 @@ class Poly:
         other = _as_poly(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
-        rem = list(self.coeffs)
-        dlc = other.coeffs[-1]
-        dd = other.degree
-        while len(rem) - 1 >= dd and rem:
-            k = len(rem) - 1 - dd
-            c = rem[-1] / dlc
-            q[k] = c
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] -= c * b
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Poly(q), Poly(rem)
+        # s*A = Q*B + R in integers, with self = A/da and other = B/db, so
+        # self = (Q*db / (s*da)) * other + R / (s*da)
+        s, q, r = _pseudo_divmod(self._num, other._num)
+        den = s * self._den
+        return _poly([c * other._den for c in q], den), _poly(r, den)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -146,20 +153,19 @@ class Poly:
 
     def reflect(self) -> "Poly":
         """Substitute ``t -> -t``."""
-        return Poly([-c if k % 2 else c for k, c in enumerate(self.coeffs)])
+        return _poly([-c if k % 2 else c for k, c in enumerate(self._num)], self._den)
 
     def monic(self) -> "Poly":
-        if self.is_zero or self.coeffs[-1] == 1:
+        if self.is_zero or self._num[-1] == self._den:
             return self
-        lead = self.coeffs[-1]
-        return Poly([c / lead for c in self.coeffs])
+        return _poly(list(self._num), self._num[-1])
 
     def order_at_zero(self) -> int:
         """Multiplicity of ``t = 0`` as a root (0 for nonzero constant term)."""
         if self.is_zero:
             raise ValueError("order at zero of the zero polynomial")
         k = 0
-        while self.coeffs[k] == 0:
+        while self._num[k] == 0:
             k += 1
         return k
 
@@ -179,6 +185,60 @@ class Poly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+def _canonical(p: Poly, num: list[int], den: int) -> Poly:
+    """Give p the state of sum_k num[k]/den * t^k (den != 0): trailing zeros
+    stripped, the gcd divided out, the denominator positive."""
+    while num and not num[-1]:
+        num.pop()
+    g = math.gcd(den, *num)
+    if den < 0:
+        g = -g
+    object.__setattr__(p, "_num", tuple(c // g for c in num) if g != 1 else tuple(num))
+    object.__setattr__(p, "_den", den // g)
+    return p
+
+
+def _poly(num: list[int], den: int = 1) -> Poly:
+    return _canonical(object.__new__(Poly), num, den)
+
+
+def _pseudo_divmod(a, b) -> tuple[int, list[int], list[int]]:
+    """(s, q, r) with s*a = q*b + r and deg r < deg b, for integer
+    coefficient sequences a and b (b with a nonzero lead): each step scales
+    by the least positive s that makes its quotient term an integer, so s
+    is 1 whenever the lead of b divides exactly."""
+    lc, db = b[-1], len(b) - 1
+    r = list(a)
+    q = [0] * max(0, len(a) - db)
+    s = 1
+    for k in range(len(q) - 1, -1, -1):
+        lead = r[k + db]
+        if not lead:
+            continue
+        if lead % lc:
+            m = abs(lc) // math.gcd(lead, lc)
+            r = [c * m for c in r]
+            q = [c * m for c in q]
+            s *= m
+            lead *= m
+        c = lead // lc
+        q[k] = c
+        for j, y in enumerate(b):
+            r[k + j] -= c * y
+    del r[db:]
+    return s, q, r
+
+
+def _primitive(num) -> list[int]:
+    """The integer coefficients num, trailing zeros stripped, divided by
+    their gcd."""
+    num = list(num)
+    while num and not num[-1]:
+        num.pop()
+    g = math.gcd(*num)
+    return [c // g for c in num] if g > 1 else num
+
+
 def _as_poly(x) -> Poly:
     if isinstance(x, Poly):
         return x
@@ -188,10 +248,14 @@ def _as_poly(x) -> Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm (gcd(0, b) = monic b)."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    """Monic gcd by the primitive Euclidean algorithm over Z: each
+    pseudo-remainder is divided by its content (gcd(0, b) = monic b)."""
+    a, b = _primitive(a._num), _primitive(b._num)
+    while b:
+        if len(b) == 1:  # a nonzero constant
+            return ONE
+        a, b = b, _primitive(_pseudo_divmod(a, b)[2])
+    return _poly(a, a[-1]) if a else ZERO
 
 
 ZERO = Poly()
@@ -221,10 +285,10 @@ class RatFun:
             g = poly_gcd(num, den)
             if g.degree > 0:
                 num, den = num // g, den // g
-            lead = den.coeffs[-1]
-            if lead != 1:
-                num = num * (Fraction(1) / lead)
-                den = den * (Fraction(1) / lead)
+            lead = den._num[-1]
+            if lead != den._den:  # divide both by lead / den._den
+                num = _poly([c * den._den for c in num._num], num._den * lead)
+                den = den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -283,7 +347,8 @@ class RatFun:
         """Exact value ``f(0)``; raises :class:`PoleError` on a pole."""
         if self.pole_order() > 0:
             raise PoleError(f"pole of order {self.pole_order()} at t=0: {self!r}")
-        return self.num.coefficient(0) / self.den.coefficient(0)
+        (n0, _), (d0, _) = _low_terms(self.num), _low_terms(self.den)
+        return Fraction(n0 * self.den._den, d0 * self.num._den)
 
     def d(self) -> Fraction:
         """The half-derivative ``f'(0) / 2``; raises on a pole at 0.
@@ -293,11 +358,10 @@ class RatFun:
         """
         if self.pole_order() > 0:
             raise PoleError(f"pole of order {self.pole_order()} at t=0: {self!r}")
-        n0 = self.num.coefficient(0)
-        n1 = self.num.coefficient(1)
-        d0 = self.den.coefficient(0)
-        d1 = self.den.coefficient(1)
-        return (n1 * d0 - n0 * d1) / (d0 * d0) / 2
+        (n0, n1), (d0, d1) = _low_terms(self.num), _low_terms(self.den)
+        # with the coefficients n_k / N and d_k / D of num and den,
+        # (n1 d0 - n0 d1) / (N D) over d0^2 / D^2, halved
+        return Fraction((n1 * d0 - n0 * d1) * self.den._den, 2 * self.num._den * d0 * d0)
 
     def tau(self) -> "RatFun":
         """The reflected function ``f(-t)``, renormalized."""
@@ -311,6 +375,11 @@ class RatFun:
         if self.den == ONE:
             return f"({self.num!r})"
         return f"({self.num!r})/({self.den!r})"
+
+
+def _low_terms(p: Poly) -> tuple[int, int]:
+    """The integer numerators of p's t^0 and t^1 coefficients."""
+    return (p._num + (0, 0))[:2]
 
 
 def _as_ratfun(x) -> RatFun:

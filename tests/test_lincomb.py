@@ -133,3 +133,36 @@ def test_images_agrees_with_a_dict_oracle(parts, columns):
                   for k, a in oracle(first).items() for k2, v in col(k).items())
     assert_agrees(image, want)
     assert_agrees(LinComb.images([]), {})
+
+
+# ---------------------------------------------------------------------------
+# A lone unit column is returned as it is
+# ---------------------------------------------------------------------------
+
+COLUMNS = {"a": LinComb.sum_terms([("b", Fraction(1, 2)), ("c", 3)]),
+           "b": LinComb.sum_terms([("c", Fraction(-2, 3))])}
+
+
+def test_images_returns_a_lone_unit_column_itself():
+    column = COLUMNS.__getitem__
+    assert LinComb.images([(1, LinComb.single("a"), column)]) is column("a")
+
+
+def test_images_near_a_unit_column_is_a_new_sum():
+    """Each near miss is summed in integers and agrees with the dict oracle."""
+    column = COLUMNS.__getitem__
+    oracle_column = {key: dict(col.items()) for key, col in COLUMNS.items()}.__getitem__
+    for c, terms in [(2, {"a": 1}), (Fraction(1, 2), {"a": 1}), (1, {"a": -1}),
+                     (1, {"a": 1, "b": 1})]:
+        image = LinComb.images([(c, LinComb(terms), column)])
+        assert image is not column("a")
+        assert_agrees(image, oracle((k2, c * a * v) for k, a in terms.items()
+                                    for k2, v in oracle_column(k).items()))
+
+
+def test_single_is_the_one_term_combination():
+    for c in (1, -3, Fraction(4, 6), Fraction(-1, 2), 0):
+        made, want = LinComb.single("a", c), LinComb({"a": c})
+        assert made == want
+        assert (made._den, made._terms) == (want._den, want._terms)
+    assert LinComb.single("a", 0).is_zero

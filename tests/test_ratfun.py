@@ -1,5 +1,6 @@
 """Exact rational-function substrate: normalization, point operators, field laws."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -159,3 +160,87 @@ def test_point_operator_identities(p, q):
         assert h.ev() == 2 * f.d()
     # ev(f) = d((x - y) f)
     assert f.ev() == (RatFun(TWO_T) * f).d()
+
+
+# ---------------------------------------------------------------------------
+# Poly against a Fraction schoolbook reference
+# ---------------------------------------------------------------------------
+
+def ref(cs):
+    """Fraction coefficients, trailing zeros stripped."""
+    cs = [F(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b):
+    width = max(len(a), len(b))
+    return ref(F(0) + (a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0)
+               for k in range(width))
+
+
+def ref_mul(a, b):
+    out = [F(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref(out)
+
+
+wide_fractions = st.fractions(min_value=-40, max_value=40, max_denominator=30)
+coefficient_lists = st.lists(wide_fractions, max_size=6)
+
+
+def assert_canonical(p: Poly):
+    """The state is integers over one positive denominator in lowest terms,
+    with no trailing zeros."""
+    assert all(type(c) is int for c in p._num) and type(p._den) is int
+    assert p._den > 0 and math.gcd(p._den, *p._num) == 1
+    assert not p._num or p._num[-1] != 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(coefficient_lists, coefficient_lists, wide_fractions)
+def test_poly_agrees_with_a_fraction_reference(a, b, c):
+    p, q = Poly(a), Poly(b)
+    a, b = ref(a), ref(b)
+    for made, want in [(p, a), (p + q, ref_add(a, b)), (p - q, ref_add(a, [-x for x in b])),
+                       (-p, ref(-x for x in a)), (p * q, ref_mul(a, b)), (p * c, ref_mul(a, [c])),
+                       (p.reflect(), ref(-x if k % 2 else x for k, x in enumerate(a))),
+                       (p.monic(), ref(x / a[-1] for x in a) if a else ())]:
+        assert made.coeffs == want
+        assert made.degree == len(want) - 1 and made.is_zero == (not want)
+        assert [made.coefficient(k) for k in range(-1, 8)] == [
+            want[k] if 0 <= k < len(want) else 0 for k in range(-1, 8)]
+        assert_canonical(made)
+    if not q.is_zero:
+        quo, rem = divmod(p, q)
+        assert ref_add(ref_mul(quo.coeffs, b), rem.coeffs) == a
+        assert rem.degree < q.degree
+        assert (quo, rem) == (p // q, p % q)
+        assert_canonical(quo)
+        assert_canonical(rem)
+    if not (p.is_zero and q.is_zero):
+        g = poly_gcd(p, q)
+        assert g.coeffs[-1] == 1
+        assert (p % g).is_zero and (q % g).is_zero
+        # the greatest: the cofactors are coprime
+        assert poly_gcd(p // g, q // g) == ONE
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(coefficient_lists, st.integers(1, 12), st.integers(0, 3))
+def test_two_spellings_of_one_poly_have_equal_state(a, k, pad):
+    p = Poly(a)
+    # scaled by k/k entrywise, and padded with zeros
+    spelled = Poly([F(x.numerator * k, x.denominator * k) for x in a] + [0] * pad)
+    assert p == spelled
+    assert (p._num, p._den) == (spelled._num, spelled._den)
+    assert (p * F(k, 7) * F(7, k)) == p
+
+
+def test_two_spellings_example():
+    p = Poly([F(2, 4), F(3, 3)])
+    assert p == Poly([F(1, 2), 1]) and (p._num, p._den) == ((1, 2), 2)
+    assert Poly([0, 0]) == Poly() and Poly([0, 0])._den == 1

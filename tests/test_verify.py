@@ -18,7 +18,7 @@ import pytest
 
 import gtmod
 import gtmod.coeffs as coeffs
-from gtmod import core, finite, fixtures, generic, n3, singular, verify
+from gtmod import core, finite, fixtures, generic, n3, ratfun, singular, verify
 from gtmod.cli import main as cli_main
 from gtmod.lincomb import LinComb
 from gtmod.tableaux import SingularFrame, Tableau
@@ -295,6 +295,11 @@ def _plant_memo_key_drops_a_row(monkeypatch):
     monkeypatch.setattr(coeffs, "rows_read", lambda l, m: real(l, m)[1:])
 
 
+def _plant_gcd_skipped(monkeypatch):
+    # every RatFun kept uncancelled, so a removable pole at t = 0 stays a pole
+    monkeypatch.setattr(ratfun, "poly_gcd", lambda a, b: ratfun.ONE)
+
+
 JORDAN_EIGEN = {"composition-jordan", "jordan-square-zero", "regular-eigenvector"}
 SINGULAR_N3 = ("singular_n3.json", 1)
 
@@ -347,11 +352,15 @@ SINGULAR_N3 = ("singular_n3.json", 1)
         "formulas": {"perm-action-vs-phi-set", "finite-dim-bracket", "finite-dim-gamma",
                      "evaluation"},
         "commutators": {"bracket"}, "gamma": JORDAN_EIGEN}),
+    # only the formulas oracle builds a RatFun; it ends on the first
+    # removable pole at t = 0 left uncancelled, as one failed check
+    (_plant_gcd_skipped, SINGULAR_N3, {
+        "formulas": {"evaluation"}, "commutators": set(), "gamma": set()}),
 ], ids=["diagonal-constant-unscaled", "swap-one-short", "shift-without-scale",
         "numerators-not-rescaled", "d-ev-swapped", "gamma-d-negated", "der-sign-dropped",
         "classical-index-off-by-one", "loewy-layers-swapped", "loewy-l3-l7-swapped",
         "tau-wrong-positions", "structure-constant-dropped", "tau-fixed-never",
-        "memo-key-drops-a-row"])
+        "memo-key-drops-a-row", "ratfun-gcd-skipped"])
 def test_planted_kernel_defect_is_caught(monkeypatch, plant, config, kinds):
     """A planted defect fails exactly the recorded check kinds of each suite
     on the given fixture and window (a suite with none recorded passes)."""
