@@ -176,8 +176,7 @@ def ref(cs):
 
 def ref_add(a, b):
     width = max(len(a), len(b))
-    return ref(F(0) + (a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0)
-               for k in range(width))
+    return ref((a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0) for k in range(width))
 
 
 def ref_mul(a, b):
