@@ -16,7 +16,7 @@ from collections import Counter
 
 from gtmod.fixtures import frame_all_equal
 from gtmod.lincomb import LinComb
-from gtmod.n3 import classify_shift, loewy_layer, weight_key
+from gtmod.n3 import LOEWY_LAYERS, classify_shift, weight_key
 from gtmod.singular import SingularModule, canonical_window
 from gtmod.tableaux import window_shifts
 
@@ -24,7 +24,7 @@ frame = frame_all_equal()
 mod = SingularModule(frame)
 
 counts = Counter(classify_shift(z) for z in window_shifts(3, 3))
-layers = {piece: loewy_layer(piece) for piece in counts}
+layers = {piece: LOEWY_LAYERS[piece] for piece in counts}
 print("symbols per piece on the window |z| <= 3:")
 for piece, layer in sorted(layers.items(), key=lambda kv: (kv[1], kv[0])):
     print(f"   layer {layer}  {piece:4s} {counts[piece]}")
@@ -37,9 +37,9 @@ for sym in canonical_window(frame, 1)[:6]:
         for m in range(1, 4):
             for out_sym, _ in mod.act(l, m, LinComb.single(sym)).items():
                 targets.add(classify_shift(out_sym.shift))
-    print(f"   {sym!r} in {piece} (layer {loewy_layer(piece)}) -> "
-          f"{sorted(targets, key=loewy_layer)}")
-    assert all(loewy_layer(p) <= loewy_layer(piece) for p in targets)
+    print(f"   {sym!r} in {piece} (layer {LOEWY_LAYERS[piece]}) -> "
+          f"{sorted(targets, key=LOEWY_LAYERS.get)}")
+    assert all(LOEWY_LAYERS[p] <= LOEWY_LAYERS[piece] for p in targets)
 
 print("\nweight multiplicities inside L7 grow with the window:")
 for bound in (2, 3, 4, 5):

@@ -44,10 +44,9 @@ from .singular import (
     irreducibility_hypothesis,
 )
 from .finite import FiniteModule, standard_tableaux, weyl_dimension
-from .n3 import classify_shift, loewy_layer, weight_key
+from .n3 import classify_shift, weight_key
 from .verify import (
-    Config, VerificationReport, build_action_matrix, export_action,
-    load_action_matrix, run_suite,
+    Config, VerificationReport, build_action_matrix, export_action, run_suite,
 )
 from . import fixtures
 

@@ -120,15 +120,15 @@ def rows_read(l: int, m: int) -> range:
 
 
 @functools.cache
-def _factor_cells(r: int, s: int, n: int) -> tuple[tuple[Cell, ...], tuple[Cell, ...]]:
+def _factor_cells(r: int, s: int) -> tuple[tuple[Cell, ...], tuple[Cell, ...]]:
     """e_{rs}, r != s, as numerator and denominator cells (a, b, j): the
-    factor w_{a1} - w_{bj} read as ``rows[a][0] - rows[b][j]`` off top-first
-    rows (row q is rows[n - q]); the raising constant -1 is not among
+    factor w_{a1} - w_{bj} read as ``rows[a][0] - rows[b][j]`` off tableau
+    rows (row q is rows[q - 1]); the raising constant -1 is not among
     them."""
     def diffs(a: int, b: int, lo: int, hi: int) -> list[Cell]:
         # w_{a1} - w_{bj} for lo <= j < hi; none when lo >= hi, where row b
         # may not exist
-        return [(n - a, n - b, j - 1) for j in range(lo, hi)]
+        return [(a - 1, b - 1, j - 1) for j in range(lo, hi)]
 
     num: list[Cell] = []
     den: list[Cell] = []
@@ -168,10 +168,10 @@ def _factors(r: int, s: int, rows, one: int = 1) -> tuple[list[Factor], list[Fac
     if r == s:
         # sum_i (w_ri + i - 1) - sum_i (w_{r-1,i} + i - 1); the index parts
         # telescope to the constant r - 1.
-        row, below = rows[-r], rows[1 - r] if r > 1 else ()
+        row, below = rows[r - 1], rows[r - 2] if r > 1 else ()
         return [((r - 1) * one + sum(b for b, _ in row) - sum(b for b, _ in below),
                  sum(c for _, c in row) - sum(c for _, c in below))], []
-    num_cells, den_cells = _factor_cells(r, s, n)
+    num_cells, den_cells = _factor_cells(r, s)
     num = _read_cells(rows, num_cells)
     if r < s:
         num.append((-one, 0))  # the leading minus of e_{s-1,s}
@@ -241,7 +241,7 @@ def gamma(r: int, s: int, w: Tableau) -> tuple[Fraction, Fraction]:
     if not (1 <= s and 1 <= r <= n):
         raise ValueError(f"gamma({r},{s}) out of range for n={n}")
     series = [(math.comb(s, k) * ((r - 1) * scale) ** k, 0) for k in range(s + 2)]
-    for b, c in rows[n - r]:
+    for b, c in rows[r - 1]:
         # times 1 - LU/(1 - aU), a = b + c*t: V = series * U/(1 - aU) has
         # V_k = series_{k-1} + a*V_{k-1}, and the product is series - L*V
         v0 = v1 = 0
@@ -308,13 +308,13 @@ def _swap_first(row: tuple, a: int) -> tuple:
 @functools.cache
 def _perm_plan(l: int, m: int, n: int) -> tuple[tuple[tuple, ShiftVector], ...]:
     """Per pick of :func:`~gtmod.tableaux.phi_picks`, in its order: the
-    swaps (index into top-first rows, a) with a != 1 that sigma makes, and
+    swaps (row index q - 1, a) with a != 1 that sigma makes, and
     sigma(epsilon_{lm})."""
     lo, sign = min(l, m), 1 if l < m else -1
     plan = []
     for picks in phi_picks(l, m, n):
         pairs = tuple(enumerate(picks, start=lo))  # (row q, a_q)
-        plan.append((tuple((n - q, a) for q, a in pairs if a != 1),
+        plan.append((tuple((q - 1, a) for q, a in pairs if a != 1),
                      ShiftVector.of(n, {(q, a): sign for q, a in pairs})))
     return tuple(plan)
 

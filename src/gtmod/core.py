@@ -8,11 +8,14 @@ keeps these names in its own namespace.
 
 The per-module caches: ``act_symbol`` memoizes the generator action, keyed
 by (l, m, symbol); ``perm_terms`` the permutation-form terms a miss reads,
-keyed by (l, m) and the shift rows those terms read; ``gamma`` the
-closed-form gamma_{rs} as its (half-derivative, value) pair at t = 0,
-keyed by (r, s) and the row-r shifts.  A singular module also keeps a
-symbol table, ``_symbols``, through which every canonical basis symbol its
-action makes passes, so equal symbols across cached columns are one object.
+keyed by (l, m) and the slice of shift rows those terms read; ``gamma``
+the closed-form gamma_{rs} as its (half-derivative, value) pair at t = 0,
+keyed by (r, s) and the slice holding the row-r shifts.  Shift rows are
+stored row 1 first, so either slice is ``z.rows[lo - 1:hi]`` for tableau
+rows lo..hi; it stops short of the fixed top row, and is empty for r = n.
+A singular module also keeps a symbol table, ``_symbols``, through which
+every canonical basis symbol its action makes passes, so equal symbols
+across cached columns are one object.
 Bracket defects and composed central words are both sums of signed
 generator words, evaluated by the one ``_word_sum``.
 """
@@ -42,8 +45,8 @@ def perm_terms(self, l: int, m: int, z) -> tuple:
     they read (:func:`~gtmod.coeffs.rows_read`; the top row is fixed, and
     the base and its scale belong to the module).  A hit builds no
     tableau."""
-    rows, n = coeffs.rows_read(l, m), self.n
-    key = (l, m, z.rows[max(n - rows.stop, 0):n - rows.start])
+    rows = coeffs.rows_read(l, m)
+    key = (l, m, z.rows[rows.start - 1:rows.stop - 1])
     hit = self._perm_cache.get(key)
     if hit is None:
         hit = self._perm_cache[key] = tuple(coeffs.perm_action(l, m, self.tableau_at(z)))
@@ -106,7 +109,7 @@ def gamma(self, r: int, s: int, z) -> tuple[Fraction, Fraction]:
     """gamma_{rs} at the basis tableau of shift z, as its half-derivative
     and value at t = 0 (:func:`~gtmod.coeffs.gamma`), memoized by the row-r
     shifts (none for the fixed top row r = n)."""
-    key = (r, s, z.rows[self.n - 1 - r] if r < self.n else ())
+    key = (r, s, z.rows[r - 1:r])
     hit = self._gamma_cache.get(key)
     if hit is None:
         hit = self._gamma_cache[key] = coeffs.gamma(r, s, self.tableau_at(z))

@@ -57,10 +57,11 @@ def random_generic_tableau(rng: random.Random, n: int) -> Tableau:
 
 
 def random_shift(rng: random.Random, n: int, bound: int = 3) -> ShiftVector:
-    """Random shift vector with every component in [-bound, bound]."""
-    return ShiftVector(n, tuple(
+    """Random shift vector with every component in [-bound, bound], drawn
+    top shift row first."""
+    return ShiftVector(tuple(
         tuple(rng.randint(-bound, bound) for _ in range(r))
-        for r in range(n - 1, 0, -1)))
+        for r in range(n - 1, 0, -1))[::-1])
 
 
 def random_unfixed_shift(rng: random.Random, frame: SingularFrame, bound: int = 3) -> ShiftVector:

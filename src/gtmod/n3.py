@@ -18,7 +18,7 @@ from __future__ import annotations
 from .singular import InvariantViolation
 from .tableaux import ShiftVector
 
-__all__ = ["classify_shift", "loewy_layer", "weight_key", "PIECES", "LOEWY_LAYERS"]
+__all__ = ["classify_shift", "weight_key", "PIECES", "LOEWY_LAYERS"]
 
 
 def _blocks(m: int, n: int, k: int) -> dict[str, bool]:
@@ -64,10 +64,6 @@ def classify_shift(z: ShiftVector) -> str:
         raise InvariantViolation(
             f"shift (m,n,k)=({m},{n},{k}) matched pieces {hits}")
     return hits[0]
-
-
-def loewy_layer(piece: str) -> int:
-    return LOEWY_LAYERS[piece]
 
 
 def weight_key(z: ShiftVector) -> tuple[int, int]:

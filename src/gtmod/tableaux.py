@@ -1,8 +1,8 @@
 """Gelfand-Tsetlin tableaux, shift lattices and row-permutation machinery.
 
-A tableau is a triangular array with rows of lengths n, n-1, ..., 1 (top
-row first).  Entries are exact rationals, optionally carrying a multiple
-of the formal variable ``t``: an entry is a pair ``(base, tcoef)`` meaning
+A tableau is a triangular array whose row r has r entries, r = 1..n.
+Entries are exact rationals, optionally carrying a multiple of the formal
+variable ``t``: an entry is a pair ``(base, tcoef)`` meaning
 ``base + tcoef*t``, stored as integers over the lcm of the bases'
 denominators, so shifts and coefficient factors stay integers.  Plain
 tableaux (all ``tcoef == 0``) represent actual points; a singular frame
@@ -12,7 +12,13 @@ univariate function of t: a product of factors linear in t, read as a jet
 or as a :class:`~gtmod.ratfun.RatFun` by :mod:`gtmod.coeffs`.
 
 The integer lattice of shifts leaves the top row fixed, so a
-:class:`ShiftVector` has rows n-1, ..., 1 only.
+:class:`ShiftVector` has rows 1, ..., n-1 only.
+
+Tableaux, shifts and row permutations all store row 1 first, as the paper
+indexes them: entry (r, s) is ``rows[r-1][s-1]`` (``perms[r-1]`` for a
+:class:`PermTuple`).  The text form ``(a,b,c|d,e|f)`` writes the top row
+first; :meth:`Tableau.from_rows`, the ``from_text``/``to_text`` pairs and
+the reprs are the only places that reverse rows.
 
 Row permutations act position-wise on rows: ``(sigma(w))[r,s] =
 w[r, sigma[r]^{-1}(s)]``.  Only tuples of transpositions of the form
@@ -72,9 +78,10 @@ def _check_shape(rows: Sequence[Sequence], top: int) -> None:
 
 
 class Tableau(NamedTuple):
-    """Triangular array of entries ``base + tcoef*t``; rows top-first.  The
-    cell (B, C) of ``rows`` means (B + C*t)/L, with L (``scale``) the lcm of
-    the bases' denominators, so equal values give equal tableaux."""
+    """Triangular array of entries ``base + tcoef*t``; ``rows[r-1]`` is row
+    r, row 1 first.  The cell (B, C) of ``rows`` means (B + C*t)/L, with L
+    (``scale``) the lcm of the bases' denominators, so equal values give
+    equal tableaux."""
 
     rows: tuple[tuple[tuple[int, int], ...], ...]
     scale: int
@@ -88,7 +95,7 @@ class Tableau(NamedTuple):
         """Build a plain tableau from rationals/ints, top row first; rows
         must have lengths n, n-1, ..., 1."""
         _check_shape(rows, len(rows))
-        rows = [[Fraction(x) for x in row] for row in rows]
+        rows = [[Fraction(x) for x in row] for row in reversed(rows)]
         scale = math.lcm(*[x.denominator for row in rows for x in row])
         return Tableau(tuple(tuple((x.numerator * (scale // x.denominator), 0) for x in row)
                              for row in rows), scale)
@@ -96,14 +103,14 @@ class Tableau(NamedTuple):
     # -- entry access (r = row length 1..n, s = 1..r) ------------------------
 
     def entry(self, r: int, s: int) -> Entry:
-        b, c = self.rows[self.n - r][s - 1]
+        b, c = self.rows[r - 1][s - 1]
         return Fraction(b, self.scale), c // self.scale
 
     def base(self, r: int, s: int) -> Fraction:
-        return Fraction(self.rows[self.n - r][s - 1][0], self.scale)
+        return Fraction(self.rows[r - 1][s - 1][0], self.scale)
 
     def fraction_rows(self) -> tuple[tuple[Entry, ...], ...]:
-        """The rows as unscaled ``(base, tcoef)`` entries."""
+        """The rows as unscaled ``(base, tcoef)`` entries, row 1 first."""
         scale = self.scale
         return tuple(tuple((Fraction(b, scale), c // scale) for b, c in row)
                      for row in self.rows)
@@ -120,16 +127,16 @@ class Tableau(NamedTuple):
         if z.n != self.n:
             raise ValueError("shift size mismatch")
         scale = self.scale
-        return Tableau((self.rows[0],) + tuple(
+        return Tableau(tuple(
             tuple((b + scale * dz, c) for (b, c), dz in zip(row, zrow))
-            for row, zrow in zip(self.rows[1:], z.rows)), scale)
+            for row, zrow in zip(self.rows, z.rows)) + self.rows[-1:], scale)
 
     def with_tcoefs(self, coefs: dict[tuple[int, int], int]) -> "Tableau":
         """Set the t-coefficient of the given (row, position) entries."""
         new = [list(row) for row in self.rows]
         for (r, s), c in coefs.items():
-            b, _ = new[self.n - r][s - 1]
-            new[self.n - r][s - 1] = (b, c * self.scale)
+            b, _ = new[r - 1][s - 1]
+            new[r - 1][s - 1] = (b, c * self.scale)
         return Tableau(tuple(tuple(row) for row in new), self.scale)
 
     def with_t(self, k: int, i: int, j: int) -> "Tableau":
@@ -142,7 +149,7 @@ class Tableau(NamedTuple):
         if not self.is_plain:
             raise ValueError("text form is defined for plain tableaux only")
         return "(" + "|".join(
-            ",".join(str(b) for b, _ in row) for row in self.fraction_rows()
+            ",".join(str(b) for b, _ in row) for row in reversed(self.fraction_rows())
         ) + ")"
 
     @staticmethod
@@ -154,7 +161,7 @@ class Tableau(NamedTuple):
             return f"Tableau{self.to_text()}"
         cells = "|".join(
             ",".join(f"{b}{'+' if c > 0 else '-'}{abs(c)}t" if c else str(b) for (b, c) in row)
-            for row in self.fraction_rows()
+            for row in reversed(self.fraction_rows())
         )
         return f"Tableau({cells})"
 
@@ -162,16 +169,19 @@ class Tableau(NamedTuple):
 class ShiftVector(NamedTuple):
     """Integer shifts of the rows 1..n-1 of a tableau (top row fixed).
 
-    Stored row-major, row n-1 first, matching the tuple notation
-    ``(z_{n-1,1},...,z_{n-1,n-1} | ... | z_{11})``.
+    ``rows[r-1]`` is row r, row 1 first; the text form
+    ``(z_{n-1,1},...,z_{n-1,n-1} | ... | z_{11})`` writes row n-1 first.
     """
 
-    n: int
     rows: tuple[tuple[int, ...], ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.rows) + 1
 
     @staticmethod
     def zero(n: int) -> "ShiftVector":
-        return ShiftVector(n, tuple(tuple(0 for _ in range(r)) for r in range(n - 1, 0, -1)))
+        return ShiftVector(tuple((0,) * r for r in range(1, n)))
 
     @staticmethod
     def delta(n: int, r: int, s: int) -> "ShiftVector":
@@ -182,49 +192,51 @@ class ShiftVector(NamedTuple):
 
     @staticmethod
     def of(n: int, entries: dict) -> "ShiftVector":
-        rows = [[0] * q for q in range(n - 1, 0, -1)]
+        rows = [[0] * q for q in range(1, n)]
         for (r, s), v in entries.items():
-            rows[n - 1 - r][s - 1] = v
-        return ShiftVector(n, tuple(tuple(row) for row in rows))
+            rows[r - 1][s - 1] = v
+        return ShiftVector(tuple(tuple(row) for row in rows))
 
     def get(self, r: int, s: int) -> int:
-        return self.rows[self.n - 1 - r][s - 1]
+        return self.rows[r - 1][s - 1]
 
     def __add__(self, other: "ShiftVector") -> "ShiftVector":
-        return ShiftVector(self.n, tuple(
+        return ShiftVector(tuple(
             tuple(map(operator.add, ra, rb)) for ra, rb in zip(self.rows, other.rows)
         ))
 
     def __neg__(self) -> "ShiftVector":
-        return ShiftVector(self.n, tuple(tuple(map(operator.neg, row)) for row in self.rows))
+        return ShiftVector(tuple(tuple(map(operator.neg, row)) for row in self.rows))
 
     def swapped(self, k: int, i: int, j: int) -> "ShiftVector":
         """The shift with entries (k,i) and (k,j) exchanged."""
-        rows = [list(row) for row in self.rows]
-        ridx = self.n - 1 - k
-        rows[ridx][i - 1], rows[ridx][j - 1] = rows[ridx][j - 1], rows[ridx][i - 1]
-        return ShiftVector(self.n, tuple(tuple(row) for row in rows))
+        rows = list(self.rows)
+        row = list(rows[k - 1])
+        row[i - 1], row[j - 1] = row[j - 1], row[i - 1]
+        rows[k - 1] = tuple(row)
+        return ShiftVector(tuple(rows))
 
     def to_text(self) -> str:
-        return "(" + "|".join(",".join(str(v) for v in row) for row in self.rows) + ")"
+        return "(" + "|".join(",".join(str(v) for v in row) for row in reversed(self.rows)) + ")"
 
     @staticmethod
     def from_text(n: int, text: str) -> "ShiftVector":
         """Parse ``(a,b|c)``; rows must have lengths n-1, ..., 1."""
-        rows = tuple(tuple(int(x) for x in row) for row in _text_cells(text))
+        rows = [tuple(int(x) for x in row) for row in _text_cells(text)]
         _check_shape(rows, n - 1)
-        return ShiftVector(n, rows)
+        return ShiftVector(tuple(reversed(rows)))
 
     def __repr__(self) -> str:
         return f"z{self.to_text()}"
 
 
 def window_shifts(n: int, bound: int) -> Iterator[ShiftVector]:
-    """All shift vectors with every component in [-bound, bound]."""
+    """All shift vectors with every component in [-bound, bound], the top
+    shift row most significant."""
     values = range(-bound, bound + 1)
     rows = (itertools.product(values, repeat=r) for r in range(n - 1, 0, -1))
     for shift in itertools.product(*rows):
-        yield ShiftVector(n, shift)
+        yield ShiftVector(shift[::-1])
 
 
 def epsilon(n: int, r: int, s: int) -> ShiftVector:
@@ -273,10 +285,6 @@ class PermTuple(NamedTuple):
         return len(self.perms)
 
     @staticmethod
-    def identity(n: int) -> "PermTuple":
-        return PermTuple(tuple(_identity(r) for r in range(1, n + 1)))
-
-    @staticmethod
     def row_transposition(n: int, row: int, a: int, b: int) -> "PermTuple":
         perms = [_identity(r) for r in range(1, n + 1)]
         perms[row - 1] = _transposition(row, a, b)
@@ -306,18 +314,12 @@ class PermTuple(NamedTuple):
 
     def __call__(self, w):
         """Row-wise position action on a Tableau or ShiftVector."""
+        if not isinstance(w, (Tableau, ShiftVector)):
+            raise TypeError(f"cannot permute {w!r}")
+        if isinstance(w, ShiftVector) and not self.is_identity_row(w.n):
+            raise ValueError("permutation moves the fixed top row")
         inv = self.inverse().perms
-        if isinstance(w, Tableau):
-            # rows[ridx] is row n - ridx, permuted by inv[n - ridx - 1]
-            return Tableau(tuple(tuple(row[x - 1] for x in inv[w.n - ridx - 1])
-                                 for ridx, row in enumerate(w.rows)), w.scale)
-        if isinstance(w, ShiftVector):
-            if not self.is_identity_row(w.n):
-                raise ValueError("permutation moves the fixed top row")
-            # rows[ridx] is row n - 1 - ridx
-            return ShiftVector(w.n, tuple(tuple(row[x - 1] for x in inv[w.n - ridx - 2])
-                                          for ridx, row in enumerate(w.rows)))
-        raise TypeError(f"cannot permute {w!r}")
+        return w._replace(rows=tuple(tuple(row[x - 1] for x in p) for row, p in zip(w.rows, inv)))
 
     def __repr__(self) -> str:
         moved = [f"{r}:{self.perms[r - 1]}" for r in range(1, self.n + 1)

@@ -33,7 +33,7 @@ from .finite import FiniteModule, standard_tableaux, weyl_dimension
 from .fixtures import random_generic_tableau, random_unfixed_shift
 from .generic import GenericModule
 from .lincomb import LinComb
-from .n3 import classify_shift, loewy_layer, weight_key
+from .n3 import LOEWY_LAYERS, classify_shift, weight_key
 from .ratfun import T, RatFun, TWO_T
 from .singular import (
     REG, InvariantViolation, SingularModule, canonical_window, canonicalize,
@@ -49,7 +49,7 @@ __all__ = [
     "module_for", "window_symbols",
     "check_commutators", "check_gamma", "check_formulas", "check_n3",
     "Tally", "sweep_classical_vs_perm", "sweep_finite_dim", "sweep_coefficient_identities",
-    "export_action", "build_action_matrix", "load_action_matrix",
+    "export_action", "build_action_matrix",
 ]
 
 MAX_EXEMPLARS = 5
@@ -99,7 +99,6 @@ class Tally:
 
     def __init__(self):
         self.checked = 0
-        self.passed = 0
         self.failed = 0
         self.exemplars: list[dict] = []
 
@@ -109,9 +108,7 @@ class Tally:
         returns, and only for a failure that gets an exemplar slot, so it
         may read the caller's loop variables directly."""
         self.checked += 1
-        if ok:
-            self.passed += 1
-        else:
+        if not ok:
             self.failed += 1
             if len(self.exemplars) < MAX_EXEMPLARS:
                 self.exemplars.append({"check": kind, **detail()})
@@ -121,7 +118,7 @@ class Tally:
                started: float) -> VerificationReport:
         return VerificationReport(
             suite=suite, frame=frame, window=window,
-            checked=self.checked, passed=self.passed, failed=self.failed,
+            checked=self.checked, passed=self.checked - self.failed, failed=self.failed,
             exemplars=self.exemplars, seed=seed,
             elapsed_ms=int((time.perf_counter() - started) * 1000),
         )
@@ -343,7 +340,7 @@ def check_gamma(cfg: Config, tally: Tally) -> None:
     population = list(window_shifts(cfg.n, cfg.window))
     by_low: dict = {}
     for z in population:
-        low = tuple(z.rows[cfg.n - k:])
+        low = z.rows[:k - 1]
         by_low.setdefault(low, set()).add(mod.character(z, max_row=k - 1))
     sub_chars = {}
     for low, subs in by_low.items():
@@ -576,12 +573,12 @@ def check_n3(cfg: Config, tally: Tally) -> None:
     # classification is total and unambiguous; the action never climbs layers
     for sym in canonical_window(frame, cfg.window):
         piece = classify_shift(sym.shift)  # raises InvariantViolation if not unique
-        layer = loewy_layer(piece)
+        layer = LOEWY_LAYERS[piece]
         ok = True
         worst = None
         for l, m in _generators(3):
             for out_sym, c in mod.act_symbol(l, m, sym).items():
-                out_layer = loewy_layer(classify_shift(out_sym.shift))
+                out_layer = LOEWY_LAYERS[classify_shift(out_sym.shift)]
                 if out_layer > layer:
                     ok = False
                     worst = (l, m, out_sym, c)
@@ -649,11 +646,6 @@ def export_action(cfg: Config, operators, out_dir) -> list[Path]:
         path.write_text(json.dumps(matrix, indent=2, sort_keys=True), encoding="utf-8")
         paths.append(path)
     return paths
-
-
-def load_action_matrix(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 SUITES = {

@@ -133,9 +133,9 @@ def test_criterion_7_ten_piece_decomposition():
     report = run_suite("n3", cfg)
     ok = report.ok
     # spot-check the published classifications
-    ok = ok and classify_shift(ShiftVector(3, ((0, 0), (0,)))) == "L1"
-    ok = ok and classify_shift(ShiftVector(3, ((1, 0), (0,)))) == "L5'"
-    ok = ok and classify_shift(ShiftVector(3, ((-1, 2), (1,)))) == "L7"
+    ok = ok and classify_shift(ShiftVector(((0,), (0, 0)))) == "L1"
+    ok = ok and classify_shift(ShiftVector(((0,), (1, 0)))) == "L5'"
+    ok = ok and classify_shift(ShiftVector(((1,), (-1, 2)))) == "L7"
     _announce(7, "ten-piece classification total on window 4, action respects "
               "the layer order, infinite-multiplicity pieces grow", started, ok)
 

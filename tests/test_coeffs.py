@@ -194,8 +194,8 @@ def test_perm_action_on_the_integer_tableau_matches_the_tableau(w, data):
     tableau rebuilt from the shifted rational entries with the t-coefficients
     restored, and gives the same jets and shifts."""
     n = w.n
-    z = ShiftVector(n, tuple(tuple(data.draw(st.integers(-2, 2)) for _ in range(r))
-                             for r in range(n - 1, 0, -1)))
+    z = ShiftVector(tuple(tuple(data.draw(st.integers(-2, 2)) for _ in range(r))
+                          for r in range(1, n)))
     shifted = core.tableau_at(SimpleNamespace(base=w), z)
     cells = [(r, s) for r in range(n, 0, -1) for s in range(1, r + 1)]
     rebuilt = Tableau.from_rows(

@@ -18,7 +18,7 @@ F = Fraction
 
 
 def sv3(m, n, k):
-    return ShiftVector(3, ((m, n), (k,)))
+    return ShiftVector(((k,), (m, n)))
 
 
 def test_canonicalize_relations(frame_n3):
@@ -280,7 +280,7 @@ def test_subcharacters_separate_below_singular_row():
         k = frame.k
         by_low: dict = {}
         for z in window_shifts(3, 2):
-            low = tuple(tuple(z.rows[idx]) for idx in range(3 - k, 2))
+            low = z.rows[:k - 1]
             sub = mod.character(z, max_row=k - 1)
             by_low.setdefault(low, set()).add(sub)
         chars = {}

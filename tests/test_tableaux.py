@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtmod import fixtures
 from gtmod.tableaux import (
@@ -58,9 +60,38 @@ def test_omega_plus_cases():
 
 def test_omega_plus_deterministic_on_rebuilt_copy():
     t = Tableau.from_rows([[2, F(1, 3), F(-5, 3)], [0, F(1, 3)], [F(1, 3)]])
-    rebuilt = Tableau.from_rows([[b for b, _ in row] for row in t.fraction_rows()])
+    rebuilt = Tableau.from_rows([[b for b, _ in row] for row in reversed(t.fraction_rows())])
     assert omega_plus(t) == omega_plus(rebuilt)
     assert omega_plus(t) == omega_plus(t)
+
+
+def _text_cell(text, n, r, s):
+    """Cell s of row r of a text form ``(a,b|c)`` whose top row is row n."""
+    return text[1:-1].split("|")[n - r].split(",")[s - 1]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(2, 5), st.data())
+def test_text_form_round_trips_and_lists_the_top_row_first(n, data):
+    """Text enters and leaves with the top row first, and reads back to the
+    same tableau and shift; base(r, s) and get(r, s) are the s-th cell of
+    row r of the text."""
+    entry = st.builds(F, st.integers(-9, 9), st.integers(1, 6))
+    text = "(" + "|".join(",".join(str(data.draw(entry)) for _ in range(r))
+                          for r in range(n, 0, -1)) + ")"
+    t = Tableau.from_text(text)
+    assert t.to_text() == text and Tableau.from_text(t.to_text()) == t
+    assert all(t.base(r, s) == F(_text_cell(text, n, r, s))
+               for r in range(1, n + 1) for s in range(1, r + 1))
+
+    shift = st.integers(-3, 3)
+    text = "(" + "|".join(",".join(str(data.draw(shift)) for _ in range(r))
+                          for r in range(n - 1, 0, -1)) + ")"
+    z = ShiftVector.from_text(n, text)
+    assert z.to_text() == text and ShiftVector.from_text(n, z.to_text()) == z
+    assert all(z.get(r, s) == int(_text_cell(text, n - 1, r, s))
+               for r in range(1, n) for s in range(1, r + 1))
+    assert ShiftVector(z.rows).n == len(z.rows) + 1 == n
 
 
 def test_phi_set_sizes():
@@ -96,7 +127,7 @@ def test_epsilon_antisymmetry_and_telescoping():
 
 def test_apply_perm_examples():
     t = Tableau.from_rows([[3, 1], [5]])
-    ident = PermTuple.identity(2)
+    ident = PermTuple(((1,), (1, 2)))
     assert ident(t) == t
     swap = PermTuple.row_transposition(2, 2, 1, 2)
     assert swap(t) == Tableau.from_rows([[1, 3], [5]])

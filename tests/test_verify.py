@@ -1,5 +1,6 @@
 """Verification harness: suites, reports, determinism, export, CLI."""
 
+import hashlib
 import inspect
 import itertools
 import json
@@ -23,7 +24,7 @@ from gtmod.cli import main as cli_main
 from gtmod.lincomb import LinComb
 from gtmod.tableaux import SingularFrame, Tableau
 from gtmod.verify import (
-    Config, Tally, build_action_matrix, export_action, load_action_matrix, run_suite,
+    Config, Tally, build_action_matrix, export_action, run_suite,
     sweep_finite_dim,
 )
 
@@ -104,6 +105,61 @@ def test_report_counts_are_pinned(name, counts):
         assert report.failed == 0 and report.exemplars == []
         checked[suite] = report.checked
     assert checked == counts
+
+
+# The first 12 hex digits of the sha256 of
+# json.dumps(build_action_matrix(cfg, kind, ab), sort_keys=True), one per
+# operator of _pinned_operators in its order.
+ACTION_DIGESTS = {
+    ("generic_n3", 1): """
+        c3ebe1c5ec72 da92939c457f ed969a08376f 85da0a7e0dee 6d3e975359d9
+        4ed65d32681d 83b9f91440a0 3ee3943ad2f4 52acc8413fa4 7eee73e43fd4
+        0414f5634b36
+    """,
+    ("singular_n3", 1): """
+        89ac86ffb52e d4de86543ba9 e6793a908cd8 5f9eb6cd1a20 31d005cd6d23
+        9366bd0c3264 44029b810b03 9dc9d3913d91 d8ab77e59130 57f334adf86b
+        00e2384de7f7
+    """,
+    ("all_equal_n3", 1): """
+        c8fd34e2a401 55d62400df84 b1184ac191d6 ad59968a0b77 5d6438f8c685
+        b65b0d3cfb0f fc22202b7137 7671a2fefa55 3de4edfae229 be9d2fd5b144
+        00b426bc9b33
+    """,
+    ("singular_n4", 0): """
+        b5a805674dbc e8a661388ff5 c60c77ae8043 156b8aeee2b3 ff5c96ca50e3
+        8a580739325f ec6662c4790a 37fcc0a6adb0 2ff92b7269c3 7576515632fd
+        6f0a648ca916 e8596a6b6ecb 51c889207982 2c3e9e3e1e38 aa45b91a2d13
+        3fdc7acdc3bc 3f15b4b241c0 3eba8d115526
+    """,
+    ("singular_n4_row3", 0): """
+        a6e9d277a193 11817adc999f ee267313d54f 3a94f6938510 51a14cbfa084
+        1c724262a409 f93454d09658 1035a153ed81 5a5498cdcd79 18022f04fa77
+        d90332c9b707 9c180fc016aa 4cb9eb8f8aad 74ab6be2359d 1746753a4932
+        2419d470e0f1 302364ed6a5d 4664ed831a96
+    """,
+}
+
+
+def _pinned_operators(n):
+    """Every generator E(a, b), then the central words c(2, 2) and c(3, 3)."""
+    return ([("E", (a, b)) for a in range(1, n + 1) for b in range(1, n + 1)]
+            + [("c", (2, 2)), ("c", (3, 3))])
+
+
+@pytest.mark.parametrize("name, window", list(ACTION_DIGESTS))
+def test_action_matrices_are_pinned(name, window):
+    """Each pinned operator's window matrix keeps its digest: a changed
+    coefficient, target symbol or basis order fails here, where every check
+    count may still hold."""
+    cfg = _cfg(f"{name}.json", window=window)
+    ops = _pinned_operators(cfg.n)
+    want = ACTION_DIGESTS[name, window].split()
+    assert len(want) == len(ops)
+    got = {f"{kind}{ab}": hashlib.sha256(json.dumps(
+        build_action_matrix(cfg, kind, ab), sort_keys=True).encode()).hexdigest()[:12]
+        for kind, ab in ops}
+    assert got == dict(zip(got, want))
 
 
 def test_formulas_runs_parity_plain_on_the_row3_frame(monkeypatch):
@@ -438,7 +494,7 @@ def test_export_roundtrip(tmp_path):
     paths = export_action(cfg, [("E", (2, 1)), ("E", (1, 2)), ("c", (2, 2))], tmp_path)
     assert sorted(p.name for p in paths) == ["E_1_2.json", "E_2_1.json", "c_2_2.json"]
     for path in paths:
-        reloaded = load_action_matrix(path)
+        reloaded = json.loads(path.read_text(encoding="utf-8"))
         kind, a, b = reloaded["operator"][0], *map(int, (reloaded["operator"][2], reloaded["operator"][4]))
         rebuilt = build_action_matrix(cfg, kind, (a, b))
         assert reloaded == rebuilt
