@@ -18,6 +18,14 @@ every canonical basis symbol its action makes passes, so equal symbols
 across cached columns are one object.
 Bracket defects and composed central words are both sums of signed
 generator words, evaluated by the one ``_word_sum``.
+
+A suite that walks its window through ``sweep`` bounds the first two
+caches: the sweep yields the symbols in slabs of equal z_11, the row-1
+shift entry, lowest first.  A generator step moves z_11 by at most 1 and
+canonicalizing never moves it, so once the sweep enters slab c no later
+symbol reads a column, or the terms behind one, below c - 1; the sweep
+drops those from ``_act_cache`` and ``_perm_cache`` as it goes.  The gamma
+memo and the symbol table are kept whole.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from . import coeffs
 from .lincomb import LinComb
 from .tableaux import Tableau
 
-__all__ = ["tableau_at", "perm_terms", "act_symbol", "act", "bracket_defect",
+__all__ = ["tableau_at", "perm_terms", "act_symbol", "act", "sweep", "bracket_defect",
            "crs_via_composition", "gamma", "character", "gamma_action", "gamma_eigenvalue"]
 
 
@@ -66,6 +74,40 @@ def act_symbol(self, l: int, m: int, sym) -> LinComb:
 def act(self, l: int, m: int, x: LinComb) -> LinComb:
     """E_{lm} on a linear combination of basis symbols."""
     return LinComb.images([(1, x, functools.partial(self.act_symbol, l, m))])
+
+
+def _row1(sym) -> int:
+    """z_11, the row-1 entry of a basis symbol's shift (the symbol itself,
+    or a singular symbol's ``shift``); 0 for n = 1, which has no row 1."""
+    rows = getattr(sym, "shift", sym).rows
+    return rows[0][0] if rows else 0
+
+
+def sweep(self, symbols):
+    """The given basis symbols, stably sorted by z_11, dropping on the way
+    every cached column, and every memoized term list, that no later
+    symbol can read.
+
+    The invariant: a generator step moves z_11 by at most 1, because
+    sigma(eps_lm) puts one +-1 in each row min(l, m)..max(l, m) - 1, and
+    canonicalizing never moves it, because tau swaps two entries of row
+    k >= 2.  So a bracket defect on a symbol with z_11 = c reads columns
+    only at z_11 = c - 1, c and c + 1, and a lone ``act_symbol`` only its
+    own column.  On entering slab c the sweep deletes each ``_act_cache``
+    entry whose symbol has z_11 < c - 1, and each ``_perm_cache`` entry
+    whose key slice holds row 1 (its first row has one entry) with a value
+    below c - 1; every later symbol has z_11 >= c, so nothing deleted is
+    read again.  (A dropped memo could only cost a recomputation, never a
+    wrong value; a central word of length s reaches s - 1 slabs back, so it
+    would recompute.)"""
+    act_cache, perm_cache = self._act_cache, self._perm_cache
+    for c, slab in itertools.groupby(sorted(symbols, key=_row1), key=_row1):
+        for key in [key for key in act_cache if _row1(key[2]) < c - 1]:
+            del act_cache[key]
+        for key in [key for key in perm_cache
+                    if key[2] and len(key[2][0]) == 1 and key[2][0][0] < c - 1]:
+            del perm_cache[key]
+        yield from slab
 
 
 def _word_sum(self, words, x: LinComb) -> LinComb:

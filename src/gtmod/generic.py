@@ -45,6 +45,7 @@ class GenericModule:
 
     act_symbol = core.act_symbol
     act = core.act
+    sweep = core.sweep
     bracket_defect = core.bracket_defect
     crs_via_composition = core.crs_via_composition
 

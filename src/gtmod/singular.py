@@ -193,6 +193,7 @@ class SingularModule:
 
     act_symbol = core.act_symbol
     act = core.act
+    sweep = core.sweep
     bracket_defect = core.bracket_defect
     crs_via_composition = core.crs_via_composition
 

@@ -103,10 +103,14 @@ class Tableau(NamedTuple):
     # -- entry access (r = row length 1..n, s = 1..r) ------------------------
 
     def entry(self, r: int, s: int) -> Entry:
+        if r < 1 or s < 1:
+            raise IndexError(f"no entry ({r},{s})")
         b, c = self.rows[r - 1][s - 1]
         return Fraction(b, self.scale), c // self.scale
 
     def base(self, r: int, s: int) -> Fraction:
+        if r < 1 or s < 1:
+            raise IndexError(f"no entry ({r},{s})")
         return Fraction(self.rows[r - 1][s - 1][0], self.scale)
 
     def fraction_rows(self) -> tuple[tuple[Entry, ...], ...]:
@@ -135,6 +139,8 @@ class Tableau(NamedTuple):
         """Set the t-coefficient of the given (row, position) entries."""
         new = [list(row) for row in self.rows]
         for (r, s), c in coefs.items():
+            if r < 1 or s < 1:
+                raise IndexError(f"no entry ({r},{s})")
             b, _ = new[r - 1][s - 1]
             new[r - 1][s - 1] = (b, c * self.scale)
         return Tableau(tuple(tuple(row) for row in new), self.scale)
@@ -194,15 +200,20 @@ class ShiftVector(NamedTuple):
     def of(n: int, entries: dict) -> "ShiftVector":
         rows = [[0] * q for q in range(1, n)]
         for (r, s), v in entries.items():
+            if r < 1 or s < 1:
+                raise IndexError(f"no shift entry ({r},{s})")
             rows[r - 1][s - 1] = v
         return ShiftVector(tuple(tuple(row) for row in rows))
 
     def get(self, r: int, s: int) -> int:
+        if r < 1 or s < 1:
+            raise IndexError(f"no shift entry ({r},{s})")
         return self.rows[r - 1][s - 1]
 
     def __add__(self, other: "ShiftVector") -> "ShiftVector":
+        """The entrywise sum; ValueError for shifts of different ranks."""
         return ShiftVector(tuple(
-            tuple(map(operator.add, ra, rb)) for ra, rb in zip(self.rows, other.rows)
+            tuple(map(operator.add, ra, rb)) for ra, rb in zip(self.rows, other.rows, strict=True)
         ))
 
     def __neg__(self) -> "ShiftVector":

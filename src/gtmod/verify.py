@@ -238,13 +238,14 @@ def check_commutators(cfg: Config, tally: Tally) -> None:
     """defining relations on every window basis symbol
 
     [E_ab, E_cd] against its structure constants on each basis symbol of
-    the window (generic base or singular frame, per config); a bracket whose
-    evaluation raises fails, its exemplar naming the error, and the sweep
-    goes on."""
+    the window (generic base or singular frame, per config), in the order
+    of the module's ``sweep``, which drops the cached columns no later
+    symbol reads; a bracket whose evaluation raises fails, its exemplar
+    naming the error, and the sweep goes on."""
     gens = _generators(cfg.n)
     pairs = list(itertools.combinations(gens, 2))
     mod = module_for(cfg)
-    for sym in window_symbols(cfg):
+    for sym in mod.sweep(window_symbols(cfg)):
         for g1, g2 in pairs:
             try:
                 defect = mod.bracket_defect(g1, g2, sym)
@@ -571,7 +572,7 @@ def check_n3(cfg: Config, tally: Tally) -> None:
     mod = module_for(cfg)
 
     # classification is total and unambiguous; the action never climbs layers
-    for sym in canonical_window(frame, cfg.window):
+    for sym in mod.sweep(canonical_window(frame, cfg.window)):
         piece = classify_shift(sym.shift)  # raises InvariantViolation if not unique
         layer = LOEWY_LAYERS[piece]
         ok = True

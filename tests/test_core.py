@@ -1,4 +1,5 @@
-"""The one word evaluator against the literal nested-``act`` formulas.
+"""The one word evaluator against the literal nested-``act`` formulas,
+and the bounded column store of ``core.sweep`` against the unbounded one.
 
 ``core.bracket_defect`` and ``core.crs_via_composition`` both sum signed
 generator words in one pass; the oracles here spell each word out as nested
@@ -10,8 +11,10 @@ import random
 
 import pytest
 
+from gtmod import coeffs
 from gtmod.finite import FiniteModule
 from gtmod.lincomb import LinComb
+from gtmod.tableaux import Tableau
 from gtmod.verify import Config, module_for, window_symbols
 
 GENERATORS = [(a, b) for a in range(1, 4) for b in range(1, 4)]
@@ -77,3 +80,62 @@ def test_central_words_match_nested_act(name):
             for s in range(1, 4):
                 assert mod.crs_via_composition(r, s, x) == _nested_central_word(mod, r, s, x), \
                     (r, s, x)
+
+
+def _bracket_loop(monkeypatch, cfg, swept):
+    """The commutators bracket loop on a fresh module, over the window in
+    sweep order or as the plain list: the ``_act_uncached`` and
+    ``perm_action`` call counts, every defect, and the largest live and the
+    final sizes of the act and term caches."""
+    mod = module_for(cfg)
+    calls = {"act": 0, "perm": 0}
+    uncached, perm_action = mod._act_uncached, coeffs.perm_action
+
+    def count_act(*args):
+        calls["act"] += 1
+        return uncached(*args)
+
+    def count_perm(*args):
+        calls["perm"] += 1
+        return perm_action(*args)
+
+    mod._act_uncached = count_act
+    symbols = window_symbols(cfg)
+    defects, live = {}, (0, 0)
+    with monkeypatch.context() as patch:
+        patch.setattr(coeffs, "perm_action", count_perm)
+        for sym in (mod.sweep(symbols) if swept else symbols):
+            for g1, g2 in itertools.combinations(GENERATORS, 2):
+                defects[g1, g2, sym] = mod.bracket_defect(g1, g2, sym)
+            live = tuple(map(max, live, (len(mod._act_cache), len(mod._perm_cache))))
+    return calls, defects, live, (len(mod._act_cache), len(mod._perm_cache))
+
+
+@pytest.mark.parametrize("name, window", [("singular_n3.json", 2), ("generic_n3.json", 2),
+                                          ("all_equal_n3.json", 4)])
+def test_sweep_drops_only_columns_no_later_symbol_reads(monkeypatch, name, window):
+    """Sweeping by z_11 recomputes nothing, changes no defect, and keeps at
+    most half of the unbounded act and term caches live (measured at
+    window 2: 0.42 and 0.45 of them).  On all_equal_n3 at window 4 a term
+    list one slab back is read again, so a lag of 0 would recompute."""
+    cfg = Config.from_file(f"fixtures/{name}").with_overrides(window=window)
+    calls, defects, live, _ = _bracket_loop(monkeypatch, cfg, swept=True)
+    plain_calls, plain_defects, _, unbounded = _bracket_loop(monkeypatch, cfg, swept=False)
+    assert calls == plain_calls and calls["act"] > 0 and calls["perm"] > 0
+    assert defects == plain_defects and len(defects) == (2 * window + 1) ** 3 * 36
+    assert all(2 * size <= whole for size, whole in zip(live, unbounded))
+
+
+def test_sweep_orders_by_row_one_and_takes_rank_one_and_empty_windows():
+    cfg = Config.from_file("fixtures/singular_n3.json").with_overrides(window=1)
+    mod = module_for(cfg)
+    symbols = window_symbols(cfg)
+    assert list(mod.sweep(symbols)) == sorted(symbols, key=lambda sym: sym.shift.get(1, 1))
+    assert list(mod.sweep([])) == []
+    # n = 1 has no row 1: the whole window is one slab, in its own order
+    rank_one = Config(n=1, base=Tableau.from_text("(0)"), frame=None, window=2)
+    mod = module_for(rank_one)
+    [z] = window_symbols(rank_one)
+    column = mod.act_symbol(1, 1, z)
+    assert list(mod.sweep([z])) == [z]
+    assert mod._act_cache == {(1, 1, z): column}

@@ -296,3 +296,25 @@ def test_shift_tcoefs_and_permutation_keep_the_scale():
 def test_shift_text_shape_is_checked(text):
     with pytest.raises(ValueError):
         ShiftVector.from_text(3, text)
+
+
+def test_shift_sum_rejects_a_rank_mismatch():
+    z = ShiftVector.of(4, {(3, 1): 5})
+    assert (ShiftVector.zero(4) + z) == z
+    with pytest.raises(ValueError):
+        ShiftVector.zero(3) + z
+    with pytest.raises(ValueError):
+        z + ShiftVector.zero(3)
+
+
+@pytest.mark.parametrize("r, s", [(0, 1), (1, 0), (-1, 1)])
+def test_row_or_position_below_one_is_rejected(r, s):
+    """Row 0 or position 0 would index -1 and read another cell."""
+    z = ShiftVector.of(3, {(1, 1): 1, (2, 2): 7})
+    t = Tableau.from_text("(2,1/3,-5/3|1/4,7/10|1/7)")
+    for read in (lambda: z.get(r, s), lambda: ShiftVector.of(3, {(r, s): 1}),
+                 lambda: t.base(r, s), lambda: t.entry(r, s),
+                 lambda: t.with_tcoefs({(r, s): 1})):
+        with pytest.raises(IndexError):
+            read()
+    assert z.get(1, 1) == 1 and z.get(2, 2) == 7 and t.base(1, 1) == F(1, 7)
