@@ -48,7 +48,7 @@ print(f"   (c - gamma)^2 Der = {mod.crs_via_composition(2, 2, once) - gamma * on
 
 print("\neigenvalue classes on the window |z| <= 1 (each size 1 or 2):")
 sizes = {}
-for char, syms in mod.character_classes(1).items():
+for syms in mod.character_classes(canonical_window(frame, 1)).values():
     sizes[len(syms)] = sizes.get(len(syms), 0) + 1
 for size, count in sorted(sizes.items()):
     print(f"   {count} classes of size {size}")

@@ -33,11 +33,11 @@ from .ratfun import PoleError, Poly, RatFun
 from .lincomb import LinComb
 from .tableaux import (
     PermTuple, ShiftVector, SingularFrame, Tableau,
-    closest_representative, epsilon, is_generic, is_standard, omega_plus,
+    epsilon, is_generic, is_standard, omega_plus,
     phi_set, singular_pairs, tau_perm, tau_star, window_shifts,
 )
 from .coeffs import Jet, classical_action, coeff_e, coeff_ratfun, gamma, perm_action
-from .generic import GenericModule, irreducible_membership, submodule_membership
+from .generic import GenericModule, submodule_membership
 from .singular import (
     DER, REG, BasisSymbol, InvariantViolation, SingularModule,
     canonical_window, canonicalize, connecting_shift, generation_witnesses,

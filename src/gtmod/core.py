@@ -39,7 +39,8 @@ from .lincomb import LinComb
 from .tableaux import Tableau
 
 __all__ = ["tableau_at", "perm_terms", "act_symbol", "act", "sweep", "bracket_defect",
-           "crs_via_composition", "gamma", "character", "gamma_action", "gamma_eigenvalue"]
+           "crs_via_composition", "gamma", "character", "character_classes", "gamma_action",
+           "gamma_eigenvalue"]
 
 
 def tableau_at(self, z) -> Tableau:
@@ -76,10 +77,16 @@ def act(self, l: int, m: int, x: LinComb) -> LinComb:
     return LinComb.images([(1, x, functools.partial(self.act_symbol, l, m))])
 
 
+def _shift(sym):
+    """A basis symbol's shift: the symbol itself, or a singular symbol's
+    ``shift``."""
+    return getattr(sym, "shift", sym)
+
+
 def _row1(sym) -> int:
-    """z_11, the row-1 entry of a basis symbol's shift (the symbol itself,
-    or a singular symbol's ``shift``); 0 for n = 1, which has no row 1."""
-    rows = getattr(sym, "shift", sym).rows
+    """z_11, the row-1 entry of a basis symbol's shift; 0 for n = 1, which
+    has no row 1."""
+    rows = _shift(sym).rows
     return rows[0][0] if rows else 0
 
 
@@ -163,6 +170,15 @@ def character(self, z, max_row: int | None = None) -> tuple:
     top = max_row if max_row is not None else self.n
     return tuple(self.gamma(r, s, z)[1]
                  for r in range(1, top + 1) for s in range(1, r + 1))
+
+
+def character_classes(self, symbols) -> dict[tuple, list]:
+    """The given basis symbols grouped by the character of their shift, the
+    classes and each class's symbols in the order the symbols come."""
+    groups: dict[tuple, list] = {}
+    for sym in symbols:
+        groups.setdefault(self.character(_shift(sym)), []).append(sym)
+    return groups
 
 
 def gamma_action(self, r: int, s: int, x: LinComb) -> LinComb:

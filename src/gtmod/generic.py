@@ -17,7 +17,7 @@ from . import core
 from .lincomb import LinComb
 from .tableaux import ShiftVector, Tableau, is_generic, omega_plus
 
-__all__ = ["GenericModule", "submodule_membership", "irreducible_membership"]
+__all__ = ["GenericModule", "submodule_membership"]
 
 
 class GenericModule:
@@ -53,6 +53,7 @@ class GenericModule:
 
     gamma = core.gamma
     character = core.character
+    character_classes = core.character_classes
     gamma_action = core.gamma_action
     gamma_eigenvalue = core.gamma_eigenvalue
 
@@ -61,8 +62,3 @@ def submodule_membership(left: Tableau, right: Tableau) -> bool:
     """True when the submodule generated by ``left`` contains ``right``,
     by the cross-row nonnegative-integer-difference criterion."""
     return omega_plus(left) <= omega_plus(right)
-
-
-def irreducible_membership(left: Tableau, right: Tableau) -> bool:
-    """True when the two tableaux lie in the same irreducible subquotient."""
-    return omega_plus(left) == omega_plus(right)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from .singular import InvariantViolation
 from .tableaux import ShiftVector
 
-__all__ = ["classify_shift", "weight_key", "PIECES", "LOEWY_LAYERS"]
+__all__ = ["classify_shift", "weight_key", "LOEWY_LAYERS"]
 
 
 def _blocks(m: int, n: int, k: int) -> dict[str, bool]:
@@ -37,8 +37,6 @@ def _blocks(m: int, n: int, k: int) -> dict[str, bool]:
         "L6'": der and n <= 0 and m > 0 and k > m,
     }
 
-
-PIECES = ("L1", "L2", "L3", "L4", "L5", "L5'", "L6", "L6'", "L7", "L7'")
 
 LOEWY_LAYERS = {
     "L1": 0,

@@ -80,16 +80,15 @@ def canonicalize(kind: str, z: ShiftVector,
                  frame: SingularFrame) -> tuple[int, BasisSymbol | None]:
     """Canonical representative of Reg(z) / Der(z) with its sign; Der of a
     tau-fixed shift collapses to zero."""
-    zi = z.get(frame.k, frame.i)
-    zj = z.get(frame.k, frame.j)
+    gap = frame.gap(z)
     if kind == REG:
-        if zi > zj:
+        if gap > 0:
             return 1, BasisSymbol(REG, frame.tau(z))
         return 1, BasisSymbol(REG, z)
     if kind == DER:
-        if zi == zj:
+        if gap == 0:
             return 0, None
-        if zi < zj:
+        if gap < 0:
             return -1, BasisSymbol(DER, frame.tau(z))
         return 1, BasisSymbol(DER, z)
     raise ValueError(f"unknown symbol kind {kind!r}")
@@ -97,11 +96,8 @@ def canonicalize(kind: str, z: ShiftVector,
 
 def canonical_window(frame: SingularFrame, bound: int) -> list[BasisSymbol]:
     """All canonical basis symbols whose shift lies in the given window."""
-    out = []
-    for z in window_shifts(frame.n, bound):
-        kind = REG if z.get(frame.k, frame.i) <= z.get(frame.k, frame.j) else DER
-        out.append(BasisSymbol(kind, z))
-    return out
+    return [BasisSymbol(REG if frame.gap(z) <= 0 else DER, z)
+            for z in window_shifts(frame.n, bound)]
 
 
 class SingularModule:
@@ -110,7 +106,7 @@ class SingularModule:
     def __init__(self, frame: SingularFrame):
         self.frame = frame
         self.n = frame.n
-        self.base = frame.line()
+        self.base = frame.line
         self._act_cache: dict = {}
         self._perm_cache: dict = {}
         self._gamma_cache: dict = {}
@@ -201,6 +197,7 @@ class SingularModule:
 
     gamma = core.gamma
     character = core.character
+    character_classes = core.character_classes
 
     def gamma_action(self, r: int, s: int, x: LinComb) -> LinComb:
         """c_{rs} in closed form: eigenvalue on Reg, a 2x2 upper-triangular
@@ -212,13 +209,6 @@ class SingularModule:
             if sym.kind == DER:
                 terms.append((canonicalize(REG, sym.shift, self.frame)[1], c * d))
         return LinComb.sum_terms(terms)
-
-    def character_classes(self, bound: int) -> dict[tuple, list[BasisSymbol]]:
-        """Window symbols grouped by their full eigenvalue tuple."""
-        groups: dict[tuple, list[BasisSymbol]] = {}
-        for sym in canonical_window(self.frame, bound):
-            groups.setdefault(self.character(sym.shift), []).append(sym)
-        return groups
 
 
 # ---------------------------------------------------------------------------
@@ -239,19 +229,19 @@ def irreducibility_hypothesis(frame: SingularFrame) -> bool:
 def _derivative_coefficient_closed_form(frame: SingularFrame,
                                         z: ShiftVector) -> Fraction:
     """Closed form of d[e_{k-1,k}(v+z)]:
-    -(z_kj - z_ki)/2 * prod_{t not in {i,j}} (w_{k-1,1} - w_{k,t})
-                     / prod_{t != 1} (w_{k-1,1} - w_{k-1,t}),
+    (z_ki - z_kj)/2 * prod_{t not in {i,j}} (w_{k-1,1} - w_{k,t})
+                    / prod_{t != 1} (w_{k-1,1} - w_{k-1,t}),
     evaluated at the base point (w = vbar + z)."""
     k, i, j = frame.k, frame.i, frame.j
-    w = frame.point_at(z)
-    num = Fraction(z.get(k, j) - z.get(k, i))
+    w = frame.vbar.with_shift(z)
+    num = Fraction(frame.gap(z))
     for t in range(1, k + 1):
         if t not in (i, j):
             num *= w.base(k - 1, 1) - w.base(k, t)
     den = Fraction(1)
     for t in range(2, k):
         den *= w.base(k - 1, 1) - w.base(k - 1, t)
-    return -num / den / 2
+    return num / den / 2
 
 
 def generation_witnesses(frame: SingularFrame, z: ShiftVector) -> dict:
@@ -269,12 +259,12 @@ def generation_witnesses(frame: SingularFrame, z: ShiftVector) -> dict:
     closed = _derivative_coefficient_closed_form(frame, z)
 
     # tau-fixed neighbour for the regular-to-derivative step
-    zfix = z + ShiftVector.of(n, {(k, j): z.get(k, i) - z.get(k, j)})
+    zfix = z + ShiftVector.of(n, {(k, j): frame.gap(z)})
     sigma_i = PermTuple.row_transposition(n, k, 1, i)
     e = coeffs.coeff_e(k + 1, k, sigma_i(frame.tableau_at(zfix)))
     step2_ev = Fraction(*_x_minus_y_d_ev(e)[1])
     step2_num = Fraction(1)
-    w = frame.point_at(zfix)
+    w = frame.vbar.with_shift(zfix)
     for q in range(1, k):
         step2_num *= w.base(k, i) - w.base(k - 1, q)
 
@@ -303,9 +293,8 @@ def connecting_shift(frame: SingularFrame,
     The row index drop t follows the chain of entries exceeding the last by
     exactly one, starting just above w_{ki}."""
     k, i = frame.k, frame.i
-    zi, zj = z.get(frame.k, frame.i), z.get(frame.k, frame.j)
-    zrep = z if zi >= zj else frame.tau(z)
-    w = frame.point_at(zrep)
+    zrep = z if frame.gap(z) >= 0 else frame.tau(z)
+    w = frame.vbar.with_shift(zrep)
     additions = {(k, i): 1}
     value = w.base(k, i) + 1
     t = 0

@@ -32,6 +32,7 @@ and :meth:`ShiftVector.from_text`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -44,8 +45,7 @@ Entry = tuple[Fraction, int]  # base + tcoef * t
 __all__ = [
     "Tableau", "ShiftVector", "PermTuple", "SingularFrame",
     "epsilon", "phi_picks", "phi_set", "tau_perm", "tau_star",
-    "is_standard", "is_generic", "singular_pairs", "omega_plus",
-    "closest_representative", "window_shifts",
+    "is_standard", "is_generic", "singular_pairs", "omega_plus", "window_shifts",
 ]
 
 
@@ -219,14 +219,6 @@ class ShiftVector(NamedTuple):
     def __neg__(self) -> "ShiftVector":
         return ShiftVector(tuple(tuple(map(operator.neg, row)) for row in self.rows))
 
-    def swapped(self, k: int, i: int, j: int) -> "ShiftVector":
-        """The shift with entries (k,i) and (k,j) exchanged."""
-        rows = list(self.rows)
-        row = list(rows[k - 1])
-        row[i - 1], row[j - 1] = row[j - 1], row[i - 1]
-        rows[k - 1] = tuple(row)
-        return ShiftVector(tuple(rows))
-
     def to_text(self) -> str:
         return "(" + "|".join(",".join(str(v) for v in row) for row in reversed(self.rows)) + ")"
 
@@ -302,10 +294,12 @@ class PermTuple(NamedTuple):
         return PermTuple(tuple(perms))
 
     def row(self, r: int) -> tuple[int, ...]:
+        if r < 1:
+            raise IndexError(f"no row {r}")
         return self.perms[r - 1]
 
     def is_identity_row(self, r: int) -> bool:
-        return self.perms[r - 1] == _identity(r)
+        return self.row(r) == _identity(r)
 
     def inverse(self) -> "PermTuple":
         out = []
@@ -445,19 +439,6 @@ def omega_plus(t: Tableau) -> frozenset[tuple[int, int, int]]:
     return frozenset(out)
 
 
-def closest_representative(w: Tableau, vbar: Tableau) -> Tableau:
-    """Shift w by integers on rows <= n-1 so that every component of
-    ``vbar - result`` has floor zero."""
-    if w.n != vbar.n:
-        raise ValueError("size mismatch")
-    shift = ShiftVector.of(w.n, {
-        (r, s): math.floor(vbar.base(r, s) - w.base(r, s))
-        for r in range(1, w.n)
-        for s in range(1, r + 1)
-    })
-    return w.with_shift(shift)
-
-
 # ---------------------------------------------------------------------------
 # Singular frames
 # ---------------------------------------------------------------------------
@@ -466,7 +447,8 @@ def closest_representative(w: Tableau, vbar: Tableau) -> Tableau:
 class SingularFrame:
     """The data of one singular pair: (k, i, j) with i < j <= k <= n-1 and a
     base point whose (k,i) and (k,j) entries coincide while every other
-    same-row difference on rows <= n-1 is a noninteger.
+    same-row difference on rows <= n-1 is a noninteger.  The frame is the
+    one reader of the pair in a shift: its ``gap`` and its swap ``tau``.
     """
 
     k: int
@@ -490,23 +472,32 @@ class SingularFrame:
     def n(self) -> int:
         return self.vbar.n
 
+    @functools.cached_property
     def line(self) -> Tableau:
         """The base point with ``+t`` / ``-t`` on the singular pair."""
         return self.vbar.with_t(self.k, self.i, self.j)
 
     def tableau_at(self, z: ShiftVector) -> Tableau:
         """The t-carrying tableau for base-plus-shift z."""
-        return self.line().with_shift(z)
+        return self.line.with_shift(z)
 
-    def point_at(self, z: ShiftVector) -> Tableau:
-        """The plain tableau at t = 0 for shift z."""
-        return self.vbar.with_shift(z)
+    def gap(self, z: ShiftVector) -> int:
+        """z_ki - z_kj, the shift's gap across the singular pair: tau negates
+        it, and it is 0 exactly where z is tau-fixed."""
+        row = z.rows[self.k - 1]
+        return row[self.i - 1] - row[self.j - 1]
 
     def tau(self, z: ShiftVector) -> ShiftVector:
-        return z.swapped(self.k, self.i, self.j)
+        """The shift with entries (k, i) and (k, j) exchanged."""
+        rows = list(z.rows)
+        row = list(rows[self.k - 1])
+        i, j = self.i - 1, self.j - 1
+        row[i], row[j] = row[j], row[i]
+        rows[self.k - 1] = tuple(row)
+        return ShiftVector(tuple(rows))
 
     def is_tau_fixed(self, z: ShiftVector) -> bool:
-        return z.get(self.k, self.i) == z.get(self.k, self.j)
+        return self.gap(z) == 0
 
     def is_special(self, sigma: PermTuple) -> bool:
         """sigma's row-k part is (1, i) or (1, j): where a coefficient may
@@ -516,7 +507,7 @@ class SingularFrame:
 
     def stratum(self, z: ShiftVector) -> int:
         """The index m with |z_{ki} - z_{kj}| = m."""
-        return abs(z.get(self.k, self.i) - z.get(self.k, self.j))
+        return abs(self.gap(z))
 
     def describe(self) -> str:
         return (f"n={self.n} singular (k,i,j)=({self.k},{self.i},{self.j}) "

@@ -183,15 +183,16 @@ class Config:
         frame = None
         if data.get("frame") is not None:
             frame = SingularFrame(*_integers(data["frame"], "frame", 3), base)
-        suites = data.get("suites", ["commutators", "gamma", "formulas"])
+        suites = data.get("suites", list(Config.suites))
         if not (isinstance(suites, list) and all(isinstance(name, str) for name in suites)):
             raise ValueError(f"suites must be a list of suite names, got {suites!r}")
         unknown = [name for name in suites if name not in SUITES]
         if unknown:
             raise ValueError(f"unknown suite(s) {unknown}; expected some of {sorted(SUITES)}")
         return Config(
-            n=n, base=base, frame=frame, window=_integer(data.get("window", 2), "window"),
-            suites=tuple(suites), seed=_integer(data.get("seed", 20240601), "seed"),
+            n=n, base=base, frame=frame,
+            window=_integer(data.get("window", Config.window), "window"),
+            suites=tuple(suites), seed=_integer(data.get("seed", Config.seed), "seed"),
         )
 
     @staticmethod
@@ -285,6 +286,7 @@ def check_gamma(cfg: Config, tally: Tally) -> None:
     rng = random.Random(cfg.seed)
     mod = module_for(cfg)
     window = window_symbols(cfg)
+    classes = mod.character_classes(window)
     frame = cfg.frame
 
     # composed words against the closed-form action
@@ -294,10 +296,7 @@ def check_gamma(cfg: Config, tally: Tally) -> None:
             _check_central_word(tally, kind, mod, r, s, rng.choice(window))
 
     if frame is None:
-        chars = {}
-        for z in window:
-            chars.setdefault(mod.character(z), []).append(z)
-        for char, zs in chars.items():
+        for zs in classes.values():
             tally.check(len(zs) == 1, "generic-multiplicity-one",
                         lambda: {"input": f"shifts {zs!r}", "detail": "shared eigenvalue tuple"})
         return
@@ -317,7 +316,7 @@ def check_gamma(cfg: Config, tally: Tally) -> None:
         # gamma_{k2} is sum_i w_ki^2 plus a symmetric part of degree <= 1,
         # whose slope cancels between w_ki + t and w_kj - t; so its
         # half-derivative is (w_ki - w_kj)|_{t=0} = z_ki - z_kj
-        model = z.get(k, frame.i) - z.get(k, frame.j)
+        model = frame.gap(z)
         tally.check(d == model, "jordan-offdiagonal-model",
                     lambda: {"input": f"Der{z!r}", "lhs": str(d), "rhs": str(model)})
         reg = mod.reg(z)
@@ -327,7 +326,7 @@ def check_gamma(cfg: Config, tally: Tally) -> None:
 
     # multiplicities: exhaustive over the window
     qn = math.prod(map(math.factorial, range(1, cfg.n)))
-    for char, syms in mod.character_classes(cfg.window).items():
+    for syms in classes.values():
         size = len(syms)
         tally.check(size <= 2 and size <= qn, "multiplicity-bound",
                     lambda: {"input": repr(syms), "detail": f"class size {size}"})
@@ -338,7 +337,7 @@ def check_gamma(cfg: Config, tally: Tally) -> None:
             tally.check(size == 2, "tau-unfixed-multiplicity-two", lambda: {"input": repr(syms)})
 
     # characters below the singular row separate shifts of the low rows
-    population = list(window_shifts(cfg.n, cfg.window))
+    population = [sym.shift for sym in window]
     by_low: dict = {}
     for z in population:
         low = z.rows[:k - 1]
@@ -568,11 +567,10 @@ def check_n3(cfg: Config, tally: Tally) -> None:
     Classification totality, layer monotonicity of the action, and growth
     of the two infinite-multiplicity pieces; runs only on configs that
     pass :func:`n3_precondition`."""
-    frame = cfg.frame
     mod = module_for(cfg)
 
     # classification is total and unambiguous; the action never climbs layers
-    for sym in mod.sweep(canonical_window(frame, cfg.window)):
+    for sym in mod.sweep(window_symbols(cfg)):
         piece = classify_shift(sym.shift)  # raises InvariantViolation if not unique
         layer = LOEWY_LAYERS[piece]
         ok = True

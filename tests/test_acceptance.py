@@ -117,7 +117,7 @@ def test_criterion_6_multiplicity_bound(singular_mod):
     frame = singular_mod.frame
     ok = True
     count = 0
-    for char, syms in singular_mod.character_classes(3).items():
+    for syms in singular_mod.character_classes(canonical_window(frame, 3)).values():
         count += len(syms)
         fixed = any(s.kind == REG and frame.is_tau_fixed(s.shift) for s in syms)
         ok = ok and len(syms) <= 2 and (len(syms) == 1) == fixed

@@ -1,5 +1,6 @@
 """The one word evaluator against the literal nested-``act`` formulas,
-and the bounded column store of ``core.sweep`` against the unbounded one.
+the bounded column store of ``core.sweep`` against the unbounded one, and
+the character grouping of ``core.character_classes``.
 
 ``core.bracket_defect`` and ``core.crs_via_composition`` both sum signed
 generator words in one pass; the oracles here spell each word out as nested
@@ -139,3 +140,19 @@ def test_sweep_orders_by_row_one_and_takes_rank_one_and_empty_windows():
     column = mod.act_symbol(1, 1, z)
     assert list(mod.sweep([z])) == [z]
     assert mod._act_cache == {(1, 1, z): column}
+
+
+def test_character_classes_group_the_given_symbols_in_order():
+    """On generic_n3 every window shift has its own character; on
+    singular_n3 the classes are the grouping by ``character`` of each
+    symbol's shift, spelled out here; no symbols give no classes."""
+    mod, window = _window_1("generic_n3.json")
+    assert len(window) == 27
+    assert list(mod.character_classes(window).values()) == [[z] for z in window]
+    mod, window = _window_1("singular_n3.json")
+    want: dict = {}
+    for sym in window:
+        want.setdefault(mod.character(sym.shift), []).append(sym)
+    got = mod.character_classes(window)
+    assert list(got.items()) == list(want.items()) and len(got) < len(window)
+    assert mod.character_classes([]) == {}

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtmod import coeffs, fixtures
 from gtmod.lincomb import LinComb
@@ -12,7 +14,7 @@ from gtmod.singular import (
     DER, REG, BasisSymbol, InvariantViolation, SingularModule, canonical_window,
     canonicalize, connecting_shift, generation_witnesses, irreducibility_hypothesis,
 )
-from gtmod.tableaux import ShiftVector, window_shifts
+from gtmod.tableaux import ShiftVector, SingularFrame, Tableau, tau_perm, window_shifts
 
 F = Fraction
 
@@ -30,6 +32,52 @@ def test_canonicalize_relations(frame_n3):
     assert sign == 0 and sym is None
     sign, sym = canonicalize(REG, sv3(-1, 2, 0), frame_n3)
     assert (sign, sym) == (1, BasisSymbol(REG, sv3(-1, 2, 0)))
+
+
+# every singular pair (n, k, i, j) with 1 <= i < j <= k <= n - 1, n = 3..5
+PAIRS = [(n, k, i, j) for n in range(3, 6) for k in range(2, n)
+         for j in range(2, k + 1) for i in range(1, j)]
+
+
+def _frame_on(rng, n, k, i, j):
+    """A random generic tableau with entry (k, j) set equal to entry (k, i):
+    1-singular on exactly that pair."""
+    t = fixtures.random_generic_tableau(rng, n)
+    rows = [[b for b, _ in row] for row in reversed(t.fraction_rows())]  # top row first
+    rows[n - k][j - 1] = rows[n - k][i - 1]
+    return SingularFrame(k, i, j, Tableau.from_rows(rows))
+
+
+@pytest.mark.parametrize("n, k, i, j", PAIRS)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_pair_readers_match_the_two_entries_on_every_pair(n, k, i, j, seed):
+    """The frame's pair readers (the gap and everything built on it, and
+    tau) against an oracle that reads z_ki and z_kj itself, on random and
+    tau-fixed shifts and, for n <= 4, the whole window of bound 1."""
+    rng = random.Random(seed)
+    frame = _frame_on(rng, n, k, i, j)
+    taup = tau_perm(n, k, i, j)
+    shifts = []
+    for _ in range(10):
+        z = fixtures.random_shift(rng, n, bound=2)
+        shifts += [z, z + ShiftVector.of(n, {(k, j): z.get(k, i) - z.get(k, j)})]
+    for z in shifts:
+        zi, zj = z.get(k, i), z.get(k, j)
+        tz = taup(z)
+        assert frame.tau(z) == tz
+        assert frame.gap(z) == zi - zj
+        assert frame.is_tau_fixed(z) == (zi == zj)
+        assert frame.stratum(z) == abs(zi - zj)
+        assert canonicalize(REG, z, frame) == (1, BasisSymbol(REG, tz if zi > zj else z))
+        assert canonicalize(DER, z, frame) == (
+            (0, None) if zi == zj else
+            (-1, BasisSymbol(DER, tz)) if zi < zj else (1, BasisSymbol(DER, z)))
+    if n <= 4:  # at n = 5 the bound-1 window holds 59,049 shifts
+        window = canonical_window(frame, 1)
+        assert [sym.shift for sym in window] == list(window_shifts(n, 1))
+        assert all(sym.kind == (REG if sym.shift.get(k, i) <= sym.shift.get(k, j) else DER)
+                   for sym in window)
 
 
 def test_act_on_regular_lowering_examples():
@@ -261,7 +309,7 @@ def test_central_family_commutes_singular(frame_n3):
 
 def test_multiplicity_classes_window2(frame_n3):
     mod = SingularModule(frame_n3)
-    for char, syms in mod.character_classes(2).items():
+    for syms in mod.character_classes(canonical_window(frame_n3, 2)).values():
         assert len(syms) <= 2
         if len(syms) == 1:
             assert syms[0].kind == REG

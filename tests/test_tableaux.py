@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gtmod import fixtures
 from gtmod.tableaux import (
     PermTuple, ShiftVector, SingularFrame, Tableau,
-    closest_representative, epsilon, is_generic, is_standard, omega_plus,
+    epsilon, is_generic, is_standard, omega_plus,
     phi_set, singular_pairs, tau_perm, tau_star, window_shifts,
 )
 
@@ -196,33 +196,6 @@ def test_tau_star_rejects_other_rows():
         tau_star(sigma, 3, 1, 2)  # row-3 part is (1,3), not (1,1) or (1,2)
 
 
-def test_closest_representative():
-    vbar = Tableau.from_rows([[0, -1], [0]])
-    w = Tableau.from_rows([[0, -1], [F(7, 3)]])
-    u = closest_representative(w, vbar)
-    assert u.base(1, 1) == F(-2, 3)
-    w2 = Tableau.from_rows([[0, -1], [F(-1, 2)]])
-    assert closest_representative(w2, vbar).base(1, 1) == F(-1, 2)
-    assert closest_representative(vbar, vbar) == vbar
-
-
-def test_closest_representative_floor_property():
-    import math
-    rng = random.Random(3)
-    vbar = Tableau.from_rows([[0, F(2, 5), F(9, 7)], [F(1, 3), F(1, 3)], [F(1, 11)]])
-    for _ in range(50):
-        w = Tableau.from_rows([
-            [0, F(2, 5), F(9, 7)],
-            [F(1, 3) + rng.randint(-9, 9) + F(1, rng.randint(2, 7)),
-             F(1, 3) + rng.randint(-9, 9) + F(1, rng.randint(2, 7))],
-            [F(1, 11) + rng.randint(-9, 9) + F(1, rng.randint(2, 7))],
-        ])
-        u = closest_representative(w, vbar)
-        for r in range(1, 3):
-            for s in range(1, r + 1):
-                assert math.floor(vbar.base(r, s) - u.base(r, s)) == 0
-
-
 def test_tau_swaps_only_singular_positions():
     frame = SingularFrame(2, 1, 2, Tableau.from_rows(
         [[0, F(2, 5), F(9, 7)], [F(1, 3), F(1, 3)], [F(1, 11)]]))
@@ -309,12 +282,17 @@ def test_shift_sum_rejects_a_rank_mismatch():
 
 @pytest.mark.parametrize("r, s", [(0, 1), (1, 0), (-1, 1)])
 def test_row_or_position_below_one_is_rejected(r, s):
-    """Row 0 or position 0 would index -1 and read another cell."""
+    """Row 0 or position 0 would index -1 and read another cell; the
+    row-only readers of a PermTuple get the index below one."""
     z = ShiftVector.of(3, {(1, 1): 1, (2, 2): 7})
     t = Tableau.from_text("(2,1/3,-5/3|1/4,7/10|1/7)")
+    p = PermTuple.row_transposition(3, 2, 1, 2)
+    row = min(r, s)
     for read in (lambda: z.get(r, s), lambda: ShiftVector.of(3, {(r, s): 1}),
                  lambda: t.base(r, s), lambda: t.entry(r, s),
-                 lambda: t.with_tcoefs({(r, s): 1})):
+                 lambda: t.with_tcoefs({(r, s): 1}),
+                 lambda: p.row(row), lambda: p.is_identity_row(row)):
         with pytest.raises(IndexError):
             read()
     assert z.get(1, 1) == 1 and z.get(2, 2) == 7 and t.base(1, 1) == F(1, 7)
+    assert p.row(2) == (2, 1) and p.is_identity_row(3) and not p.is_identity_row(2)

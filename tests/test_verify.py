@@ -329,7 +329,9 @@ def _plant_tau_fixed_never(monkeypatch):
 
 def _plant_tau_wrong_positions(monkeypatch):
     # tau exchanges positions 1 and j of row k, which is right only when i = 1
-    monkeypatch.setattr(SingularFrame, "tau", lambda self, z: z.swapped(self.k, 1, self.j))
+    real = SingularFrame.tau
+    monkeypatch.setattr(SingularFrame, "tau", lambda self, z: real(
+        SimpleNamespace(k=self.k, i=1, j=self.j), z))
 
 
 def _plant_structure_constant_dropped(monkeypatch):
