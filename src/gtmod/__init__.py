@@ -19,8 +19,9 @@ Layers, bottom up:
 * :mod:`gtmod.lincomb`  -- sparse formal linear combinations, and sums of
   their scaled images under linear maps;
 * :mod:`gtmod.core`     -- the operations shared by the module families
-  (action on combinations; bracket defects and composed central words, both
-  summed by one evaluator of signed generator words; the memoized
+  (action on combinations and on single symbols; bracket defects and
+  composed central words, both summed by one evaluator of signed generator
+  words, on a combination or straight on a basis symbol; the memoized
   closed-form gamma_rs pair);
 * :mod:`gtmod.generic`, :mod:`gtmod.singular`, :mod:`gtmod.finite` -- the
   three module families, each supplying only its action on one symbol;

@@ -11,8 +11,9 @@ Two presentations of the gl(n) action on tableaux live here:
   a module's own tableau, against the ``PermTuple`` action.
 
 * ``coeff_ratfun`` -- the same coefficient as a whole
-  :class:`~gtmod.ratfun.RatFun`, from the same factors read off the
-  unscaled rational entries; only the ``formulas`` oracles read it.
+  :class:`~gtmod.ratfun.RatFun`, from the same factors read as lists off
+  the unscaled rational entries and multiplied out, sharing no fold with
+  ``coeff_e``; only the ``formulas`` oracles read it.
 
 * ``classical_action`` -- the Gelfand-Tsetlin formulas for the adjacent
   generators E_{k,k+1}, E_{k+1,k} and the diagonal E_{kk}, with plain
@@ -24,8 +25,10 @@ in t, so :func:`coeff_e` folds them into a jet with no polynomial
 arithmetic -- forward-mode truncated Taylor arithmetic).  Read off a
 :class:`~gtmod.tableaux.Tableau`'s integer cells, each factor is
 (B + C*t)/L with integers B and C (constants such as r - 1 and -1 scaled
-too); numerator and denominator fold into integer jets, and their quotient
-is an integer :class:`Jet` reduced by one gcd:
+too); numerator and denominator fold into integer jets in one pass each,
+every off-diagonal factor read off its two cells (planned once per (r, s))
+as it is multiplied in, and their quotient is an integer :class:`Jet`
+reduced by one gcd:
 
     e_t^+(w)      = prod_{j=2}^{t+1} (w_t1 - w_{t+1,j}) / prod_{j=2}^{t} (w_t1 - w_tj)
     e_{t+1}^-(w)  = prod_{j=2}^{t-1} (w_t1 - w_{t-1,j}) / prod_{j=2}^{t} (w_t1 - w_tj)
@@ -156,15 +159,18 @@ def _read_cells(rows, cells) -> list[Factor]:
     return out
 
 
+def _check_indices(r: int, s: int, n: int) -> None:
+    if not (1 <= r <= n and 1 <= s <= n):
+        raise ValueError(f"coeff_e({r},{s}) out of range for n={n}")
+
+
 def _factors(r: int, s: int, rows, one: int = 1) -> tuple[list[Factor], list[Factor]]:
     """e_{rs} as ``prod(num) / prod(den)`` over factors linear in t, read
     off tableau rows of ``(base, tcoef)`` cells: unscaled rationals
     (``one`` = 1) or a :class:`Tableau`'s integer cells (``one`` = its
     scale L, so every factor, constants included, comes times L); the
     diagonal e_{rr} is a single numerator factor."""
-    n = len(rows)
-    if not (1 <= r <= n and 1 <= s <= n):
-        raise ValueError(f"coeff_e({r},{s}) out of range for n={n}")
+    _check_indices(r, s, len(rows))
     if r == s:
         # sum_i (w_ri + i - 1) - sum_i (w_{r-1,i} + i - 1); the index parts
         # telescope to the constant r - 1.
@@ -178,40 +184,51 @@ def _factors(r: int, s: int, rows, one: int = 1) -> tuple[list[Factor], list[Fac
     return num, _read_cells(rows, den_cells)
 
 
-def _fold(factors: list[Factor]) -> tuple[int, int, int] | None:
-    """The integer 2-jet (v, x0, x1), t^v * (x0 + x1*t + O(t^2)), of a
-    product of integer linear factors b + c*t; None when some factor is
-    identically zero."""
-    v, x0, x1 = 0, 1, 0
-    for b, c in factors:
-        if not b:
-            if not c:
+def _fold(rows, cells, x0: int = 1) -> tuple[int, int, int] | None:
+    """The integer 2-jet (v, x0, x1), t^v * (x0 + x1*t + O(t^2)), of the
+    integer x0 times the factors at the given cells of integer tableau
+    rows (:func:`_factor_cells`), each b + c*t read as it is folded; None
+    when some factor is identically zero."""
+    v = x1 = 0
+    for a, b, j in cells:
+        (b1, c1), (b2, c2) = rows[a][0], rows[b][j]
+        f0, f1 = b1 - b2, c1 - c2
+        if not f0:
+            if not f1:
                 return None
-            v, b, c = v + 1, c, 0  # the factor c*t is t times the constant c
-        x1 = x1 * b + x0 * c
-        x0 *= b
+            v, f0, f1 = v + 1, f1, 0  # the factor f1*t is t times the constant f1
+        x1 = x1 * f0 + x0 * f1
+        x0 *= f0
     return v, x0, x1
 
 
 def coeff_e(r: int, s: int, w: Tableau) -> Jet:
     """The 2-jet at t = 0 of the coefficient function e_{rs} on the tableau
-    w, folded in integers from its linear factors on w's integer cells;
-    raises ``ZeroDivisionError`` when a denominator factor vanishes
-    identically."""
+    w, in integers on w's integer cells: off the diagonal, the factors at
+    the cells of :func:`_factor_cells` folded in one pass, the raising
+    constant -1 (times the scale L) as the fold's starting value; on it,
+    the one factor of :func:`_factors`.  Raises ``ZeroDivisionError`` when
+    a denominator factor vanishes identically."""
     rows, scale = w
-    num, den = _factors(r, s, rows, scale)
-    d = _fold(den)
-    if d is None:
-        raise ZeroDivisionError("zero denominator in coefficient function")
-    f = _fold(num)
+    if r == s:
+        [(f0, f1)], _ = _factors(r, s, rows, scale)  # one factor, no denominator
+        f = (0, f0, f1) if f0 else (1, f1, 0) if f1 else None
+        d, k = (0, 1, 0), -1
+    else:
+        _check_indices(r, s, len(rows))
+        num, den = _factor_cells(r, s)
+        d = _fold(rows, den)
+        if d is None:
+            raise ZeroDivisionError("zero denominator in coefficient function")
+        f = _fold(rows, num, -scale if r < s else 1)
+        k = len(den) - len(num) - (r < s)
     if f is None:
         return Jet(0, 0, 0, 1)
     v, x0, x1 = f
     dv, d0, d1 = d
-    # Every factor carries one 1/L, so e = L^(#den - #num) (x0 + x1 t) /
-    # (d0 + d1 t) t^(v - dv), and (x0 + x1 t) / (d0 + d1 t) =
-    # (x0 d0 + (x1 d0 - x0 d1) t) / d0^2 + O(t^2).
-    k = len(den) - len(num)
+    # Every factor carries one 1/L, so e = L^k (x0 + x1 t) / (d0 + d1 t)
+    # t^(v - dv) with k = #den - #num (a raising -1 counted in #num), and
+    # (x0 + x1 t) / (d0 + d1 t) = (x0 d0 + (x1 d0 - x0 d1) t) / d0^2 + O(t^2).
     top, bottom = (scale ** k, 1) if k >= 0 else (1, scale ** -k)
     a0, a1, q = top * x0 * d0, top * (x1 * d0 - x0 * d1), bottom * d0 * d0
     g = math.gcd(a0, a1, q)
@@ -220,7 +237,9 @@ def coeff_e(r: int, s: int, w: Tableau) -> Jet:
 
 def coeff_ratfun(r: int, s: int, w: Tableau) -> RatFun:
     """The coefficient function e_{rs} on the tableau w as a whole rational
-    function of t: the same factors as :func:`coeff_e`, multiplied out."""
+    function of t: the factor lists of :func:`_factors` on the unscaled
+    rational entries, multiplied out; it shares no fold with
+    :func:`coeff_e`, which the ``jet-vs-ratfun`` check compares it with."""
     num, den = _factors(r, s, w.fraction_rows())
     return RatFun(math.prod(map(Poly, num), start=Poly([1])),
                   math.prod(map(Poly, den), start=Poly([1])))

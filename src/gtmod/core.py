@@ -17,7 +17,8 @@ A singular module also keeps a symbol table, ``_symbols``, through which
 every canonical basis symbol its action makes passes, so equal symbols
 across cached columns are one object.
 Bracket defects and composed central words are both sums of signed
-generator words, evaluated by the one ``_word_sum``.
+generator words, evaluated by the one ``_word_sum`` on a combination or
+straight on a basis symbol, whose first step is then its cached column.
 
 A suite that walks its window through ``sweep`` bounds the first two
 caches: the sweep yields the symbols in slabs of equal z_11, the row-1
@@ -72,8 +73,11 @@ def act_symbol(self, l: int, m: int, sym) -> LinComb:
     return hit
 
 
-def act(self, l: int, m: int, x: LinComb) -> LinComb:
-    """E_{lm} on a linear combination of basis symbols."""
+def act(self, l: int, m: int, x) -> LinComb:
+    """E_{lm} on a linear combination of basis symbols, or on one basis
+    symbol, where it is that symbol's ``act_symbol`` column itself."""
+    if not isinstance(x, LinComb):
+        return self.act_symbol(l, m, x)
     return LinComb.images([(1, x, functools.partial(self.act_symbol, l, m))])
 
 
@@ -117,11 +121,15 @@ def sweep(self, symbols):
         yield from slab
 
 
-def _word_sum(self, words, x: LinComb) -> LinComb:
-    """The sum of c * E_{g1} E_{g2} ... E_{gL} x over ``(c, (g1, ..., gL))``:
-    each word's prefix E_{g2} ... E_{gL} x by ``act``, stopping at zero, and
-    its last generator E_{g1} read off the ``act_symbol`` columns, all words
-    summed in one pass."""
+def _word_sum(self, words, x) -> LinComb:
+    """The sum of c * E_{g1} E_{g2} ... E_{gL} x over ``(c, (g1, ..., gL))``,
+    x a combination or one basis symbol: each word's prefix
+    E_{g2} ... E_{gL} x by ``act`` (on a symbol, its first step is an
+    ``act_symbol`` column), stopping at zero, and then, word by word, its
+    last generator E_{g1} read off the ``act_symbol`` columns, all words
+    summed in integers in one pass.  Every prefix is taken before any last
+    column is read, so the columns a sweep misses on are computed in the
+    same order whether x is a symbol or its single-term combination."""
     parts = []
     for c, (first, *prefix) in words:
         y = x
@@ -144,12 +152,13 @@ def bracket_defect(self, g1: tuple[int, int], g2: tuple[int, int], sym) -> LinCo
         words.append((-1, ((a, d),)))
     if d == a:
         words.append((1, ((c, b),)))
-    return _word_sum(self, words, LinComb.single(sym))
+    return _word_sum(self, words, sym)
 
 
-def crs_via_composition(self, r: int, s: int, x: LinComb) -> LinComb:
-    """The central generator c_{rs} as a sum of composed generator words
-    E_{i_1 i_2} E_{i_2 i_3} ... E_{i_s i_1} over all index tuples."""
+def crs_via_composition(self, r: int, s: int, x) -> LinComb:
+    """The central generator c_{rs} on a combination or one basis symbol,
+    as a sum of composed generator words E_{i_1 i_2} E_{i_2 i_3} ...
+    E_{i_s i_1} over all index tuples."""
     return _word_sum(self, ((1, tuple(zip(tup, tup[1:] + tup[:1])))
                             for tup in itertools.product(range(1, r + 1), repeat=s)), x)
 

@@ -1,10 +1,11 @@
 """Sparse formal linear combinations over Q.
 
 Module vectors are finite formal sums of basis symbols (any hashable keys)
-with exact rational coefficients, stored as nonzero integer numerators over
-one denominator D > 0 with gcd(D, numerators) = 1, so equal combinations
-have equal state.  Sums, scalings and ``images`` (a sum of scaled images
-of combinations under linear maps, given by their columns) run in integers,
+with exact rational coefficients (``int`` or ``Fraction``; a ``float`` is a
+``TypeError``), stored as nonzero integer numerators over one denominator
+D > 0 with gcd(D, numerators) = 1, so equal combinations have equal state.
+Sums, scalings and ``images`` (a sum of scaled images of combinations, or
+of single keys, under linear maps given by their columns) run in integers,
 with one lcm per operation and one gcd per result (an image that is one
 column times 1 is that column, as it stands); ``items`` and ``coeff`` give
 ``Fraction``s.
@@ -19,17 +20,25 @@ from typing import Iterator, Mapping
 __all__ = ["LinComb"]
 
 
+def _ratio(c) -> tuple[int, int]:
+    """An exact coefficient as its (numerator, denominator); TypeError for
+    anything but an ``int`` or a ``Fraction``, a ``float`` included."""
+    if isinstance(c, (int, Fraction)):
+        return c.numerator, c.denominator
+    raise TypeError(f"LinComb coefficients are int or Fraction, not {type(c).__name__}: {c!r}")
+
+
 def _combine(parts) -> "LinComb":
     """The sum of p/q * x over ``(p, q, x)``: integers p and q > 0, combination x."""
-    return LinComb.from_ratios((key, p * num, q * x._den) for p, q, x in parts
-                               for key, num in x._terms.items())
+    return LinComb.from_ratios([(key, p * num, q * x._den) for p, q, x in parts
+                                for key, num in x._terms.items()])
 
 
 class LinComb:
     __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping | None = None):
-        made = LinComb.sum_terms((key, Fraction(c)) for key, c in (terms or {}).items())
+        made = LinComb.sum_terms((terms or {}).items())
         object.__setattr__(self, "_terms", made._terms)
         object.__setattr__(self, "_den", made._den)
 
@@ -89,16 +98,22 @@ class LinComb:
     def sum_terms(pairs) -> "LinComb":
         """The sum of ``(key, coeff)`` pairs (``Fraction`` or ``int``
         coefficients), as :meth:`from_ratios`."""
-        return LinComb.from_ratios((key, c.numerator, c.denominator) for key, c in pairs)
+        return LinComb.from_ratios((key, *_ratio(c)) for key, c in pairs)
 
     @staticmethod
     def images(parts) -> "LinComb":
         """The sum of c * column(x) over ``(c, x, column)``: an ``int`` or
-        ``Fraction`` c, a combination x, and the linear map sending each key
-        to the combination ``column(key)``.  A lone 1 * column(key) is
-        ``column(key)`` itself: it is already canonical, and immutable."""
-        scaled = [(c.numerator * num, c.denominator * x._den, column(key))
-                  for c, x, column in parts for key, num in x._terms.items()]
+        ``Fraction`` c, x a combination or a single key (1 * key), and the
+        linear map sending each key to the combination ``column(key)``.  The
+        columns are read part by part, key by key.  A lone 1 * column(key)
+        is ``column(key)`` itself: it is already canonical, and immutable."""
+        scaled = []
+        for c, x, column in parts:
+            p, q = c.numerator, c.denominator
+            if isinstance(x, LinComb):
+                scaled += [(p * num, q * x._den, column(key)) for key, num in x._terms.items()]
+            else:
+                scaled.append((p, q, column(x)))
         if len(scaled) == 1 and scaled[0][:2] == (1, 1):
             return scaled[0][2]
         return _combine(scaled)
@@ -115,8 +130,7 @@ class LinComb:
         return (-1) * self
 
     def __rmul__(self, scalar) -> "LinComb":
-        scalar = Fraction(scalar)
-        return _combine(((scalar.numerator, scalar.denominator, self),))
+        return _combine(((*_ratio(scalar), self),))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinComb):

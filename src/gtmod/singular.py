@@ -28,6 +28,13 @@ absorbs the (at most simple) poles.  For a jet t^v (a0 + a1 t + ...)/q
 that is, over q: (d, ev) = (a1, 2 a0) at v = -1, (a0, 0) at v = 0 and 0
 above on the regular line; (a1/2, a0) at v = 0, (a0/2, 0) at v = 1 and 0
 above on the derivative line.  A larger pole is an :class:`InvariantViolation`.
+
+A cache miss reads the jets off the module's memoized permutation-form
+terms and, for each term with a nonzero jet, builds the target shift z'
+once and places both its coefficients there as integer ratios; the
+prefactor x - y = 2t raises the jet's order by one and doubles it.  All
+terms are summed into one :class:`~gtmod.lincomb.LinComb` in one integer
+pass.
 """
 
 from __future__ import annotations
@@ -71,8 +78,10 @@ class BasisSymbol(NamedTuple):
 
 def _x_minus_y_d_ev(e: coeffs.Jet) -> tuple[tuple[int, int], tuple[int, int]]:
     """The half-derivative and value at t = 0 of (x - y) * e = XY_SLOPE * t * e
-    on the line, as integer (numerator, denominator) pairs."""
-    (dn, dd), (en, ed) = e._replace(v=e.v + 1).d_ev_ratios()
+    on the line, as integer (numerator, denominator) pairs: t * e is the
+    jet of e with its order raised by one."""
+    v, a0, a1, q = e
+    (dn, dd), (en, ed) = coeffs.Jet(v + 1, a0, a1, q).d_ev_ratios()
     return (XY_SLOPE * dn, dd), (XY_SLOPE * en, ed)
 
 
@@ -133,20 +142,22 @@ class SingularModule:
         """Sum over the permutation form of E_lm at v+z of ``point(e)``:
         ``point`` returns the (Reg, Der) coefficients, as integer
         (numerator, denominator) pairs, placed at the shift
-        z + sigma(eps_lm); each symbol is interned in the module's symbol
-        table."""
+        z + sigma(eps_lm), built once per term with a nonzero jet; each
+        symbol is interned in the module's symbol table."""
         frame, symbols = self.frame, self._symbols
         terms = []
         for e, dz in self.perm_terms(l, m, z):
             if not e.a0:
                 continue
-            reg, der = point(e)
+            (rn, rd), (dn, dd) = point(e)
             target = z + dz
-            for kind, (num, den) in ((REG, reg), (DER, der)):
-                if num:
-                    sign, sym = canonicalize(kind, target, frame)
-                    if sign:
-                        terms.append((symbols.setdefault(sym, sym), sign * num, den))
+            if rn:
+                sign, sym = canonicalize(REG, target, frame)
+                terms.append((symbols.setdefault(sym, sym), sign * rn, rd))
+            if dn:
+                sign, sym = canonicalize(DER, target, frame)
+                if sign:
+                    terms.append((symbols.setdefault(sym, sym), sign * dn, dd))
         return LinComb.from_ratios(terms)
 
     def act_on_regular(self, l: int, m: int, z: ShiftVector) -> LinComb:

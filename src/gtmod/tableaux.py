@@ -131,9 +131,9 @@ class Tableau(NamedTuple):
         if z.n != self.n:
             raise ValueError("shift size mismatch")
         scale = self.scale
-        return Tableau(tuple(
-            tuple((b + scale * dz, c) for (b, c), dz in zip(row, zrow))
-            for row, zrow in zip(self.rows, z.rows)) + self.rows[-1:], scale)
+        return Tableau(tuple([
+            tuple([(b + scale * dz, c) for (b, c), dz in zip(row, zrow)])
+            for row, zrow in zip(self.rows, z.rows)]) + self.rows[-1:], scale)
 
     def with_tcoefs(self, coefs: dict[tuple[int, int], int]) -> "Tableau":
         """Set the t-coefficient of the given (row, position) entries."""
@@ -211,10 +211,12 @@ class ShiftVector(NamedTuple):
         return self.rows[r - 1][s - 1]
 
     def __add__(self, other: "ShiftVector") -> "ShiftVector":
-        """The entrywise sum; ValueError for shifts of different ranks."""
-        return ShiftVector(tuple(
-            tuple(map(operator.add, ra, rb)) for ra, rb in zip(self.rows, other.rows, strict=True)
-        ))
+        """The entrywise sum, row by row with ``map``; ValueError for shifts
+        of different ranks."""
+        if len(self.rows) != len(other.rows):
+            raise ValueError(f"cannot add shifts of ranks {self.n} and {other.n}")
+        return ShiftVector(tuple(map(tuple, map(map, itertools.repeat(operator.add),
+                                                self.rows, other.rows))))
 
     def __neg__(self) -> "ShiftVector":
         return ShiftVector(tuple(tuple(map(operator.neg, row)) for row in self.rows))

@@ -269,9 +269,8 @@ def _gamma_pairs(n: int) -> list[tuple[int, int]]:
 def _check_central_word(tally: Tally, kind: str, mod, r: int, s: int, sym) -> None:
     """c_{rs} on one basis symbol: the composed generator words against the
     closed-form ``gamma_action``."""
-    x = LinComb.single(sym)
-    got = mod.crs_via_composition(r, s, x)
-    want = mod.gamma_action(r, s, x)
+    got = mod.crs_via_composition(r, s, sym)
+    want = mod.gamma_action(r, s, LinComb.single(sym))
     tally.check(got == want, kind, lambda: {
         "input": f"c({r},{s}) on {sym!r}", "lhs": repr(got), "rhs": repr(want)})
 
@@ -613,9 +612,9 @@ def build_action_matrix(cfg: Config, kind: str, indices: tuple[int, int]) -> dic
     entries: dict[str, dict[str, str]] = {}
     for col in columns:
         if kind == "E":
-            out = mod.act(a, b, LinComb.single(col))
+            out = mod.act(a, b, col)
         elif kind == "c":
-            out = mod.crs_via_composition(a, b, LinComb.single(col))
+            out = mod.crs_via_composition(a, b, col)
         else:
             raise ValueError(f"unknown operator kind {kind!r}")
         if out.is_zero:

@@ -7,10 +7,10 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gtmod import core, fixtures
+from gtmod import coeffs, core, fixtures
 from gtmod.coeffs import (
     Jet, classical_action, coeff_e, coeff_ratfun, gamma, perm_action, rows_read,
 )
@@ -178,6 +178,70 @@ def test_jet_is_the_2_jet_of_the_whole_coefficient(w):
             assert f.pole_order() == 0
             assert (f.ev(), f.d()) == (F(a0, q), F(a1, 2 * q)) and a0 != 0
             assert q > 0 and math.gcd(a0, a1, q) == 1
+
+
+def _list_fold(factors):
+    """The integer 2-jet (v, x0, x1) of a product of integer linear factors
+    b + c*t, given as a list; None when some factor is identically zero."""
+    v, x0, x1 = 0, 1, 0
+    for b, c in factors:
+        if not b:
+            if not c:
+                return None
+            v, b, c = v + 1, c, 0
+        x1 = x1 * b + x0 * c
+        x0 *= b
+    return v, x0, x1
+
+
+def _coeff_e_by_factor_lists(r, s, w):
+    """coeff_e as it was before its one-pass fold: the scaled factor lists
+    of ``_factors``, the raising -1 among them, each folded as a list."""
+    rows, scale = w
+    num, den = coeffs._factors(r, s, rows, scale)
+    d = _list_fold(den)
+    if d is None:
+        raise ZeroDivisionError("zero denominator in coefficient function")
+    f = _list_fold(num)
+    if f is None:
+        return Jet(0, 0, 0, 1)
+    (v, x0, x1), (dv, d0, d1) = f, d
+    k = len(den) - len(num)
+    top, bottom = (scale ** k, 1) if k >= 0 else (1, scale ** -k)
+    a0, a1, q = top * x0 * d0, top * (x1 * d0 - x0 * d1), bottom * d0 * d0
+    g = math.gcd(a0, a1, q)
+    return Jet(v - dv, a0 // g, a1 // g, q // g)
+
+
+# row 2 has equal entries (the denominators of e_23 and e_32 vanish) and so
+# do w_11, w_21 and w_22 (the numerator of e_12 vanishes)
+EQUAL_ENTRIES = Tableau.from_rows([[1, F(1, 3), 2], [0, 0], [0]])
+
+
+def test_equal_entries_give_a_zero_denominator_and_a_zero_jet():
+    with pytest.raises(ZeroDivisionError):
+        coeff_e(2, 3, EQUAL_ENTRIES)
+    with pytest.raises(ZeroDivisionError):
+        coeff_e(3, 2, EQUAL_ENTRIES)
+    assert coeff_e(1, 2, EQUAL_ENTRIES) == Jet(0, 0, 0, 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(t_tableaux())
+@example(EQUAL_ENTRIES)
+def test_one_pass_fold_matches_the_factor_list_fold(w):
+    """coeff_e, which folds the cells of e_rs as it reads them and starts a
+    raising coefficient at -L, equals the fold of the scaled factor lists,
+    jets, zero jets and vanishing denominators alike."""
+    for r in range(1, w.n + 1):
+        for s in range(1, w.n + 1):
+            try:
+                want = _coeff_e_by_factor_lists(r, s, w)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    coeff_e(r, s, w)
+                continue
+            assert coeff_e(r, s, w) == want, (r, s)
 
 
 def _outcome(l, m, t):

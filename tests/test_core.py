@@ -1,6 +1,7 @@
 """The one word evaluator against the literal nested-``act`` formulas,
-the bounded column store of ``core.sweep`` against the unbounded one, and
-the character grouping of ``core.character_classes``.
+and on a basis symbol against its single-term combination; the bounded
+column store of ``core.sweep`` against the unbounded one; and the
+character grouping of ``core.character_classes``.
 
 ``core.bracket_defect`` and ``core.crs_via_composition`` both sum signed
 generator words in one pass; the oracles here spell each word out as nested
@@ -12,7 +13,7 @@ import random
 
 import pytest
 
-from gtmod import coeffs
+from gtmod import coeffs, core
 from gtmod.finite import FiniteModule
 from gtmod.lincomb import LinComb
 from gtmod.tableaux import Tableau
@@ -81,6 +82,55 @@ def test_central_words_match_nested_act(name):
             for s in range(1, 4):
                 assert mod.crs_via_composition(r, s, x) == _nested_central_word(mod, r, s, x), \
                     (r, s, x)
+
+
+def _recording_misses(mod) -> list:
+    """The (l, m, symbol) of every ``_act_uncached`` call on mod from here
+    on, in call order."""
+    calls, uncached = [], mod._act_uncached
+
+    def record(l, m, sym):
+        calls.append((l, m, sym))
+        return uncached(l, m, sym)
+
+    mod._act_uncached = record
+    return calls
+
+
+def _nested_words(mod, words, sym):
+    """sum of c * E_{g1} (E_{g2} (... (E_{gL} x))) over the words, x = 1 * sym."""
+    out = LinComb.zero()
+    for c, word in words:
+        y = LinComb.single(sym)
+        for l, m in reversed(word):
+            y = mod.act(l, m, y)
+        out = out + c * y
+    return out
+
+
+N4_GENERATORS = [(a, b) for a in range(1, 5) for b in range(1, 5)]
+N4_SAMPLE = 16
+
+
+def test_word_sum_on_a_symbol_matches_its_single_term_combination():
+    """On singular_n4 window-1 symbols and every ordered generator pair,
+    the words of a commutator and of the two generators alone summed on the
+    symbol itself equal the same words on ``LinComb.single(sym)`` and the
+    nested ``act`` formula, and both word sums miss on the same columns in
+    the same order.  The symbols are a seeded sample of 16 of the 729; the
+    whole window takes about 45 times as long."""
+    cfg = Config.from_file("fixtures/singular_n4.json").with_overrides(window=1)
+    on_symbol, on_single = module_for(cfg), module_for(cfg)
+    misses = _recording_misses(on_symbol), _recording_misses(on_single)
+    symbols = random.Random(20240601).sample(window_symbols(cfg), N4_SAMPLE)
+    assert {sym.kind for sym in symbols} == {"reg", "der"}
+    for sym in symbols:
+        for g1, g2 in itertools.product(N4_GENERATORS, repeat=2):
+            words = [(1, (g1, g2)), (-1, (g2, g1)), (-1, (g1,)), (2, (g2,))]
+            got = core._word_sum(on_symbol, words, sym)
+            assert got == core._word_sum(on_single, words, LinComb.single(sym)), (g1, g2, sym)
+            assert got == _nested_words(on_single, words, sym), (g1, g2, sym)
+    assert misses[0] == misses[1] and misses[0]
 
 
 def _bracket_loop(monkeypatch, cfg, swept):

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,6 +39,18 @@ def test_scalar_action_is_bilinear(a, b, x, y):
 def test_no_zero_coefficients_stored(x):
     assert all(c != 0 for _, c in x.items())
     assert x.coeff("nothing-here") == Fraction(0)
+
+
+def test_a_float_coefficient_is_a_type_error():
+    """Coefficients are exact: a float is refused where it enters, not
+    stored as the binary fraction nearest to it."""
+    x = LinComb.single("a")
+    for make in (lambda: LinComb({"a": 0.1}), lambda: 0.5 * x,
+                 lambda: LinComb.sum_terms([("a", 0.5)]), lambda: LinComb.single("a", 1.0)):
+        with pytest.raises(TypeError, match="float"):
+            make()
+    # int, bool and Fraction coefficients stay exact
+    assert LinComb({"a": Fraction(1, 2), "b": True}) == Fraction(1, 2) * x + LinComb.single("b")
 
 
 @settings(max_examples=200, deadline=None)
@@ -119,16 +132,19 @@ def test_lincomb_agrees_with_a_dict_oracle(first, second, later, q):
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(wide_scalars, pair_lists), max_size=4),
+       st.lists(st.tuples(wide_scalars, keys), max_size=3),
        st.dictionaries(keys, pair_lists))
-def test_images_agrees_with_a_dict_oracle(parts, columns):
+def test_images_agrees_with_a_dict_oracle(parts, singles, columns):
     """The combination ``core._word_sum`` makes: sum_i c_i * column_i(x_i),
-    with the identity column (a plain sum) next to a general one."""
+    with the identity column (a plain sum) next to a general one, and x_i a
+    combination or a single key."""
     def column(key):
         return LinComb.sum_terms(columns.get(key, []))
 
-    xs = [(c, LinComb.sum_terms(first)) for c, first in parts]
+    xs = [(c, LinComb.sum_terms(first)) for c, first in parts] + singles
     image = LinComb.images([(c, x, col) for c, x in xs for col in (column, LinComb.single)])
-    want = oracle((k2, c * a * v) for c, first in parts
+    want = oracle((k2, c * a * v)
+                  for c, first in parts + [(c, [(key, 1)]) for c, key in singles]
                   for col in (lambda k: oracle(columns.get(k, [])), lambda k: {k: 1})
                   for k, a in oracle(first).items() for k2, v in col(k).items())
     assert_agrees(image, want)
@@ -146,6 +162,7 @@ COLUMNS = {"a": LinComb.sum_terms([("b", Fraction(1, 2)), ("c", 3)]),
 def test_images_returns_a_lone_unit_column_itself():
     column = COLUMNS.__getitem__
     assert LinComb.images([(1, LinComb.single("a"), column)]) is column("a")
+    assert LinComb.images([(1, "a", column)]) is column("a")
 
 
 def test_images_near_a_unit_column_is_a_new_sum():

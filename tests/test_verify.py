@@ -353,6 +353,18 @@ def _plant_memo_key_drops_a_row(monkeypatch):
     monkeypatch.setattr(coeffs, "rows_read", lambda l, m: real(l, m)[1:])
 
 
+def _plant_pure_t_factor_keeps_v(monkeypatch):
+    # coeff_e's fold recompiled so that a pure-t factor c*t folds as the
+    # constant c, leaving the order of vanishing v where it was
+    source = textwrap.dedent(inspect.getsource(coeffs._fold))
+    step = "v, f0, f1 = v + 1, f1, 0"
+    assert source.count(step) == 1
+    scope = {}
+    exec(compile(source.replace(step, "f0, f1 = f1, 0"), "<planted>", "exec"),
+         vars(coeffs), scope)
+    monkeypatch.setattr(coeffs, "_fold", scope["_fold"])
+
+
 def _plant_gcd_skipped(monkeypatch):
     # every RatFun kept uncancelled, so a removable pole at t = 0 stays a pole
     monkeypatch.setattr(ratfun, "poly_gcd", lambda a, b: ratfun.ONE)
@@ -410,6 +422,11 @@ SINGULAR_N3 = ("singular_n3.json", 1)
         "formulas": {"perm-action-vs-phi-set", "finite-dim-bracket", "finite-dim-gamma",
                      "evaluation"},
         "commutators": {"bracket"}, "gamma": JORDAN_EIGEN}),
+    # coeff_ratfun multiplies out the factor lists of the unscaled rows and
+    # shares no fold with coeff_e, so jet-vs-ratfun sees a fold defect
+    (_plant_pure_t_factor_keeps_v, SINGULAR_N3, {
+        "formulas": {"jet-vs-ratfun"}, "commutators": {"bracket"},
+        "gamma": {"composition-jordan", "witness-step2"}}),
     # only the formulas oracle builds a RatFun; it ends on the first
     # removable pole at t = 0 left uncancelled, as one failed check
     (_plant_gcd_skipped, SINGULAR_N3, {
@@ -418,7 +435,7 @@ SINGULAR_N3 = ("singular_n3.json", 1)
         "numerators-not-rescaled", "d-ev-swapped", "gamma-d-negated", "der-sign-dropped",
         "classical-index-off-by-one", "loewy-layers-swapped", "loewy-l3-l7-swapped",
         "tau-wrong-positions", "structure-constant-dropped", "tau-fixed-never",
-        "memo-key-drops-a-row", "ratfun-gcd-skipped"])
+        "memo-key-drops-a-row", "pure-t-factor-keeps-v", "ratfun-gcd-skipped"])
 def test_planted_kernel_defect_is_caught(monkeypatch, plant, config, kinds):
     """A planted defect fails exactly the recorded check kinds of each suite
     on the given fixture and window (a suite with none recorded passes)."""
