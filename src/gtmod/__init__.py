@@ -18,13 +18,15 @@ Layers, bottom up:
   family acts by, and the classical oracle;
 * :mod:`gtmod.lincomb`  -- sparse formal linear combinations, and sums of
   their scaled images under linear maps;
-* :mod:`gtmod.core`     -- the operations shared by the module families
+* :mod:`gtmod.core`     -- ``TableauModule``, the base class every module
+  family subclasses: its three stores and the shared operations
   (action on combinations and on single symbols; bracket defects and
   composed central words, both summed by one evaluator of signed generator
   words, on a combination or straight on a basis symbol; the memoized
   closed-form gamma_rs pair);
 * :mod:`gtmod.generic`, :mod:`gtmod.singular`, :mod:`gtmod.finite` -- the
-  three module families, each supplying only its action on one symbol;
+  three module families, each adding its own state and its action on one
+  symbol;
 * :mod:`gtmod.n3`       -- the ten-piece decomposition over the all-equal
   n = 3 base point;
 * :mod:`gtmod.verify`, :mod:`gtmod.cli` -- reportable verification suites.

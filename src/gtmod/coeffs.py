@@ -111,10 +111,12 @@ class Jet(NamedTuple):
         return Fraction(self.a0, self.q)
 
 
+@functools.cache
 def rows_read(l: int, m: int) -> range:
     """The tableau rows that e_{lm} reads, and so every term of
     ``perm_action(l, m, .)``: l..m when l < m, m-1..l-1 when l > m, and
-    l-1..l when l = m (there is no row 0)."""
+    l-1..l when l = m (there is no row 0).  Memoized: the term memo reads
+    it on every lookup, and a ``range`` is immutable."""
     if l < m:
         return range(l, m + 1)
     if l > m:

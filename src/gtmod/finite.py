@@ -66,17 +66,17 @@ def standard_tableaux(lam: tuple[int, ...]) -> list[Tableau]:
     return [Tableau.from_rows(rows) for rows in results]
 
 
-class FiniteModule:
-    """The standard-tableau model of one finite-dimensional irreducible."""
+class FiniteModule(core.TableauModule):
+    """The standard-tableau model of one finite-dimensional irreducible,
+    over its highest-weight tableau."""
 
     def __init__(self, lam: tuple[int, ...]):
         if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
             raise ValueError("highest weight must be dominant (weakly decreasing)")
         if any(not isinstance(x, int) for x in lam):
             raise ValueError("integral weights only")
+        super().__init__(highest_weight_tableau(lam))
         self.lam = tuple(lam)
-        self.n = len(lam)
-        self.base = highest_weight_tableau(self.lam)
         shifts = []
         for t in standard_tableaux(self.lam):
             shifts.append(ShiftVector.of(self.n, {
@@ -86,16 +86,10 @@ class FiniteModule:
             }))
         self.basis: tuple[ShiftVector, ...] = tuple(shifts)
         self._basis_set = frozenset(shifts)
-        self._act_cache: dict = {}
-        self._perm_cache: dict = {}
-        self._gamma_cache: dict = {}
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
-
-    tableau_at = core.tableau_at
-    perm_terms = core.perm_terms
 
     def _act_uncached(self, l: int, m: int, z: ShiftVector) -> LinComb:
         """E_{lm} at shift z: the permutation form, keeping the summands
@@ -109,11 +103,9 @@ class FiniteModule:
                 terms.append((target, fn.const_value()))
         return LinComb.sum_terms(terms)
 
-    act_symbol = core.act_symbol
-    act = core.act
-    bracket_defect = core.bracket_defect
-    crs_via_composition = core.crs_via_composition
-
-    gamma = core.gamma
-    gamma_action = core.gamma_action
-    gamma_eigenvalue = core.gamma_eigenvalue
+    # bound here for perfbench/tracer.py, which wraps this class's own names
+    act_symbol = core.TableauModule.act_symbol
+    act = core.TableauModule.act
+    bracket_defect = core.TableauModule.bracket_defect
+    crs_via_composition = core.TableauModule.crs_via_composition
+    gamma_eigenvalue = core.TableauModule.gamma_eigenvalue

@@ -109,20 +109,14 @@ def canonical_window(frame: SingularFrame, bound: int) -> list[BasisSymbol]:
             for z in window_shifts(frame.n, bound)]
 
 
-class SingularModule:
-    """gl(n) on the span of the regular and derivative symbols of a frame."""
+class SingularModule(core.TableauModule):
+    """gl(n) on the span of the regular and derivative symbols of a frame,
+    over its t-line."""
 
     def __init__(self, frame: SingularFrame):
+        super().__init__(frame.line)
         self.frame = frame
-        self.n = frame.n
-        self.base = frame.line
-        self._act_cache: dict = {}
-        self._perm_cache: dict = {}
-        self._gamma_cache: dict = {}
         self._symbols: dict = {}
-
-    tableau_at = core.tableau_at
-    perm_terms = core.perm_terms
 
     # -- canonical single-term combinations ----------------------------------
 
@@ -198,17 +192,12 @@ class SingularModule:
             return self.act_on_regular(l, m, sym.shift)
         return self.act_on_derivative(l, m, sym.shift)
 
-    act_symbol = core.act_symbol
-    act = core.act
-    sweep = core.sweep
-    bracket_defect = core.bracket_defect
-    crs_via_composition = core.crs_via_composition
+    # bound here for perfbench/tracer.py, which wraps this class's own names
+    act_symbol = core.TableauModule.act_symbol
+    bracket_defect = core.TableauModule.bracket_defect
+    crs_via_composition = core.TableauModule.crs_via_composition
 
     # -- the commutative family -------------------------------------------------
-
-    gamma = core.gamma
-    character = core.character
-    character_classes = core.character_classes
 
     def gamma_action(self, r: int, s: int, x: LinComb) -> LinComb:
         """c_{rs} in closed form: eigenvalue on Reg, a 2x2 upper-triangular
@@ -257,9 +246,13 @@ def _derivative_coefficient_closed_form(frame: SingularFrame,
 
 def generation_witnesses(frame: SingularFrame, z: ShiftVector) -> dict:
     """Exact values of the coefficients that drive the generation argument
-    for the module: the derivative-line coefficient of E_{k-1,k}, the
-    evaluation coefficient of (x-y) e_{k+1,k} on a tau-fixed neighbour, and
-    the full family of derivative-to-derivative coefficients at z."""
+    for the module: the derivative-line coefficient of E_{k-1,k}, with its
+    closed form; the evaluation coefficient of (x-y) e_{k+1,k} at
+    sigma_i(v+z') for the tau-fixed neighbour z' of z, with its closed form
+    prod_{q<k} (w_ki - w_{k-1,q}) / prod_{q not in {i,j}} (w_ki - w_kq) at
+    w = vbar + z' (the divisor is empty for k = 2, where x - y is the whole
+    denominator); and the full family of derivative-to-derivative
+    coefficients at z."""
     if frame.is_tau_fixed(z):
         raise ValueError("witnesses are reported for a tau-unfixed shift")
     k, i, j = frame.k, frame.i, frame.j
@@ -274,10 +267,13 @@ def generation_witnesses(frame: SingularFrame, z: ShiftVector) -> dict:
     sigma_i = PermTuple.row_transposition(n, k, 1, i)
     e = coeffs.coeff_e(k + 1, k, sigma_i(frame.tableau_at(zfix)))
     step2_ev = Fraction(*_x_minus_y_d_ev(e)[1])
-    step2_num = Fraction(1)
     w = frame.vbar.with_shift(zfix)
+    step2_closed = Fraction(1)
     for q in range(1, k):
-        step2_num *= w.base(k, i) - w.base(k - 1, q)
+        step2_closed *= w.base(k, i) - w.base(k - 1, q)
+    for q in range(1, k + 1):
+        if q not in (i, j):
+            step2_closed /= w.base(k, i) - w.base(k, q)
 
     step3 = {(l, m, idx): e.d_ev()[1]
              for l in range(1, n + 1) for m in range(1, n + 1) if l != m
@@ -290,7 +286,7 @@ def generation_witnesses(frame: SingularFrame, z: ShiftVector) -> dict:
         "derivative_coefficient_closed_form": closed,
         "step2_shift": zfix.to_text(),
         "step2_ev_coefficient": step2_ev,
-        "step2_numerator": step2_num,
+        "step2_closed_form": step2_closed,
         "step3_values": step3,
     }
 

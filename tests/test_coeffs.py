@@ -260,7 +260,7 @@ def test_perm_action_on_the_integer_tableau_matches_the_tableau(w, data):
     n = w.n
     z = ShiftVector(tuple(tuple(data.draw(st.integers(-2, 2)) for _ in range(r))
                           for r in range(1, n)))
-    shifted = core.tableau_at(SimpleNamespace(base=w), z)
+    shifted = core.TableauModule.tableau_at(SimpleNamespace(base=w), z)
     cells = [(r, s) for r in range(n, 0, -1) for s in range(1, r + 1)]
     rebuilt = Tableau.from_rows(
         [[w.base(r, s) + (z.get(r, s) if r < n else 0) for s in range(1, r + 1)]

@@ -1,9 +1,9 @@
 """The one word evaluator against the literal nested-``act`` formulas,
 and on a basis symbol against its single-term combination; the bounded
-column store of ``core.sweep`` against the unbounded one; and the
-character grouping of ``core.character_classes``.
+column store of ``TableauModule.sweep`` against the unbounded one; and
+the character grouping of ``TableauModule.character_classes``.
 
-``core.bracket_defect`` and ``core.crs_via_composition`` both sum signed
+``bracket_defect`` and ``crs_via_composition`` both sum signed
 generator words in one pass; the oracles here spell each word out as nested
 ``act`` calls and add the results with ``LinComb`` arithmetic.
 """
@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from gtmod import coeffs, core
+from gtmod import coeffs
 from gtmod.finite import FiniteModule
 from gtmod.lincomb import LinComb
 from gtmod.tableaux import Tableau
@@ -127,8 +127,8 @@ def test_word_sum_on_a_symbol_matches_its_single_term_combination():
     for sym in symbols:
         for g1, g2 in itertools.product(N4_GENERATORS, repeat=2):
             words = [(1, (g1, g2)), (-1, (g2, g1)), (-1, (g1,)), (2, (g2,))]
-            got = core._word_sum(on_symbol, words, sym)
-            assert got == core._word_sum(on_single, words, LinComb.single(sym)), (g1, g2, sym)
+            got = on_symbol._word_sum(words, sym)
+            assert got == on_single._word_sum(words, LinComb.single(sym)), (g1, g2, sym)
             assert got == _nested_words(on_single, words, sym), (g1, g2, sym)
     assert misses[0] == misses[1] and misses[0]
 

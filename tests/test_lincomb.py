@@ -135,7 +135,7 @@ def test_lincomb_agrees_with_a_dict_oracle(first, second, later, q):
        st.lists(st.tuples(wide_scalars, keys), max_size=3),
        st.dictionaries(keys, pair_lists))
 def test_images_agrees_with_a_dict_oracle(parts, singles, columns):
-    """The combination ``core._word_sum`` makes: sum_i c_i * column_i(x_i),
+    """The combination ``TableauModule._word_sum`` makes: sum_i c_i * column_i(x_i),
     with the identity column (a plain sum) next to a general one, and x_i a
     combination or a single key."""
     def column(key):

@@ -373,7 +373,18 @@ def test_generation_witnesses_nonzero(frame_n3):
         assert rep["derivative_coefficient"] != 0
         assert rep["derivative_coefficient"] == rep["derivative_coefficient_closed_form"]
         assert rep["step2_ev_coefficient"] != 0
-        # for a row-2 singular pair the denominator is exactly x - y, so the
-        # surviving value is the bare numerator product
-        assert rep["step2_ev_coefficient"] == rep["step2_numerator"]
         assert all(v != 0 for v in rep["step3_values"].values())
+
+
+@pytest.mark.parametrize("frame", ["frame_n3", "frame_n4", "frame_n4_row3", "frame_all_equal"])
+def test_step2_closed_form_matches_the_ev_coefficient(frame):
+    """The step-2 witness equals its closed form at 40 tau-unfixed shifts,
+    on both row-2 pairs, the row-3 pair, where the divisor
+    prod_{q not in {i,j}} (w_ki - w_kq) is not empty, and the all-equal
+    frame, where the irreducibility hypothesis fails."""
+    frame = getattr(fixtures, frame)()
+    rng = random.Random(131)
+    for _ in range(40):
+        z = fixtures.random_unfixed_shift(rng, frame, bound=3)
+        rep = generation_witnesses(frame, z)
+        assert rep["step2_ev_coefficient"] == rep["step2_closed_form"], z

@@ -257,7 +257,7 @@ def _plant_swap_one_short(monkeypatch):
 
 
 def _plant_shift_without_scale(monkeypatch):
-    real = core.tableau_at
+    real = core.TableauModule.tableau_at
 
     def planted(self, z):  # B + z instead of B + L*z
         return real(SimpleNamespace(base=self.base._replace(scale=1)), z)._replace(
@@ -337,7 +337,7 @@ def _plant_tau_wrong_positions(monkeypatch):
 def _plant_structure_constant_dropped(monkeypatch):
     # bracket_defect recompiled without its delta_da word, and rebound on
     # every module family
-    source = textwrap.dedent(inspect.getsource(core.bracket_defect))
+    source = textwrap.dedent(inspect.getsource(core.TableauModule.bracket_defect))
     word = "    if d == a:\n        words.append((1, ((c, b),)))\n"
     assert source.count(word) == 1
     scope = {}
