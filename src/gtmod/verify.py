@@ -2,8 +2,9 @@
 
 A suite is one ``check_*(cfg, tally)`` sweep, registered once in
 :data:`SUITES`; the first line of its docstring is its command-line help.
-Each sweeps one family of algebraic identities over a configured frame and
-window, recording every comparison in a :class:`Tally` (tolerance is zero
+Each sweeps one family of algebraic identities over the configured base (or
+singular frame) and window, and over no input of its own, recording every
+comparison in a :class:`Tally` (tolerance is zero
 everywhere: both sides of every comparison are exact rationals or canonical
 rational functions).  :func:`run_suite` alone owns the suite lifecycle: it
 checks the suite's :data:`PRECONDITIONS` entry (a config the suite cannot
@@ -25,12 +26,12 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import coeffs
-from .finite import FiniteModule, standard_tableaux, weyl_dimension
-from .fixtures import random_generic_tableau, random_unfixed_shift
+from .fixtures import random_unfixed_shift
 from .generic import GenericModule
 from .lincomb import LinComb
 from .n3 import LOEWY_LAYERS, classify_shift, weight_key
@@ -40,16 +41,14 @@ from .singular import (
     connecting_shift, generation_witnesses, irreducibility_hypothesis,
 )
 from .tableaux import (
-    SingularFrame, Tableau, epsilon, is_generic, is_standard, phi_set, tau_perm, tau_star,
-    window_shifts,
+    SingularFrame, Tableau, epsilon, is_generic, phi_set, tau_perm, tau_star, window_shifts,
 )
 
 __all__ = [
     "Config", "VerificationReport", "SUITES", "PRECONDITIONS", "run_suite",
     "module_for", "window_symbols",
     "check_commutators", "check_gamma", "check_formulas", "check_n3",
-    "Tally", "sweep_classical_vs_perm", "sweep_finite_dim", "sweep_coefficient_identities",
-    "export_action", "build_action_matrix",
+    "Tally", "export_action", "build_action_matrix",
 ]
 
 MAX_EXEMPLARS = 5
@@ -266,15 +265,6 @@ def _gamma_pairs(n: int) -> list[tuple[int, int]]:
     return [(r, s) for r in range(1, top + 1) for s in range(1, r + 1)]
 
 
-def _check_central_word(tally: Tally, kind: str, mod, r: int, s: int, sym) -> None:
-    """c_{rs} on one basis symbol: the composed generator words against the
-    closed-form ``gamma_action``."""
-    got = mod.crs_via_composition(r, s, sym)
-    want = mod.gamma_action(r, s, LinComb.single(sym))
-    tally.check(got == want, kind, lambda: {
-        "input": f"c({r},{s}) on {sym!r}", "lhs": repr(got), "rhs": repr(want)})
-
-
 def check_gamma(cfg: Config, tally: Tally) -> None:
     """central family: eigenvalues, 2x2 blocks, multiplicities
 
@@ -292,7 +282,11 @@ def check_gamma(cfg: Config, tally: Tally) -> None:
     kind = "composition-eigenvalue" if frame is None else "composition-jordan"
     for (r, s) in _gamma_pairs(cfg.n):
         for _ in range(20):
-            _check_central_word(tally, kind, mod, r, s, rng.choice(window))
+            sym = rng.choice(window)
+            got = mod.crs_via_composition(r, s, sym)
+            want = mod.gamma_action(r, s, LinComb.single(sym))
+            tally.check(got == want, kind, lambda: {
+                "input": f"c({r},{s}) on {sym!r}", "lhs": repr(got), "rhs": repr(want)})
 
     if frame is None:
         for zs in classes.values():
@@ -381,62 +375,6 @@ def check_gamma(cfg: Config, tally: Tally) -> None:
 # formulas
 # ---------------------------------------------------------------------------
 
-def check_formulas(cfg: Config, tally: Tally) -> None:
-    """coefficient identities, parity, poles, finite-dim regression
-
-    The coefficient-level identities: classical versus permutation
-    presentation, each coefficient's jet against its whole rational
-    function, the permutation form on the module's integer tableau against
-    the ``PermTuple`` action, pole-order bound, parity relations, the
-    point-operator exchange rules, the evaluation cross-check, and the
-    finite-dimensional regression."""
-    sweep_classical_vs_perm(tally, random.Random(cfg.seed))
-    sweep_finite_dim(tally)
-    if cfg.frame is not None:
-        sweep_coefficient_identities(cfg, tally)
-
-
-def sweep_classical_vs_perm(tally: Tally, rng: random.Random):
-    """Classical presentation == permutation presentation on 100 random
-    generic tableaux of sizes 2..4, term for term."""
-    for _ in range(100):
-        n = rng.randint(2, 4)
-        t = random_generic_tableau(rng, n)
-        for kk in range(1, n):
-            for (l, m) in ((kk, kk + 1), (kk + 1, kk), (kk, kk)):
-                classical = LinComb.sum_terms(
-                    (dz, c) for c, dz in coeffs.classical_action(l, m, t))
-                perm = LinComb.sum_terms(
-                    (dz, fn.const_value()) for fn, dz in coeffs.perm_action(l, m, t))
-                tally.check(classical == perm, "classical-vs-permutation",
-                            lambda: {"input": f"E({l},{m}) on {t.to_text()}",
-                                     "lhs": repr(classical), "rhs": repr(perm)})
-
-
-def sweep_finite_dim(tally: Tally):
-    """gl(3) with highest weight (2,1,0): enumerated standard basis against
-    the Weyl dimension, span preservation (every target tableau
-    standard), brackets, central eigenvalues."""
-    lam = (2, 1, 0)
-    mod = FiniteModule(lam)
-    count = len(standard_tableaux(lam))
-    dim = weyl_dimension(lam)
-    tally.check(count == dim == 8, "finite-dim-count",
-                lambda: {"input": f"lam={lam}", "lhs": str(count), "rhs": str(dim)})
-    gens = _generators(3)
-    for z in mod.basis:
-        for l, m in gens:
-            out = mod.act_symbol(l, m, z)
-            for key in out.keys():
-                tally.check(is_standard(mod.tableau_at(key)), "finite-dim-span",
-                            lambda: {"input": repr(key)})
-        for g1, g2 in itertools.combinations(gens, 2):
-            tally.check(mod.bracket_defect(g1, g2, z).is_zero, "finite-dim-bracket",
-                        lambda: {"input": f"[E{g1},E{g2}] on {z!r}"})
-        for (r, s) in _gamma_pairs(3):
-            _check_central_word(tally, "finite-dim-gamma", mod, r, s, z)
-
-
 def _jet_matches(jet: coeffs.Jet, e: RatFun) -> bool:
     """The jet (v, a0, a1, q) is the 2-jet of the whole function e at t = 0:
     the same zero-ness and pole order, and the same value and half-derivative
@@ -453,36 +391,42 @@ def _action_exemplar(l: int, m: int, z, lhs: LinComb, rhs: LinComb):
     return lambda: {"input": f"E({l},{m}) at {z!r}", "lhs": repr(lhs), "rhs": repr(rhs)}
 
 
-def sweep_coefficient_identities(cfg: Config, tally: Tally):
-    """Every coefficient e_lm(sigma(v+z)), sigma in Phi_lm, and the module
-    action at every window shift z of a singular config.
+def check_formulas(cfg: Config, tally: Tally) -> None:
+    """coefficient formulas against their oracles on every window tableau
 
-    Per coefficient: its jet against its whole rational function
-    (``jet-vs-ratfun``), the module's memoized ``perm_terms`` term against
-    it (``perm-action-vs-phi-set``, so every window shift checks the memo's
-    hits), the pole-order bound at tau-fixed z
-    (``pole-bound``, and ``pole-smooth`` off the special set), the
-    point-operator exchange rules (``ev-equals-d-shifted``,
+    One loop over the window shifts z, for both families.  The oracles read
+    the config's own tableau at z, the base plus z (over a singular frame,
+    its t-line plus z), never the module's ``tableau_at``.  Per coefficient
+    e_lm(sigma(v+z)), sigma in Phi_lm: its jet against its whole rational
+    function (``jet-vs-ratfun``), and the module's memoized ``perm_terms``
+    term against it (``perm-action-vs-phi-set``, so every window shift
+    checks the memo's hits).  Per adjacent or diagonal generator, wherever
+    the classical formulas are defined (every z of a generic base, every
+    tau-unfixed z of a frame): their summands on the plain tableau base + z
+    against its permutation form (``classical-vs-permutation``).
+
+    Over a singular frame only, per coefficient: the pole-order bound at
+    tau-fixed z (``pole-bound``, and ``pole-smooth`` off the special set),
+    the point-operator exchange rules (``ev-equals-d-shifted``,
     ``symmetric-derivative-zero``, ``divided-difference``) and parity across
     the swap (``parity-plain`` off the special set, ``parity-twisted`` on
-    it).  Per generator: the regular action is tau-even
+    it); per generator: the regular action is tau-even
     (``regular-action-tau-even``) and, at tau-unfixed z, the derivative
     action tau-odd (``derivative-action-tau-odd``) and the regular action
     equal to its evaluation form (``regular-action-ev-crosscheck``)."""
-    frame = cfg.frame
-    n, k = cfg.n, frame.k
+    n, frame = cfg.n, cfg.frame
     mod = module_for(cfg)
-    two_t = RatFun(TWO_T)
-    # from (k, i, j), not frame.tau, so the oracle shares no code with the swap it checks
-    taup = tau_perm(n, k, frame.i, frame.j)
+    line = cfg.base if frame is None else frame.line
+    if frame is not None:
+        k, two_t = frame.k, RatFun(TWO_T)
+        # from (k, i, j), not frame.tau, so the oracle shares no code with the swap it checks
+        taup = tau_perm(n, k, frame.i, frame.j)
 
     for z in window_shifts(n, cfg.window):
-        fixed = frame.is_tau_fixed(z)
-        tz = frame.tau(z)
-        line_z, line_tz = frame.tableau_at(z), frame.tableau_at(tz)
+        line_z = line.with_shift(z)
+        fixed = frame is not None and frame.is_tau_fixed(z)
         for l in range(1, n + 1):
             for m in range(1, n + 1):
-                inside = min(l, m) <= k <= max(l, m) - 1
                 memo = mod.perm_terms(l, m, z)
                 eps = epsilon(n, l, m)
                 for idx, sigma in enumerate(phi_set(l, m, n)):
@@ -493,16 +437,18 @@ def sweep_coefficient_identities(cfg: Config, tally: Tally):
                                 lambda: {"input": f"e({l},{m}) at {sigma!r}(v+{z!r})",
                                          "lhs": repr(jet), "rhs": repr(e)})
                     # the module's memoized terms (integer tableau, direct
-                    # row swaps) against PermTuple on the rational tableau
+                    # row swaps) against PermTuple on the config's tableau
                     term, pair = list(memo[idx:idx + 1]), (jet, sigma(eps))
                     tally.check(term == [pair], "perm-action-vs-phi-set",
                                 lambda: {"input": f"E({l},{m}) term {sigma!r} at v+{z!r}",
                                          "lhs": repr(term), "rhs": repr([pair])})
+                    if frame is None:
+                        continue
                     special = frame.is_special(sigma)
                     if fixed:
                         # pole-order bound, and smoothness off the special set
                         tally.check(e.pole_order() <= 1, "pole-bound", lambda: {"input": repr(e)})
-                        if not (inside and special):
+                        if not (special and min(l, m) <= k < max(l, m)):
                             tally.check(e.pole_order() == 0, "pole-smooth",
                                         lambda: {"input": repr(e)})
                     # point-operator exchange rules on this coefficient
@@ -519,6 +465,7 @@ def sweep_coefficient_identities(cfg: Config, tally: Tally):
                                         lambda: {"input": repr(e)})
                     # parity across the swap
                     if not special and l != m:
+                        line_tz = frame.tableau_at(frame.tau(z))
                         d_t, ev_t = coeffs.coeff_e(l, m, sigma(line_tz)).d_ev()
                         tally.check(ev_t == e.ev() and d_t == -e.d(),
                                     "parity-plain", lambda: {"input": repr(e)})
@@ -528,8 +475,21 @@ def sweep_coefficient_identities(cfg: Config, tally: Tally):
                         rhs = coeffs.coeff_ratfun(l, m, (sigma * taup)(line_z))
                         tally.check(lhs == rhs, "parity-twisted",
                                     lambda: {"lhs": repr(lhs), "rhs": repr(rhs)})
+                # the classical formulas divide by same-row differences,
+                # which vanish only at a frame's tau-fixed shifts
+                if abs(l - m) <= 1 and not fixed:
+                    plain = cfg.base.with_shift(z)
+                    classical = LinComb.sum_terms(
+                        (dz, c) for c, dz in coeffs.classical_action(l, m, plain))
+                    perm = LinComb.sum_terms(
+                        (dz, fn.const_value()) for fn, dz in coeffs.perm_action(l, m, plain))
+                    tally.check(classical == perm, "classical-vs-permutation",
+                                _action_exemplar(l, m, z, classical, perm))
+        if frame is None:
+            continue
 
         # compatibility of the module action with the swap
+        tz = frame.tau(z)
         for l in range(1, n + 1):
             for m in range(1, n + 1):
                 reg = mod.act_on_regular(l, m, z)
@@ -552,20 +512,23 @@ def sweep_coefficient_identities(cfg: Config, tally: Tally):
 
 def n3_precondition(cfg: Config) -> None:
     """ValueError unless the ten-piece suite can run on cfg: a singular
-    n = 3 config over the all-equal base point."""
+    n = 3 config over the all-equal base point, with a window of at least 3,
+    the least at which L7's weight spaces show growth."""
     if cfg.frame is None or cfg.n != 3:
         raise ValueError("the ten-piece suite needs a singular n=3 config")
     first = cfg.base.base(3, 1)
     if any(cfg.base.base(r, s) != first for r in range(1, 4) for s in range(1, r + 1)):
         raise ValueError("the ten-piece suite needs the all-equal base point")
+    if cfg.window < 3:
+        raise ValueError(f"the ten-piece suite needs a window of at least 3, got {cfg.window}")
 
 
 def check_n3(cfg: Config, tally: Tally) -> None:
     """ten-piece decomposition over the all-equal n=3 base
 
     Classification totality, layer monotonicity of the action, and growth
-    of the two infinite-multiplicity pieces; runs only on configs that
-    pass :func:`n3_precondition`."""
+    of L7's weight multiplicities over the windows W - 2, W - 1 and W;
+    runs only on configs that pass :func:`n3_precondition`."""
     mod = module_for(cfg)
 
     # classification is total and unambiguous; the action never climbs layers
@@ -583,20 +546,14 @@ def check_n3(cfg: Config, tally: Tally) -> None:
         tally.check(ok, "loewy-monotone",
                     lambda: {"input": f"{sym!r} in {piece}", "violation": repr(worst)})
 
-    # weight multiplicities inside L7 grow strictly with the window
-    counts = {}
-    for bound in (2, 3, 4):
-        per_weight: dict = {}
-        for z in window_shifts(3, bound):
-            if classify_shift(z) == "L7":
-                key = weight_key(z)
-                per_weight[key] = per_weight.get(key, 0) + 1
-        counts[bound] = per_weight
-    for key, base_count in counts[2].items():
-        c3 = counts[3].get(key, 0)
-        c4 = counts[4].get(key, 0)
-        tally.check(base_count < c3 < c4, "l7-weight-growth",
-                    lambda: {"input": f"weight {key}", "counts": f"{base_count} -> {c3} -> {c4}"})
+    # weight multiplicities inside L7 grow strictly up to the window
+    low, mid, high = (
+        Counter(weight_key(z) for z in window_shifts(3, bound) if classify_shift(z) == "L7")
+        for bound in (cfg.window - 2, cfg.window - 1, cfg.window))
+    for key, c0 in low.items():
+        c1, c2 = mid.get(key, 0), high.get(key, 0)
+        tally.check(c0 < c1 < c2, "l7-weight-growth",
+                    lambda: {"input": f"weight {key}", "counts": f"{c0} -> {c1} -> {c2}"})
 
 
 # ---------------------------------------------------------------------------

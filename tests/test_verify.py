@@ -23,10 +23,8 @@ from gtmod import core, finite, fixtures, generic, n3, ratfun, singular, verify
 from gtmod.cli import main as cli_main
 from gtmod.lincomb import LinComb
 from gtmod.tableaux import SingularFrame, Tableau
-from gtmod.verify import (
-    Config, Tally, build_action_matrix, export_action, run_suite,
-    sweep_finite_dim,
-)
+from gtmod.verify import Config, Tally, build_action_matrix, export_action, run_suite
+from test_acceptance import sweep_finite_dim
 
 FIXTURES = "fixtures"
 
@@ -83,25 +81,26 @@ def test_gamma_suite_passes_generic():
 
 
 def test_n3_suite_passes():
-    report = run_suite("n3", _cfg("all_equal_n3.json", window=2))
+    report = run_suite("n3", _cfg("all_equal_n3.json", window=3))
     assert report.ok
 
 
 @pytest.mark.parametrize("name, counts", [
-    ("generic_n3", {"commutators": 972, "gamma": 147, "formulas": 1017}),
-    ("singular_n3", {"commutators": 972, "gamma": 307, "formulas": 3465}),
-    ("all_equal_n3", {"commutators": 972, "gamma": 267, "n3": 39}),
+    ("generic_n3", {"commutators": 972, "gamma": 147, "formulas": 891}),
+    ("singular_n3", {"commutators": 972, "gamma": 307, "formulas": 2574}),
+    ("all_equal_n3", {"commutators": 972, "gamma": 267, "n3": 346}),
     ("singular_n4", {"commutators": 120, "gamma": 245}),
     ("singular_n4_row3", {"commutators": 120, "gamma": 245}),
 ])
 def test_report_counts_are_pinned(name, counts):
-    """Every configured suite at the fixture seed, window 1 on n = 3 and 0
-    on n = 4: all checks pass, and their number does not move."""
+    """Every configured suite at the fixture seed, window 1 on n = 3 (3 for
+    the ten-piece suite, its least) and 0 on n = 4: all checks pass, and
+    their number does not move."""
     cfg = _cfg(f"{name}.json")
     cfg = cfg.with_overrides(window=1 if cfg.n == 3 else 0)
     checked = {}
     for suite in cfg.suites:
-        report = run_suite(suite, cfg)
+        report = run_suite(suite, cfg.with_overrides(window=3) if suite == "n3" else cfg)
         assert report.failed == 0 and report.exemplars == []
         checked[suite] = report.checked
     assert checked == counts
@@ -167,7 +166,7 @@ def test_formulas_runs_parity_plain_on_the_row3_frame(monkeypatch):
     Phi_lm elements for the untwisted parity check."""
     counts = _count_checks(monkeypatch)
     report = run_suite("formulas", _cfg("singular_n4_row3.json", window=0))
-    assert report.ok and report.checked == 1321
+    assert report.ok and report.checked == 304
     assert counts["parity-plain", True] == 20
 
 
@@ -256,14 +255,19 @@ def _plant_swap_one_short(monkeypatch):
                         lambda row, a: real(row, a - 1) if a > 2 else row)
 
 
-def _plant_shift_without_scale(monkeypatch):
-    real = core.TableauModule.tableau_at
+def _shift_without_scale(family):
+    def plant(monkeypatch):
+        real = core.TableauModule.tableau_at
 
-    def planted(self, z):  # B + z instead of B + L*z
-        return real(SimpleNamespace(base=self.base._replace(scale=1)), z)._replace(
-            scale=self.base.scale)
+        def planted(self, z):  # B + z instead of B + L*z
+            return real(SimpleNamespace(base=self.base._replace(scale=1)), z)._replace(
+                scale=self.base.scale)
 
-    monkeypatch.setattr(singular.SingularModule, "tableau_at", planted)
+        monkeypatch.setattr(family, "tableau_at", planted)
+    return plant
+
+
+_plant_shift_without_scale = _shift_without_scale(singular.SingularModule)
 
 
 def _plant_numerators_not_rescaled(monkeypatch):
@@ -372,6 +376,7 @@ def _plant_gcd_skipped(monkeypatch):
 
 JORDAN_EIGEN = {"composition-jordan", "jordan-square-zero", "regular-eigenvector"}
 SINGULAR_N3 = ("singular_n3.json", 1)
+GENERIC_N3 = ("generic_n3.json", 1)
 
 
 @pytest.mark.parametrize("plant, config, kinds", [
@@ -379,16 +384,20 @@ SINGULAR_N3 = ("singular_n3.json", 1)
         "formulas": {"classical-vs-permutation", "jet-vs-ratfun"},
         "commutators": {"bracket"}, "gamma": JORDAN_EIGEN}),
     (_plant_swap_one_short, SINGULAR_N3, {
-        "formulas": {"classical-vs-permutation", "finite-dim-bracket", "finite-dim-gamma",
-                     "perm-action-vs-phi-set", "regular-action-tau-even",
-                     "derivative-action-tau-odd"},
+        "formulas": {"classical-vs-permutation", "perm-action-vs-phi-set",
+                     "regular-action-tau-even", "derivative-action-tau-odd"},
         "commutators": {"bracket"}, "gamma": {"composition-jordan"}}),
     (_plant_shift_without_scale, SINGULAR_N3, {
         "formulas": {"perm-action-vs-phi-set"},
         "commutators": {"bracket"}, "gamma": JORDAN_EIGEN | {"jordan-offdiagonal-model"}}),
+    # the formulas oracles read the config's base, not the module's tableau_at
+    (_shift_without_scale(generic.GenericModule), GENERIC_N3, {
+        "formulas": {"perm-action-vs-phi-set"}, "commutators": {"bracket"},
+        "gamma": {"composition-eigenvalue"}}),
+    # formulas checks coefficients, not how LinComb sums them; the moved
+    # finite-dimensional sweep catches this one too
     (_plant_numerators_not_rescaled, SINGULAR_N3, {
-        "formulas": {"finite-dim-bracket", "finite-dim-gamma"},
-        "commutators": {"bracket"}, "gamma": JORDAN_EIGEN}),
+        "formulas": set(), "commutators": {"bracket"}, "gamma": JORDAN_EIGEN}),
     (_plant_d_ev_swapped, SINGULAR_N3, {
         "formulas": {"jet-vs-ratfun", "regular-action-tau-even", "derivative-action-tau-odd",
                      "regular-action-ev-crosscheck"},
@@ -412,15 +421,14 @@ SINGULAR_N3 = ("singular_n3.json", 1)
         "formulas": set(), "commutators": {"bracket"},
         "gamma": {"jordan-offdiagonal-nonzero", "jordan-square-zero", "regular-eigenvector"}}),
     (_plant_structure_constant_dropped, SINGULAR_N3, {
-        "formulas": {"finite-dim-bracket"}, "commutators": {"bracket"}, "gamma": set()}),
+        "formulas": set(), "commutators": {"bracket"}, "gamma": set()}),
     # formulas and gamma end on the pole they meet, each as one failed check
     (_plant_tau_fixed_never, SINGULAR_N3, {
         "formulas": {"evaluation"}, "commutators": set(),
         "gamma": {"evaluation", "jordan-offdiagonal-nonzero", "tau-unfixed-multiplicity-two"}}),
     # formulas ends on the pole a wrong memo hit puts at a tau-unfixed shift
     (_plant_memo_key_drops_a_row, SINGULAR_N3, {
-        "formulas": {"perm-action-vs-phi-set", "finite-dim-bracket", "finite-dim-gamma",
-                     "evaluation"},
+        "formulas": {"perm-action-vs-phi-set", "evaluation"},
         "commutators": {"bracket"}, "gamma": JORDAN_EIGEN}),
     # coeff_ratfun multiplies out the factor lists of the unscaled rows and
     # shares no fold with coeff_e, so jet-vs-ratfun sees a fold defect
@@ -432,7 +440,7 @@ SINGULAR_N3 = ("singular_n3.json", 1)
     (_plant_gcd_skipped, SINGULAR_N3, {
         "formulas": {"evaluation"}, "commutators": set(), "gamma": set()}),
 ], ids=["diagonal-constant-unscaled", "swap-one-short", "shift-without-scale",
-        "numerators-not-rescaled", "d-ev-swapped", "gamma-d-negated", "der-sign-dropped",
+        "shift-without-scale-generic", "numerators-not-rescaled", "d-ev-swapped", "gamma-d-negated", "der-sign-dropped",
         "classical-index-off-by-one", "loewy-layers-swapped", "loewy-l3-l7-swapped",
         "tau-wrong-positions", "structure-constant-dropped", "tau-fixed-never",
         "memo-key-drops-a-row", "pure-t-factor-keeps-v", "ratfun-gcd-skipped"])
@@ -711,12 +719,40 @@ def test_finite_action_keeping_non_standard_targets_fails_the_span_check(monkeyp
                                  for fn, dz in self.perm_terms(l, m, z))
 
     monkeypatch.setattr(finite.FiniteModule, "_act_uncached", keep_every_target)
-    report = run_suite("formulas", _cfg("generic_n3.json", window=0))
-    assert report.failed > 0
+    tally = Tally()
     # the span check fails first; a later bracket then meets a vanishing
     # denominator on a non-standard tableau and ends the sweep
-    assert report.exemplars[0]["check"] == "finite-dim-span"
-    assert {ex["check"] for ex in report.exemplars} == {"finite-dim-span", "evaluation"}
+    with pytest.raises(ZeroDivisionError):
+        sweep_finite_dim(tally)
+    assert tally.failed > 0
+    assert {ex["check"] for ex in tally.exemplars} == {"finite-dim-span"}
+
+
+@pytest.mark.parametrize("plant, kinds", [
+    (_plant_swap_one_short, {"finite-dim-bracket", "finite-dim-gamma"}),
+    (_plant_numerators_not_rescaled, {"finite-dim-bracket", "finite-dim-gamma"}),
+    (_plant_structure_constant_dropped, {"finite-dim-bracket"}),
+    (_plant_memo_key_drops_a_row, {"finite-dim-bracket", "finite-dim-gamma"}),
+], ids=["swap-one-short", "numerators-not-rescaled", "structure-constant-dropped",
+        "memo-key-drops-a-row"])
+def test_planted_defect_fails_the_finite_dim_sweep(monkeypatch, plant, kinds):
+    """The planted defects that the formulas suite caught only through the
+    gl(3) regression, before it moved here, fail exactly these kinds of it."""
+    counts = _count_checks(monkeypatch)
+    plant(monkeypatch)
+    sweep_finite_dim(Tally())
+    assert {kind for kind, ok in counts if not ok} == kinds
+
+
+def test_formulas_on_a_rank_one_base_checks_e11(monkeypatch):
+    """n = 1 has one basis tableau, whatever the window, and one generator:
+    E_11's coefficient against its whole function, the memo and the
+    classical formula."""
+    counts = _count_checks(monkeypatch)
+    report = run_suite("formulas", Config.from_dict({"n": 1, "base": "(0)", "window": 0}))
+    assert report.ok and report.checked == 3
+    assert set(counts) == {("jet-vs-ratfun", True), ("perm-action-vs-phi-set", True),
+                           ("classical-vs-permutation", True)}
 
 
 def test_overrides_are_checked_like_config_values(capsys):
@@ -743,12 +779,19 @@ def test_cli_n3_precondition_exits_2(tmp_path, capsys, name, match):
     assert not out.exists()
 
 
+def test_cli_n3_refuses_a_window_below_3(capsys):
+    """Below window 3 no L7 weight shows growth, so the suite would rest on
+    the layer order alone."""
+    line = _cli_error(capsys, f"{FIXTURES}/all_equal_n3.json", "--window", "2", suite="n3")
+    assert line.endswith("the ten-piece suite needs a window of at least 3, got 2")
+
+
 def test_cli_error_inside_a_sweep_is_not_a_config_error(monkeypatch, capsys):
     def broken(z):
         raise ValueError("planted")
 
     monkeypatch.setattr(verify, "classify_shift", broken)
-    code = cli_main(["n3", "--config", f"{FIXTURES}/all_equal_n3.json", "--window", "0"])
+    code = cli_main(["n3", "--config", f"{FIXTURES}/all_equal_n3.json", "--window", "3"])
     out = capsys.readouterr().out
     assert code == 1
     assert "failed=1" in out and out.count("exemplar") == 1
