@@ -4,6 +4,7 @@ Equivalent to the command line
 
     verify commutators --config fixtures/singular_n3.json
     verify gamma       --config fixtures/singular_n3.json
+    verify formulas    --config fixtures/singular_n3.json
     verify n3          --config fixtures/all_equal_n3.json --window 3
 
 Every check is exact; a suite passes iff failed == 0, and the report is

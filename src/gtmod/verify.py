@@ -265,6 +265,15 @@ def _gamma_pairs(n: int) -> list[tuple[int, int]]:
     return [(r, s) for r in range(1, top + 1) for s in range(1, r + 1)]
 
 
+def _check_central_word(tally: Tally, kind: str, mod, r: int, s: int, sym) -> None:
+    """c_{rs} on one basis symbol: the composed generator words against the
+    closed-form ``gamma_action``."""
+    got = mod.crs_via_composition(r, s, sym)
+    want = mod.gamma_action(r, s, LinComb.single(sym))
+    tally.check(got == want, kind, lambda: {
+        "input": f"c({r},{s}) on {sym!r}", "lhs": repr(got), "rhs": repr(want)})
+
+
 def check_gamma(cfg: Config, tally: Tally) -> None:
     """central family: eigenvalues, 2x2 blocks, multiplicities
 
@@ -282,11 +291,7 @@ def check_gamma(cfg: Config, tally: Tally) -> None:
     kind = "composition-eigenvalue" if frame is None else "composition-jordan"
     for (r, s) in _gamma_pairs(cfg.n):
         for _ in range(20):
-            sym = rng.choice(window)
-            got = mod.crs_via_composition(r, s, sym)
-            want = mod.gamma_action(r, s, LinComb.single(sym))
-            tally.check(got == want, kind, lambda: {
-                "input": f"c({r},{s}) on {sym!r}", "lhs": repr(got), "rhs": repr(want)})
+            _check_central_word(tally, kind, mod, r, s, rng.choice(window))
 
     if frame is None:
         for zs in classes.values():
@@ -423,8 +428,10 @@ def check_formulas(cfg: Config, tally: Tally) -> None:
         taup = tau_perm(n, k, frame.i, frame.j)
 
     for z in window_shifts(n, cfg.window):
-        line_z = line.with_shift(z)
-        fixed = frame is not None and frame.is_tau_fixed(z)
+        line_z, fixed = line.with_shift(z), False
+        if frame is not None:
+            fixed, tz = frame.is_tau_fixed(z), frame.tau(z)
+            line_tz = line.with_shift(tz)
         for l in range(1, n + 1):
             for m in range(1, n + 1):
                 memo = mod.perm_terms(l, m, z)
@@ -465,7 +472,6 @@ def check_formulas(cfg: Config, tally: Tally) -> None:
                                         lambda: {"input": repr(e)})
                     # parity across the swap
                     if not special and l != m:
-                        line_tz = frame.tableau_at(frame.tau(z))
                         d_t, ev_t = coeffs.coeff_e(l, m, sigma(line_tz)).d_ev()
                         tally.check(ev_t == e.ev() and d_t == -e.d(),
                                     "parity-plain", lambda: {"input": repr(e)})
@@ -489,7 +495,6 @@ def check_formulas(cfg: Config, tally: Tally) -> None:
             continue
 
         # compatibility of the module action with the swap
-        tz = frame.tau(z)
         for l in range(1, n + 1):
             for m in range(1, n + 1):
                 reg = mod.act_on_regular(l, m, z)
@@ -512,23 +517,21 @@ def check_formulas(cfg: Config, tally: Tally) -> None:
 
 def n3_precondition(cfg: Config) -> None:
     """ValueError unless the ten-piece suite can run on cfg: a singular
-    n = 3 config over the all-equal base point, with a window of at least 3,
-    the least at which L7's weight spaces show growth."""
+    n = 3 config over the all-equal base point."""
     if cfg.frame is None or cfg.n != 3:
         raise ValueError("the ten-piece suite needs a singular n=3 config")
     first = cfg.base.base(3, 1)
     if any(cfg.base.base(r, s) != first for r in range(1, 4) for s in range(1, r + 1)):
         raise ValueError("the ten-piece suite needs the all-equal base point")
-    if cfg.window < 3:
-        raise ValueError(f"the ten-piece suite needs a window of at least 3, got {cfg.window}")
 
 
 def check_n3(cfg: Config, tally: Tally) -> None:
     """ten-piece decomposition over the all-equal n=3 base
 
     Classification totality, layer monotonicity of the action, and growth
-    of L7's weight multiplicities over the windows W - 2, W - 1 and W;
-    runs only on configs that pass :func:`n3_precondition`."""
+    of L7's weight multiplicities over the windows W - 2, W - 1 and W (no
+    weight shows growth below W = 3); runs only on configs that pass
+    :func:`n3_precondition`."""
     mod = module_for(cfg)
 
     # classification is total and unambiguous; the action never climbs layers

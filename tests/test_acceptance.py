@@ -4,13 +4,12 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion with its timing.
 """
 
-import itertools
 import random
 import time
 
 import pytest
 
-from gtmod import coeffs, fixtures
+from gtmod import fixtures
 from gtmod.finite import FiniteModule, standard_tableaux, weyl_dimension
 from gtmod.generic import GenericModule
 from gtmod.lincomb import LinComb
@@ -19,54 +18,12 @@ from gtmod.singular import (
     REG, SingularModule, canonical_window, generation_witnesses,
     irreducibility_hypothesis,
 )
-from gtmod.tableaux import ShiftVector, is_standard
+from gtmod.tableaux import ShiftVector
 from gtmod.verify import Config, Tally, check_formulas, run_suite
 
+from conftest import sweep_classical_vs_perm, sweep_finite_dim
+
 SEED = 20240601
-
-
-def sweep_classical_vs_perm(tally: Tally, rng: random.Random):
-    """Classical presentation == permutation presentation on 100 random
-    generic tableaux of sizes 2..4, term for term."""
-    for _ in range(100):
-        n = rng.randint(2, 4)
-        t = fixtures.random_generic_tableau(rng, n)
-        for kk in range(1, n):
-            for (l, m) in ((kk, kk + 1), (kk + 1, kk), (kk, kk)):
-                classical = LinComb.sum_terms(
-                    (dz, c) for c, dz in coeffs.classical_action(l, m, t))
-                perm = LinComb.sum_terms(
-                    (dz, fn.const_value()) for fn, dz in coeffs.perm_action(l, m, t))
-                tally.check(classical == perm, "classical-vs-permutation",
-                            lambda: {"input": f"E({l},{m}) on {t.to_text()}",
-                                     "lhs": repr(classical), "rhs": repr(perm)})
-
-
-def sweep_finite_dim(tally: Tally):
-    """gl(3) with highest weight (2,1,0): enumerated standard basis against
-    the Weyl dimension, span preservation (every target tableau
-    standard), brackets, central eigenvalues."""
-    lam = (2, 1, 0)
-    mod = FiniteModule(lam)
-    count = len(standard_tableaux(lam))
-    dim = weyl_dimension(lam)
-    tally.check(count == dim == 8, "finite-dim-count",
-                lambda: {"input": f"lam={lam}", "lhs": str(count), "rhs": str(dim)})
-    gens = [(a, b) for a in range(1, 4) for b in range(1, 4)]
-    for z in mod.basis:
-        for l, m in gens:
-            for key in mod.act_symbol(l, m, z).keys():
-                tally.check(is_standard(mod.tableau_at(key)), "finite-dim-span",
-                            lambda: {"input": repr(key)})
-        for g1, g2 in itertools.combinations(gens, 2):
-            tally.check(mod.bracket_defect(g1, g2, z).is_zero, "finite-dim-bracket",
-                        lambda: {"input": f"[E{g1},E{g2}] on {z!r}"})
-        for r in range(1, 4):
-            for s in range(1, r + 1):
-                got = mod.crs_via_composition(r, s, z)
-                want = mod.gamma_action(r, s, LinComb.single(z))
-                tally.check(got == want, "finite-dim-gamma", lambda: {
-                    "input": f"c({r},{s}) on {z!r}", "lhs": repr(got), "rhs": repr(want)})
 
 
 def _announce(num, description, started, ok):

@@ -24,7 +24,8 @@ from gtmod.cli import main as cli_main
 from gtmod.lincomb import LinComb
 from gtmod.tableaux import SingularFrame, Tableau
 from gtmod.verify import Config, Tally, build_action_matrix, export_action, run_suite
-from test_acceptance import sweep_finite_dim
+
+from conftest import sweep_finite_dim
 
 FIXTURES = "fixtures"
 
@@ -94,7 +95,7 @@ def test_n3_suite_passes():
 ])
 def test_report_counts_are_pinned(name, counts):
     """Every configured suite at the fixture seed, window 1 on n = 3 (3 for
-    the ten-piece suite, its least) and 0 on n = 4: all checks pass, and
+    the ten-piece suite, the least that checks L7 growth) and 0 on n = 4: all checks pass, and
     their number does not move."""
     cfg = _cfg(f"{name}.json")
     cfg = cfg.with_overrides(window=1 if cfg.n == 3 else 0)
@@ -779,11 +780,15 @@ def test_cli_n3_precondition_exits_2(tmp_path, capsys, name, match):
     assert not out.exists()
 
 
-def test_cli_n3_refuses_a_window_below_3(capsys):
-    """Below window 3 no L7 weight shows growth, so the suite would rest on
-    the layer order alone."""
-    line = _cli_error(capsys, f"{FIXTURES}/all_equal_n3.json", "--window", "2", suite="n3")
-    assert line.endswith("the ten-piece suite needs a window of at least 3, got 2")
+@pytest.mark.parametrize("window, growth", [(0, 0), (2, 0), (3, 3)])
+def test_n3_growth_reads_the_configured_window(monkeypatch, window, growth):
+    """``l7-weight-growth`` compares the windows W - 2, W - 1 and W: below
+    W = 3 no L7 weight shows growth, and the suite rests on the layer order
+    alone."""
+    counts = _count_checks(monkeypatch)
+    assert run_suite("n3", _cfg("all_equal_n3.json", window=window)).ok
+    assert counts["l7-weight-growth", True] == growth
+    assert counts["l7-weight-growth", False] == 0
 
 
 def test_cli_error_inside_a_sweep_is_not_a_config_error(monkeypatch, capsys):
