@@ -66,7 +66,7 @@ from .ratfun import PoleError, Poly, RatFun
 from .tableaux import ShiftVector, Tableau, phi_picks
 
 __all__ = ["Jet", "coeff_e", "coeff_ratfun", "gamma", "classical_action", "perm_action",
-           "rows_read"]
+           "perm_moves", "rows_read"]
 
 Factor = tuple[Fraction | int, int]  # the linear function b + c*t
 Cell = tuple[int, int, int]  # the factor rows[a][0] - rows[b][j]
@@ -95,20 +95,27 @@ class Jet(NamedTuple):
         (dn, dd), (en, ed) = self.d_ev_ratios()
         return Fraction(dn, dd), Fraction(en, ed)
 
-    def d_ev_ratios(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """:meth:`d_ev` as integer (numerator, denominator) pairs, not
-        reduced."""
+    def d_ev_ratios(self, order: int = 0) -> tuple[tuple[int, int], tuple[int, int]]:
+        """:meth:`d_ev` of t^order times the coefficient, order >= 0, as
+        integer (numerator, denominator) pairs, not reduced: the jet's order
+        of vanishing is read as v + order, and no second jet is built."""
         v, a0, a1, q = self
+        v += order
         if v < 0:
             raise PoleError(f"pole of order {-v} at t=0: {self!r}")
         d = a1 if v == 0 else a0 if v == 1 else 0
         return (d, 2 * q), (a0 if v == 0 else 0, q)
 
-    def const_value(self) -> Fraction:
-        """a0/q, for a coefficient read on a plain tableau (v = 0, a1 = 0)."""
+    def const_ratio(self) -> tuple[int, int]:
+        """(a0, q), the value of a coefficient read on a plain tableau
+        (v = 0, a1 = 0) as an integer ratio in lowest terms."""
         if self.v or self.a1:
             raise ValueError(f"{self!r} is not constant")
-        return Fraction(self.a0, self.q)
+        return self.a0, self.q
+
+    def const_value(self) -> Fraction:
+        """:meth:`const_ratio` as a ``Fraction``."""
+        return Fraction(*self.const_ratio())
 
 
 @functools.cache
@@ -338,6 +345,15 @@ def _perm_plan(l: int, m: int, n: int) -> tuple[tuple[tuple, ShiftVector], ...]:
         plan.append((tuple((q - 1, a) for q, a in pairs if a != 1),
                      ShiftVector.of(n, {(q, a): sign for q, a in pairs})))
     return tuple(plan)
+
+
+@functools.cache
+def perm_moves(l: int, m: int, n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """The move lists of the target shifts sigma(epsilon_{lm}) of
+    :func:`perm_action`, in the order of its terms: one +-1 in each row
+    min(l, m)..max(l, m) - 1, so a target z + sigma(epsilon_{lm}) is
+    ``z.moved(moves)``, which rebuilds only those rows."""
+    return tuple(shift.moves() for _, shift in _perm_plan(l, m, n))
 
 
 def perm_action(l: int, m: int, t: Tableau) -> list[tuple[Jet, ShiftVector]]:

@@ -10,7 +10,13 @@ functions, since the tracer patches a class's own attributes.
 The per-module caches, all created by ``__init__``: ``act_symbol``
 memoizes the generator action, keyed by (l, m, symbol); ``perm_terms`` the
 permutation-form terms a miss reads, keyed by (l, m) and the slice of
-shift rows those terms read; ``gamma`` the closed-form gamma_{rs} as its
+shift rows those terms read.  A miss of every family reads those terms
+through ``perm_targets``, which pairs each nonzero jet with its target
+z + sigma(eps_lm), built by moving z along the move list that
+:func:`~gtmod.coeffs.perm_moves` plans once per (l, m, n), so only the
+rows sigma(eps_lm) touches are rebuilt; the generic and finite families
+sum the targets' constant values as integer ratios.  ``gamma`` memoizes
+the closed-form gamma_{rs} as its
 (half-derivative, value) pair at t = 0, keyed by (r, s) and the slice
 holding the row-r shifts.  Shift rows are stored row 1 first, so either
 slice is ``z.rows[lo - 1:hi]`` for tableau rows lo..hi; it stops short of
@@ -83,6 +89,16 @@ class TableauModule:
         if hit is None:
             hit = self._perm_cache[key] = tuple(coeffs.perm_action(l, m, self.tableau_at(z)))
         return hit
+
+    def perm_targets(self, l: int, m: int, z) -> list:
+        """The ``perm_terms`` of E_{lm} at shift z whose jet is nonzero, as
+        (jet, z + sigma(eps_lm)) pairs: each target is z moved by the move
+        list of sigma(eps_lm) (:func:`~gtmod.coeffs.perm_moves`), which
+        rebuilds only the rows that sigma(eps_lm) touches.  The one target
+        builder of every family's cache miss."""
+        moved = z.moved
+        return [(e, moved(moves)) for (e, _), moves
+                in zip(self.perm_terms(l, m, z), coeffs.perm_moves(l, m, self.n)) if e.a0]
 
     def act_symbol(self, l: int, m: int, sym) -> LinComb:
         """E_{lm} on one basis symbol; a cache miss runs the family's

@@ -95,13 +95,11 @@ class FiniteModule(core.TableauModule):
         """E_{lm} at shift z: the permutation form, keeping the summands
         whose target is a basis shift, that is, whose target tableau is
         standard.  No denominator vanishes, since every row of a standard
-        tableau is strictly decreasing here."""
-        terms = []
-        for fn, dz in self.perm_terms(l, m, z):
-            target = z + dz
-            if target in self._basis_set:
-                terms.append((target, fn.const_value()))
-        return LinComb.sum_terms(terms)
+        tableau is strictly decreasing here.  Summed as integer ratios; a
+        zero summand adds nothing, so the targets skip it."""
+        basis = self._basis_set
+        return LinComb.from_ratios((target, *e.const_ratio())
+                                   for e, target in self.perm_targets(l, m, z) if target in basis)
 
     # bound here for perfbench/tracer.py, which wraps this class's own names
     act_symbol = core.TableauModule.act_symbol

@@ -29,10 +29,10 @@ class GenericModule(core.TableauModule):
         super().__init__(base)
 
     def _act_uncached(self, l: int, m: int, z: ShiftVector) -> LinComb:
-        """E_{lm} applied to the basis tableau at shift z."""
-        return LinComb.sum_terms(
-            (z + dz, c) for fn, dz in self.perm_terms(l, m, z)
-            if (c := fn.const_value()))
+        """E_{lm} applied to the basis tableau at shift z, summed as integer
+        ratios."""
+        return LinComb.from_ratios((target, *e.const_ratio())
+                                   for e, target in self.perm_targets(l, m, z))
 
     # bound here for perfbench/tracer.py, which wraps this class's own names
     act_symbol = core.TableauModule.act_symbol

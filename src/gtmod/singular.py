@@ -29,12 +29,16 @@ that is, over q: (d, ev) = (a1, 2 a0) at v = -1, (a0, 0) at v = 0 and 0
 above on the regular line; (a1/2, a0) at v = 0, (a0/2, 0) at v = 1 and 0
 above on the derivative line.  A larger pole is an :class:`InvariantViolation`.
 
-A cache miss reads the jets off the module's memoized permutation-form
-terms and, for each term with a nonzero jet, builds the target shift z'
-once and places both its coefficients there as integer ratios; the
-prefactor x - y = 2t raises the jet's order by one and doubles it.  All
-terms are summed into one :class:`~gtmod.lincomb.LinComb` in one integer
-pass.
+A cache miss takes the module's memoized permutation-form terms with a
+nonzero jet together with their targets z' (``perm_targets``: z moved
+along the move list of sigma(eps_lm), planned once per (l, m, n), so only
+the rows it touches are rebuilt), reads each jet's (d, ev) once, as
+integer ratios, with ``Jet.d_ev_ratios(order)`` (order 1 on the regular
+line, where the prefactor x - y = 2t raises the jet's order by one and
+doubles it, and order 0 on the derivative line, with no second jet
+built), and places both coefficients at z' through :func:`canonicalize`.
+All terms are summed into one :class:`~gtmod.lincomb.LinComb` in one
+integer pass.
 """
 
 from __future__ import annotations
@@ -78,10 +82,8 @@ class BasisSymbol(NamedTuple):
 
 def _x_minus_y_d_ev(e: coeffs.Jet) -> tuple[tuple[int, int], tuple[int, int]]:
     """The half-derivative and value at t = 0 of (x - y) * e = XY_SLOPE * t * e
-    on the line, as integer (numerator, denominator) pairs: t * e is the
-    jet of e with its order raised by one."""
-    v, a0, a1, q = e
-    (dn, dd), (en, ed) = coeffs.Jet(v + 1, a0, a1, q).d_ev_ratios()
+    on the line, as integer (numerator, denominator) pairs."""
+    (dn, dd), (en, ed) = e.d_ev_ratios(1)
     return (XY_SLOPE * dn, dd), (XY_SLOPE * en, ed)
 
 
@@ -132,51 +134,43 @@ class SingularModule(core.TableauModule):
 
     # -- single-generator action ----------------------------------------------
 
-    def _phi_sum(self, l: int, m: int, z: ShiftVector, point) -> LinComb:
-        """Sum over the permutation form of E_lm at v+z of ``point(e)``:
-        ``point`` returns the (Reg, Der) coefficients, as integer
-        (numerator, denominator) pairs, placed at the shift
-        z + sigma(eps_lm), built once per term with a nonzero jet; each
-        symbol is interned in the module's symbol table."""
+    def _phi_sum(self, l: int, m: int, z: ShiftVector, order: int, pole) -> LinComb:
+        """Sum over the permutation form of E_lm at v+z, on the regular line
+        (``order`` 1) or the derivative line (``order`` 0): each term's
+        (d, ev) of (x - y)^order * e = XY_SLOPE^order * t^order * e, read
+        once as integer ratios by ``Jet.d_ev_ratios(order)``, placed as the
+        (Reg, Der) coefficients at its target z + sigma(eps_lm)
+        (``perm_targets``); each symbol is interned in the module's symbol
+        table.  A jet whose pole t^order does not cancel raises
+        :class:`InvariantViolation` with the message ``pole()``."""
         frame, symbols = self.frame, self._symbols
+        slope = XY_SLOPE ** order
         terms = []
-        for e, dz in self.perm_terms(l, m, z):
-            if not e.a0:
-                continue
-            (rn, rd), (dn, dd) = point(e)
-            target = z + dz
+        for e, target in self.perm_targets(l, m, z):
+            if e.v < -order:
+                raise InvariantViolation(pole())
+            (rn, rd), (dn, dd) = e.d_ev_ratios(order)
             if rn:
                 sign, sym = canonicalize(REG, target, frame)
-                terms.append((symbols.setdefault(sym, sym), sign * rn, rd))
+                terms.append((symbols.setdefault(sym, sym), sign * slope * rn, rd))
             if dn:
                 sign, sym = canonicalize(DER, target, frame)
                 if sign:
-                    terms.append((symbols.setdefault(sym, sym), sign * dn, dd))
+                    terms.append((symbols.setdefault(sym, sym), sign * slope * dn, dd))
         return LinComb.from_ratios(terms)
 
     def act_on_regular(self, l: int, m: int, z: ShiftVector) -> LinComb:
         """E_{lm} on Reg(z), through d((x-y) * coefficient) and
         ev((x-y) * coefficient)."""
-        def point(e: coeffs.Jet):
-            if e.v < -1:
-                raise InvariantViolation(
-                    f"pole of order >= 2 in e_{l}{m} over {self.frame.describe()} at z={z}")
-            return _x_minus_y_d_ev(e)
-
-        return self._phi_sum(l, m, z, point)
+        return self._phi_sum(l, m, z, 1, lambda: (
+            f"pole of order >= 2 in e_{l}{m} over {self.frame.describe()} at z={z}"))
 
     def act_on_derivative(self, l: int, m: int, w: ShiftVector) -> LinComb:
         """E_{lm} on Der(w); requires tau(w) != w."""
         if self.frame.is_tau_fixed(w):
             raise ValueError("derivative symbols require a tau-unfixed shift")
-
-        def point(e: coeffs.Jet):
-            if e.v < 0:
-                raise InvariantViolation(
-                    f"unexpected pole in e_{l}{m} at tau-unfixed w={w}")
-            return e.d_ev_ratios()
-
-        return self._phi_sum(l, m, w, point)
+        return self._phi_sum(l, m, w, 0, lambda: (
+            f"unexpected pole in e_{l}{m} at tau-unfixed w={w}"))
 
     def act_on_regular_by_evaluation(self, l: int, m: int,
                                      z: ShiftVector) -> LinComb:
@@ -185,7 +179,9 @@ class SingularModule(core.TableauModule):
         :meth:`act_on_regular`; kept as an independent cross-check path."""
         if self.frame.is_tau_fixed(z):
             raise ValueError("the evaluation form needs a tau-unfixed shift")
-        return self._phi_sum(l, m, z, lambda e: (e.d_ev_ratios()[1], (0, 1)))
+        frame = self.frame
+        return LinComb.from_ratios((canonicalize(REG, target, frame)[1], *e.d_ev_ratios()[1])
+                                   for e, target in self.perm_targets(l, m, z))
 
     def _act_uncached(self, l: int, m: int, sym: BasisSymbol) -> LinComb:
         if sym.kind == REG:

@@ -218,6 +218,22 @@ class ShiftVector(NamedTuple):
         return ShiftVector(tuple(map(tuple, map(map, itertools.repeat(operator.add),
                                                 self.rows, other.rows))))
 
+    def moves(self) -> tuple[tuple[int, int, int], ...]:
+        """The nonzero entries as a move list of (row index r - 1, position
+        index s - 1, value), row 1 first."""
+        return tuple((r, s, v) for r, row in enumerate(self.rows)
+                     for s, v in enumerate(row) if v)
+
+    def moved(self, moves) -> "ShiftVector":
+        """The shift plus the one with the given move list
+        (:meth:`moves`), rebuilding only the rows the moves touch."""
+        rows = list(self.rows)
+        for r, s, v in moves:
+            row = list(rows[r])
+            row[s] += v
+            rows[r] = tuple(row)
+        return ShiftVector(tuple(rows))
+
     def __neg__(self) -> "ShiftVector":
         return ShiftVector(tuple(tuple(map(operator.neg, row)) for row in self.rows))
 
@@ -325,8 +341,13 @@ class PermTuple(NamedTuple):
             raise TypeError(f"cannot permute {w!r}")
         if isinstance(w, ShiftVector) and not self.is_identity_row(w.n):
             raise ValueError("permutation moves the fixed top row")
-        inv = self.inverse().perms
-        return w._replace(rows=tuple(tuple(row[x - 1] for x in p) for row, p in zip(w.rows, inv)))
+        rows = []
+        for row, images in zip(w.rows, self.perms):
+            moved = list(row)
+            for entry, y in zip(row, images):  # entry s lands at position sigma[r](s)
+                moved[y - 1] = entry
+            rows.append(tuple(moved))
+        return w._replace(rows=tuple(rows))
 
     def __repr__(self) -> str:
         moved = [f"{r}:{self.perms[r - 1]}" for r in range(1, self.n + 1)

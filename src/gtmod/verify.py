@@ -426,71 +426,79 @@ def check_formulas(cfg: Config, tally: Tally) -> None:
         k, two_t = frame.k, RatFun(TWO_T)
         # from (k, i, j), not frame.tau, so the oracle shares no code with the swap it checks
         taup = tau_perm(n, k, frame.i, frame.j)
+    # per generator, built once: each sigma in Phi_lm with sigma(eps_lm),
+    # whether it is special, and on the special set off the diagonal its
+    # twist tau_star(sigma) and sigma * tau
+    generators = []
+    for l, m in itertools.product(range(1, n + 1), repeat=2):
+        eps, sigmas = epsilon(n, l, m), []
+        for sigma in phi_set(l, m, n):
+            special = frame is not None and frame.is_special(sigma)
+            twist = ((tau_star(sigma, k, frame.i, frame.j), sigma * taup)
+                     if special and l != m else None)
+            sigmas.append((sigma, sigma(eps), special, twist))
+        generators.append((l, m, sigmas))
 
     for z in window_shifts(n, cfg.window):
-        line_z, fixed = line.with_shift(z), False
+        line_z, plain, fixed = line.with_shift(z), cfg.base.with_shift(z), False
         if frame is not None:
             fixed, tz = frame.is_tau_fixed(z), frame.tau(z)
             line_tz = line.with_shift(tz)
-        for l in range(1, n + 1):
-            for m in range(1, n + 1):
-                memo = mod.perm_terms(l, m, z)
-                eps = epsilon(n, l, m)
-                for idx, sigma in enumerate(phi_set(l, m, n)):
-                    w = sigma(line_z)
-                    e = coeffs.coeff_ratfun(l, m, w)
-                    jet = coeffs.coeff_e(l, m, w)
-                    tally.check(_jet_matches(jet, e), "jet-vs-ratfun",
-                                lambda: {"input": f"e({l},{m}) at {sigma!r}(v+{z!r})",
-                                         "lhs": repr(jet), "rhs": repr(e)})
-                    # the module's memoized terms (integer tableau, direct
-                    # row swaps) against PermTuple on the config's tableau
-                    term, pair = list(memo[idx:idx + 1]), (jet, sigma(eps))
-                    tally.check(term == [pair], "perm-action-vs-phi-set",
-                                lambda: {"input": f"E({l},{m}) term {sigma!r} at v+{z!r}",
-                                         "lhs": repr(term), "rhs": repr([pair])})
-                    if frame is None:
-                        continue
-                    special = frame.is_special(sigma)
-                    if fixed:
-                        # pole-order bound, and smoothness off the special set
-                        tally.check(e.pole_order() <= 1, "pole-bound", lambda: {"input": repr(e)})
-                        if not (special and min(l, m) <= k < max(l, m)):
-                            tally.check(e.pole_order() == 0, "pole-smooth",
-                                        lambda: {"input": repr(e)})
-                    # point-operator exchange rules on this coefficient
-                    g = two_t * e
-                    tally.check(g.ev() == (two_t * g).d(), "ev-equals-d-shifted",
-                                lambda: {"input": repr(g)})
-                    if e.pole_order() == 0:
-                        if e == e.tau():
-                            tally.check(e.d() == 0, "symmetric-derivative-zero",
-                                        lambda: {"input": repr(e)})
-                        h = e.divided_difference()
-                        if h.pole_order() == 0:
-                            tally.check(h.ev() == 2 * e.d(), "divided-difference",
-                                        lambda: {"input": repr(e)})
-                    # parity across the swap
-                    if not special and l != m:
-                        d_t, ev_t = coeffs.coeff_e(l, m, sigma(line_tz)).d_ev()
-                        tally.check(ev_t == e.ev() and d_t == -e.d(),
-                                    "parity-plain", lambda: {"input": repr(e)})
-                    if special and l != m:
-                        star = tau_star(sigma, k, frame.i, frame.j)
-                        lhs = coeffs.coeff_ratfun(l, m, star(line_z))
-                        rhs = coeffs.coeff_ratfun(l, m, (sigma * taup)(line_z))
-                        tally.check(lhs == rhs, "parity-twisted",
-                                    lambda: {"lhs": repr(lhs), "rhs": repr(rhs)})
-                # the classical formulas divide by same-row differences,
-                # which vanish only at a frame's tau-fixed shifts
-                if abs(l - m) <= 1 and not fixed:
-                    plain = cfg.base.with_shift(z)
-                    classical = LinComb.sum_terms(
-                        (dz, c) for c, dz in coeffs.classical_action(l, m, plain))
-                    perm = LinComb.sum_terms(
-                        (dz, fn.const_value()) for fn, dz in coeffs.perm_action(l, m, plain))
-                    tally.check(classical == perm, "classical-vs-permutation",
-                                _action_exemplar(l, m, z, classical, perm))
+        for l, m, sigmas in generators:
+            memo = mod.perm_terms(l, m, z)
+            for idx, (sigma, sigma_eps, special, twist) in enumerate(sigmas):
+                w = sigma(line_z)
+                e = coeffs.coeff_ratfun(l, m, w)
+                jet = coeffs.coeff_e(l, m, w)
+                tally.check(_jet_matches(jet, e), "jet-vs-ratfun",
+                            lambda: {"input": f"e({l},{m}) at {sigma!r}(v+{z!r})",
+                                     "lhs": repr(jet), "rhs": repr(e)})
+                # the module's memoized terms (integer tableau, direct
+                # row swaps) against PermTuple on the config's tableau
+                term, pair = list(memo[idx:idx + 1]), (jet, sigma_eps)
+                tally.check(term == [pair], "perm-action-vs-phi-set",
+                            lambda: {"input": f"E({l},{m}) term {sigma!r} at v+{z!r}",
+                                     "lhs": repr(term), "rhs": repr([pair])})
+                if frame is None:
+                    continue
+                if fixed:
+                    # pole-order bound, and smoothness off the special set
+                    tally.check(e.pole_order() <= 1, "pole-bound", lambda: {"input": repr(e)})
+                    if not (special and min(l, m) <= k < max(l, m)):
+                        tally.check(e.pole_order() == 0, "pole-smooth",
+                                    lambda: {"input": repr(e)})
+                # point-operator exchange rules on this coefficient
+                g = two_t * e
+                tally.check(g.ev() == (two_t * g).d(), "ev-equals-d-shifted",
+                            lambda: {"input": repr(g)})
+                if e.pole_order() == 0:
+                    if e == e.tau():
+                        tally.check(e.d() == 0, "symmetric-derivative-zero",
+                                    lambda: {"input": repr(e)})
+                    h = e.divided_difference()
+                    if h.pole_order() == 0:
+                        tally.check(h.ev() == 2 * e.d(), "divided-difference",
+                                    lambda: {"input": repr(e)})
+                # parity across the swap
+                if not special and l != m:
+                    d_t, ev_t = coeffs.coeff_e(l, m, sigma(line_tz)).d_ev()
+                    tally.check(ev_t == e.ev() and d_t == -e.d(),
+                                "parity-plain", lambda: {"input": repr(e)})
+                if twist is not None:
+                    star, sigma_tau = twist
+                    lhs = coeffs.coeff_ratfun(l, m, star(line_z))
+                    rhs = coeffs.coeff_ratfun(l, m, sigma_tau(line_z))
+                    tally.check(lhs == rhs, "parity-twisted",
+                                lambda: {"lhs": repr(lhs), "rhs": repr(rhs)})
+            # the classical formulas divide by same-row differences,
+            # which vanish only at a frame's tau-fixed shifts
+            if abs(l - m) <= 1 and not fixed:
+                classical = LinComb.sum_terms(
+                    (dz, c) for c, dz in coeffs.classical_action(l, m, plain))
+                perm = LinComb.sum_terms(
+                    (dz, fn.const_value()) for fn, dz in coeffs.perm_action(l, m, plain))
+                tally.check(classical == perm, "classical-vs-permutation",
+                            _action_exemplar(l, m, z, classical, perm))
         if frame is None:
             continue
 

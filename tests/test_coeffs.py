@@ -14,7 +14,7 @@ from gtmod import coeffs, core, fixtures
 from gtmod.coeffs import (
     Jet, classical_action, coeff_e, coeff_ratfun, gamma, perm_action, rows_read,
 )
-from gtmod.ratfun import ONE, Poly, RatFun, T, TWO_T
+from gtmod.ratfun import ONE, PoleError, Poly, RatFun, T, TWO_T
 from gtmod.tableaux import (
     ShiftVector, Tableau, phi_set, tau_perm, tau_star, window_shifts,
 )
@@ -178,6 +178,31 @@ def test_jet_is_the_2_jet_of_the_whole_coefficient(w):
             assert f.pole_order() == 0
             assert (f.ev(), f.d()) == (F(a0, q), F(a1, 2 * q)) and a0 != 0
             assert q > 0 and math.gcd(a0, a1, q) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-3, 3), st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 9),
+       st.integers(0, 2))
+def test_d_ev_ratios_of_a_raised_order_read_the_raised_jet(v, a0, a1, q, order):
+    """d_ev_ratios(order) is d_ev_ratios of t^order * e, built here as a
+    second jet, the pole error included."""
+    raised = Jet(v + order, a0, a1, q)
+    try:
+        expected = raised.d_ev_ratios()
+    except PoleError:
+        with pytest.raises(PoleError):
+            Jet(v, a0, a1, q).d_ev_ratios(order)
+        return
+    assert Jet(v, a0, a1, q).d_ev_ratios(order) == expected
+
+
+def test_const_ratio_reads_a_constant_jet_and_rejects_any_other():
+    assert Jet(0, -3, 0, 4).const_ratio() == (-3, 4)
+    assert Jet(0, -3, 0, 4).const_value() == F(-3, 4)
+    for jet in (Jet(1, 1, 0, 1), Jet(0, 1, 1, 2), Jet(-1, 1, 0, 1)):
+        for read in (jet.const_ratio, jet.const_value):
+            with pytest.raises(ValueError, match="not constant"):
+                read()
 
 
 def _list_fold(factors):

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from gtmod.coeffs import perm_action
 from gtmod.finite import FiniteModule, weyl_dimension
 from gtmod.lincomb import LinComb
 from gtmod.tableaux import ShiftVector
@@ -33,3 +34,18 @@ def test_finite_module_weight_table(lam):
         x = LinComb.single(z)
         for r, s in pairs:
             assert mod.crs_via_composition(r, s, x) == mod.gamma_action(r, s, x), (r, s, z)
+
+
+@pytest.mark.parametrize("lam", WEIGHTS, ids=str)
+def test_columns_match_the_column_assembled_the_old_way(lam):
+    """Every E_lm on every basis shift: the module's column equals the sum of
+    the permutation form's summands on the tableau at z, each at z + dz and
+    kept where z + dz is a basis shift."""
+    mod = FiniteModule(lam)
+    basis = set(mod.basis)
+    for z in mod.basis:
+        for l, m in itertools.product(range(1, mod.n + 1), repeat=2):
+            old = LinComb.sum_terms((z + dz, e.const_value())
+                                    for e, dz in perm_action(l, m, mod.base.with_shift(z))
+                                    if z + dz in basis)
+            assert mod.act_symbol(l, m, z) == old, (l, m, z)

@@ -184,3 +184,18 @@ def test_omega_closure_under_single_generator_steps():
                 for z2, c in mod.act(l, m, x).items():
                     assert c != 0
                     assert submodule_membership(left, base.with_shift(z2))
+
+
+def test_columns_match_the_column_assembled_the_old_way():
+    """Every E_lm at random shifts of random generic bases, n = 2..5: the
+    module's column equals the sum of the permutation form's summands on
+    the tableau at z, each at z + dz."""
+    rng = random.Random(113)
+    for n in range(2, 6):
+        for _ in range(4):
+            mod = GenericModule(fixtures.random_generic_tableau(rng, n))
+            z = fixtures.random_shift(rng, n)
+            for l, m in itertools.product(range(1, n + 1), repeat=2):
+                old = LinComb.sum_terms((z + dz, e.const_value())
+                                        for e, dz in perm_action(l, m, mod.base.with_shift(z)))
+                assert mod.act_symbol(l, m, z) == old, (l, m, z)

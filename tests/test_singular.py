@@ -80,6 +80,44 @@ def test_pair_readers_match_the_two_entries_on_every_pair(n, k, i, j, seed):
                    for sym in window)
 
 
+def _column_the_old_way(frame, kind, l, m, z):
+    """E_lm on Reg(z) or Der(z) assembled term by term, independently of the
+    module: ``perm_action`` on the frame's tableau at z, the target z + dz,
+    ``canonicalize``, and ``Jet.d_ev_ratios`` of the jet itself on the
+    derivative line or, on the regular line, of (x - y) e, the jet with its
+    order raised by one and doubled."""
+    terms = []
+    for e, dz in coeffs.perm_action(l, m, frame.tableau_at(z)):
+        slope = 2 if kind == REG else 1
+        if kind == REG:
+            e = coeffs.Jet(e.v + 1, e.a0, e.a1, e.q)
+        for placed, (num, den) in zip((REG, DER), e.d_ev_ratios()):
+            sign, sym = canonicalize(placed, z + dz, frame)
+            if sign:
+                terms.append((sym, F(sign * slope * num, den)))
+    return LinComb.sum_terms(terms)
+
+
+@pytest.mark.parametrize("n, k, i, j", PAIRS)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_miss_columns_match_the_column_assembled_the_old_way(n, k, i, j, seed):
+    """Every E_lm on Reg(z), and on Der(z) where z is tau-unfixed, at a
+    random and a tau-fixed shift: the module's column (targets from the
+    permutation plan's move lists, (d, ev) read once per term) equals
+    :func:`_column_the_old_way`."""
+    rng = random.Random(seed)
+    frame = _frame_on(rng, n, k, i, j)
+    mod = SingularModule(frame)
+    z = fixtures.random_shift(rng, n, bound=2)
+    for shift in (z, z + ShiftVector.of(n, {(k, j): frame.gap(z)})):
+        for l, m in itertools.product(range(1, n + 1), repeat=2):
+            assert mod.act_on_regular(l, m, shift) == _column_the_old_way(frame, REG, l, m, shift)
+            if not frame.is_tau_fixed(shift):
+                assert (mod.act_on_derivative(l, m, shift)
+                        == _column_the_old_way(frame, DER, l, m, shift))
+
+
 def test_act_on_regular_lowering_examples():
     mod = SingularModule(fixtures.frame_all_equal())
     z0 = sv3(0, 0, 0)

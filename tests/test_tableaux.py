@@ -149,6 +149,42 @@ def test_apply_perm_inverse_roundtrip():
         assert sigma(sigma.inverse()(z)) == z
 
 
+def _perm_tuples(n, fixed_top=False):
+    """PermTuples of rank n; with ``fixed_top`` the top row is the identity."""
+    return st.tuples(*(st.permutations(range(1, r + 1)).map(tuple)
+                       if r < n or not fixed_top else st.just(tuple(range(1, r + 1)))
+                       for r in range(1, n + 1))).map(PermTuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    _perm_tuples(n), _perm_tuples(n), _perm_tuples(n, fixed_top=True),
+    _perm_tuples(n, fixed_top=True), st.randoms(use_true_random=False).map(
+        lambda rng: (fixtures.random_generic_tableau(rng, n), fixtures.random_shift(rng, n))))))
+def test_perm_action_matches_the_inverse_definition_and_composes(args):
+    """sigma(w)[r, s] = w[r, sigma[r]^{-1}(s)] read through the inverse, and
+    (sigma rho)(w) = sigma(rho(w)), on tableaux and on shifts."""
+    sigma, rho, sigma_z, rho_z, (t, z) = args
+    for p, q, w in ((sigma, rho, t), (sigma_z, rho_z, z)):
+        inv = p.inverse().perms
+        assert p(w) == w._replace(rows=tuple(tuple(row[x - 1] for x in images)
+                                             for row, images in zip(w.rows, inv)))
+        assert (p * q)(w) == p(q(w))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+    *(st.lists(st.lists(st.integers(-3, 3), min_size=r, max_size=r), min_size=2, max_size=2)
+      for r in range(1, n)))))
+def test_moved_by_a_move_list_is_the_sum(rows):
+    """z.moved(d.moves()) is z + d, and the move list holds d's nonzero entries."""
+    z, d = (ShiftVector(tuple(tuple(pair[idx]) for pair in rows)) for idx in (0, 1))
+    moves = d.moves()
+    assert z.moved(moves) == z + d
+    assert ShiftVector.of(d.n, {(r + 1, s + 1): v for r, s, v in moves}) == d
+    assert all(v for _, _, v in moves)
+
+
 def test_tau_star_examples():
     # conjugation case: k=3, (i,j)=(2,3), sigma[3]=(1,2) -> (1,3)
     sigma = PermTuple.row_transposition(4, 3, 1, 2)

@@ -284,7 +284,24 @@ def _plant_numerators_not_rescaled(monkeypatch):
 
 def _plant_d_ev_swapped(monkeypatch):
     real = coeffs.Jet.d_ev_ratios
-    monkeypatch.setattr(coeffs.Jet, "d_ev_ratios", lambda self: real(self)[::-1])
+    monkeypatch.setattr(coeffs.Jet, "d_ev_ratios",
+                        lambda self, order=0: real(self, order)[::-1])
+
+
+def _plant_move_on_wrong_row(monkeypatch):
+    # each target's first move lands one shift row up, where there is one
+    real = coeffs.perm_moves
+
+    def planted(l, m, n):
+        out = []
+        for moves in real(l, m, n):
+            if moves and moves[0][0] + 1 < n - 1:
+                (r, s, v), *rest = moves
+                moves = ((r + 1, s, v), *rest)
+            out.append(moves)
+        return tuple(out)
+
+    monkeypatch.setattr(coeffs, "perm_moves", planted)
 
 
 def _plant_gamma_d_negated(monkeypatch):
@@ -405,6 +422,10 @@ GENERIC_N3 = ("generic_n3.json", 1)
         "commutators": {"bracket"},
         "gamma": JORDAN_EIGEN | {"connectivity", "witness-derivative-closed-form",
                                  "witness-step3"}}),
+    # the evaluation cross-check reads the same targets, so it cannot see this
+    (_plant_move_on_wrong_row, SINGULAR_N3, {
+        "formulas": {"regular-action-tau-even", "derivative-action-tau-odd"},
+        "commutators": {"bracket"}, "gamma": JORDAN_EIGEN}),
     (_plant_gamma_d_negated, SINGULAR_N3, {
         "formulas": set(), "commutators": set(),
         "gamma": {"composition-jordan", "jordan-offdiagonal-model"}}),
@@ -441,7 +462,8 @@ GENERIC_N3 = ("generic_n3.json", 1)
     (_plant_gcd_skipped, SINGULAR_N3, {
         "formulas": {"evaluation"}, "commutators": set(), "gamma": set()}),
 ], ids=["diagonal-constant-unscaled", "swap-one-short", "shift-without-scale",
-        "shift-without-scale-generic", "numerators-not-rescaled", "d-ev-swapped", "gamma-d-negated", "der-sign-dropped",
+        "shift-without-scale-generic", "numerators-not-rescaled", "d-ev-swapped",
+        "move-on-wrong-row", "gamma-d-negated", "der-sign-dropped",
         "classical-index-off-by-one", "loewy-layers-swapped", "loewy-l3-l7-swapped",
         "tau-wrong-positions", "structure-constant-dropped", "tau-fixed-never",
         "memo-key-drops-a-row", "pure-t-factor-keeps-v", "ratfun-gcd-skipped"])
