@@ -94,8 +94,8 @@ class TableauModule:
         """The ``perm_terms`` of E_{lm} at shift z whose jet is nonzero, as
         (jet, z + sigma(eps_lm)) pairs: each target is z moved by the move
         list of sigma(eps_lm) (:func:`~gtmod.coeffs.perm_moves`), which
-        rebuilds only the rows that sigma(eps_lm) touches.  The one target
-        builder of every family's cache miss."""
+        rebuilds only the rows that sigma(eps_lm) touches.  Every family's
+        cache miss reads its targets here and nowhere else."""
         moved = z.moved
         return [(e, moved(moves)) for (e, _), moves
                 in zip(self.perm_terms(l, m, z), coeffs.perm_moves(l, m, self.n)) if e.a0]

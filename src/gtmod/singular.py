@@ -80,13 +80,6 @@ class BasisSymbol(NamedTuple):
     __repr__ = to_text
 
 
-def _x_minus_y_d_ev(e: coeffs.Jet) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The half-derivative and value at t = 0 of (x - y) * e = XY_SLOPE * t * e
-    on the line, as integer (numerator, denominator) pairs."""
-    (dn, dd), (en, ed) = e.d_ev_ratios(1)
-    return (XY_SLOPE * dn, dd), (XY_SLOPE * en, ed)
-
-
 def canonicalize(kind: str, z: ShiftVector,
                  frame: SingularFrame) -> tuple[int, BasisSymbol | None]:
     """Canonical representative of Reg(z) / Der(z) with its sign; Der of a
@@ -262,7 +255,8 @@ def generation_witnesses(frame: SingularFrame, z: ShiftVector) -> dict:
     zfix = z + ShiftVector.of(n, {(k, j): frame.gap(z)})
     sigma_i = PermTuple.row_transposition(n, k, 1, i)
     e = coeffs.coeff_e(k + 1, k, sigma_i(frame.tableau_at(zfix)))
-    step2_ev = Fraction(*_x_minus_y_d_ev(e)[1])
+    en, ed = e.d_ev_ratios(1)[1]  # ev((x - y) * e), (x - y) * e = XY_SLOPE * t * e
+    step2_ev = Fraction(XY_SLOPE * en, ed)
     w = frame.vbar.with_shift(zfix)
     step2_closed = Fraction(1)
     for q in range(1, k):
