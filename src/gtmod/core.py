@@ -46,7 +46,7 @@ from . import coeffs
 from .lincomb import LinComb
 from .tableaux import Tableau
 
-__all__ = ["TableauModule"]
+__all__ = ["TableauModule", "sweep_order"]
 
 
 def _shift(sym):
@@ -60,6 +60,12 @@ def _row1(sym) -> int:
     has no row 1."""
     rows = _shift(sym).rows
     return rows[0][0] if rows else 0
+
+
+def sweep_order(symbols) -> list:
+    """The order in which :meth:`TableauModule.sweep` walks the given basis
+    symbols: stably sorted by z_11."""
+    return sorted(symbols, key=_row1)
 
 
 class TableauModule:
@@ -134,7 +140,7 @@ class TableauModule:
         wrong value; a central word of length s reaches s - 1 slabs back, so it
         would recompute.)"""
         act_cache, perm_cache = self._act_cache, self._perm_cache
-        for c, slab in itertools.groupby(sorted(symbols, key=_row1), key=_row1):
+        for c, slab in itertools.groupby(sweep_order(symbols), key=_row1):
             for key in [key for key in act_cache if _row1(key[2]) < c - 1]:
                 del act_cache[key]
             for key in [key for key in perm_cache

@@ -169,12 +169,14 @@ class SingularModule(core.TableauModule):
                                      z: ShiftVector) -> LinComb:
         """Alternative form of E_{lm} on Reg(z) for tau-unfixed z: plain
         evaluation of every coefficient at t = 0.  Must agree with
-        :meth:`act_on_regular`; kept as an independent cross-check path."""
+        :meth:`act_on_regular`; kept as an independent cross-check path, so
+        it places each term at z + sigma(eps_lm) itself, not through the
+        move lists ``perm_targets`` reads."""
         if self.frame.is_tau_fixed(z):
             raise ValueError("the evaluation form needs a tau-unfixed shift")
         frame = self.frame
-        return LinComb.from_ratios((canonicalize(REG, target, frame)[1], *e.d_ev_ratios()[1])
-                                   for e, target in self.perm_targets(l, m, z))
+        return LinComb.from_ratios((canonicalize(REG, z + dz, frame)[1], *e.d_ev_ratios()[1])
+                                   for e, dz in self.perm_terms(l, m, z) if e.a0)
 
     def _act_uncached(self, l: int, m: int, sym: BasisSymbol) -> LinComb:
         if sym.kind == REG:

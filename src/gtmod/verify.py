@@ -10,10 +10,17 @@ rational functions).  :func:`run_suite` alone owns the suite lifecycle: it
 checks the suite's :data:`PRECONDITIONS` entry (a config the suite cannot
 run on raises ``ValueError``), times the sweep, turns an evaluation error
 that ends it into one failed ``evaluation`` check, and builds the
-:class:`VerificationReport`.  Failures carry exemplars showing the input
+:class:`VerificationReport`.  The report counts the checks in total and
+per check kind (``by_kind``).  Failures carry exemplars showing the input
 and the two sides; each check hands :meth:`Tally.check` its exemplar as a
 zero-argument function, called at once and only for a failure that gets an
 exemplar slot.
+
+The window-wide loops of ``commutators``, ``formulas`` and the first loop
+of ``n3`` run in contiguous chunks of their ordered window, one per CPU in
+the process's affinity mask: chunk 0 in the calling process, each other
+chunk in a forked child (:mod:`gtmod.tallies`).  The chunks' tallies are
+merged in chunk order, so a report is the same for any number of CPUs.
 
 Reports are deterministic given (config, seed); randomized sweeps draw
 from a seeded generator recorded in the report.
@@ -31,6 +38,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import coeffs
+from .core import sweep_order
 from .fixtures import random_unfixed_shift
 from .generic import GenericModule
 from .lincomb import LinComb
@@ -43,6 +51,7 @@ from .singular import (
 from .tableaux import (
     SingularFrame, Tableau, epsilon, is_generic, phi_set, tau_perm, tau_star, window_shifts,
 )
+from .tallies import MAX_EXEMPLARS, Tally, in_chunks
 
 __all__ = [
     "Config", "VerificationReport", "SUITES", "PRECONDITIONS", "run_suite",
@@ -50,8 +59,6 @@ __all__ = [
     "check_commutators", "check_gamma", "check_formulas", "check_n3",
     "Tally", "export_action", "build_action_matrix",
 ]
-
-MAX_EXEMPLARS = 5
 
 # The errors an evaluation can raise on input it cannot handle (a pole, a
 # bad index, a broken invariant); any other exception is a program bug.
@@ -71,6 +78,7 @@ class VerificationReport:
     checked: int
     passed: int
     failed: int
+    by_kind: dict
     exemplars: list
     seed: int
     elapsed_ms: int
@@ -91,36 +99,6 @@ class VerificationReport:
         return (f"[{self.suite}] {self.frame} window={self.window} "
                 f"checked={self.checked} passed={self.passed} "
                 f"failed={self.failed} ({self.elapsed_ms} ms): {verdict}")
-
-
-class Tally:
-    """Accumulates exact check outcomes and the first few failures."""
-
-    def __init__(self):
-        self.checked = 0
-        self.failed = 0
-        self.exemplars: list[dict] = []
-
-    def check(self, ok: bool, kind: str, detail) -> bool:
-        """Count one check of ``kind``.  ``detail`` is a zero-argument
-        function returning the exemplar's fields; it is called before this
-        returns, and only for a failure that gets an exemplar slot, so it
-        may read the caller's loop variables directly."""
-        self.checked += 1
-        if not ok:
-            self.failed += 1
-            if len(self.exemplars) < MAX_EXEMPLARS:
-                self.exemplars.append({"check": kind, **detail()})
-        return ok
-
-    def report(self, suite: str, frame: str, window: int, seed: int,
-               started: float) -> VerificationReport:
-        return VerificationReport(
-            suite=suite, frame=frame, window=window,
-            checked=self.checked, passed=self.checked - self.failed, failed=self.failed,
-            exemplars=self.exemplars, seed=seed,
-            elapsed_ms=int((time.perf_counter() - started) * 1000),
-        )
 
 
 def _is_integer(value) -> bool:
@@ -241,19 +219,24 @@ def check_commutators(cfg: Config, tally: Tally) -> None:
     the window (generic base or singular frame, per config), in the order
     of the module's ``sweep``, which drops the cached columns no later
     symbol reads; a bracket whose evaluation raises fails, its exemplar
-    naming the error, and the sweep goes on."""
+    naming the error, and the sweep goes on.  That order is cut into
+    contiguous chunks, one per CPU, each swept on its own (:mod:`gtmod.tallies`)."""
     gens = _generators(cfg.n)
     pairs = list(itertools.combinations(gens, 2))
     mod = module_for(cfg)
-    for sym in mod.sweep(window_symbols(cfg)):
-        for g1, g2 in pairs:
-            try:
-                defect = mod.bracket_defect(g1, g2, sym)
-                ok = defect.is_zero
-            except EVALUATION_ERRORS as exc:
-                defect, ok = raised(exc), False
-            tally.check(ok, "bracket", lambda: {
-                "input": f"[E{g1}, E{g2}] on {sym!r}", "defect": str(defect)})
+
+    def check(symbols, tally):
+        for sym in mod.sweep(symbols):
+            for g1, g2 in pairs:
+                try:
+                    defect = mod.bracket_defect(g1, g2, sym)
+                    ok = defect.is_zero
+                except EVALUATION_ERRORS as exc:
+                    defect, ok = raised(exc), False
+                tally.check(ok, "bracket", lambda: {
+                    "input": f"[E{g1}, E{g2}] on {sym!r}", "defect": str(defect)})
+
+    in_chunks(sweep_order(window_symbols(cfg)), check, tally)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +401,10 @@ def check_formulas(cfg: Config, tally: Tally) -> None:
     it); per generator: the regular action is tau-even
     (``regular-action-tau-even``) and, at tau-unfixed z, the derivative
     action tau-odd (``derivative-action-tau-odd``) and the regular action
-    equal to its evaluation form (``regular-action-ev-crosscheck``)."""
+    equal to its evaluation form (``regular-action-ev-crosscheck``).
+
+    The window shifts are cut, in order, into contiguous chunks, one per
+    CPU, each checked on its own (:mod:`gtmod.tallies`)."""
     n, frame = cfg.n, cfg.frame
     mod = module_for(cfg)
     line = cfg.base if frame is None else frame.line
@@ -439,84 +425,87 @@ def check_formulas(cfg: Config, tally: Tally) -> None:
             sigmas.append((sigma, sigma(eps), special, twist))
         generators.append((l, m, sigmas))
 
-    for z in window_shifts(n, cfg.window):
-        line_z, plain, fixed = line.with_shift(z), cfg.base.with_shift(z), False
-        if frame is not None:
-            fixed, tz = frame.is_tau_fixed(z), frame.tau(z)
-            line_tz = line.with_shift(tz)
-        for l, m, sigmas in generators:
-            memo = mod.perm_terms(l, m, z)
-            for idx, (sigma, sigma_eps, special, twist) in enumerate(sigmas):
-                w = sigma(line_z)
-                e = coeffs.coeff_ratfun(l, m, w)
-                jet = coeffs.coeff_e(l, m, w)
-                tally.check(_jet_matches(jet, e), "jet-vs-ratfun",
-                            lambda: {"input": f"e({l},{m}) at {sigma!r}(v+{z!r})",
-                                     "lhs": repr(jet), "rhs": repr(e)})
-                # the module's memoized terms (integer tableau, direct
-                # row swaps) against PermTuple on the config's tableau
-                term, pair = list(memo[idx:idx + 1]), (jet, sigma_eps)
-                tally.check(term == [pair], "perm-action-vs-phi-set",
-                            lambda: {"input": f"E({l},{m}) term {sigma!r} at v+{z!r}",
-                                     "lhs": repr(term), "rhs": repr([pair])})
-                if frame is None:
-                    continue
-                if fixed:
-                    # pole-order bound, and smoothness off the special set
-                    tally.check(e.pole_order() <= 1, "pole-bound", lambda: {"input": repr(e)})
-                    if not (special and min(l, m) <= k < max(l, m)):
-                        tally.check(e.pole_order() == 0, "pole-smooth",
-                                    lambda: {"input": repr(e)})
-                # point-operator exchange rules on this coefficient
-                g = two_t * e
-                tally.check(g.ev() == (two_t * g).d(), "ev-equals-d-shifted",
-                            lambda: {"input": repr(g)})
-                if e.pole_order() == 0:
-                    if e == e.tau():
-                        tally.check(e.d() == 0, "symmetric-derivative-zero",
-                                    lambda: {"input": repr(e)})
-                    h = e.divided_difference()
-                    if h.pole_order() == 0:
-                        tally.check(h.ev() == 2 * e.d(), "divided-difference",
-                                    lambda: {"input": repr(e)})
-                # parity across the swap
-                if not special and l != m:
-                    d_t, ev_t = coeffs.coeff_e(l, m, sigma(line_tz)).d_ev()
-                    tally.check(ev_t == e.ev() and d_t == -e.d(),
-                                "parity-plain", lambda: {"input": repr(e)})
-                if twist is not None:
-                    star, sigma_tau = twist
-                    lhs = coeffs.coeff_ratfun(l, m, star(line_z))
-                    rhs = coeffs.coeff_ratfun(l, m, sigma_tau(line_z))
-                    tally.check(lhs == rhs, "parity-twisted",
-                                lambda: {"lhs": repr(lhs), "rhs": repr(rhs)})
-            # the classical formulas divide by same-row differences,
-            # which vanish only at a frame's tau-fixed shifts
-            if abs(l - m) <= 1 and not fixed:
-                classical = LinComb.sum_terms(
-                    (dz, c) for c, dz in coeffs.classical_action(l, m, plain))
-                perm = LinComb.sum_terms(
-                    (dz, fn.const_value()) for fn, dz in coeffs.perm_action(l, m, plain))
-                tally.check(classical == perm, "classical-vs-permutation",
-                            _action_exemplar(l, m, z, classical, perm))
-        if frame is None:
-            continue
+    def check(shifts, tally):
+        for z in shifts:
+            line_z, plain, fixed = line.with_shift(z), cfg.base.with_shift(z), False
+            if frame is not None:
+                fixed, tz = frame.is_tau_fixed(z), frame.tau(z)
+                line_tz = line.with_shift(tz)
+            for l, m, sigmas in generators:
+                memo = mod.perm_terms(l, m, z)
+                for idx, (sigma, sigma_eps, special, twist) in enumerate(sigmas):
+                    w = sigma(line_z)
+                    e = coeffs.coeff_ratfun(l, m, w)
+                    jet = coeffs.coeff_e(l, m, w)
+                    tally.check(_jet_matches(jet, e), "jet-vs-ratfun",
+                                lambda: {"input": f"e({l},{m}) at {sigma!r}(v+{z!r})",
+                                         "lhs": repr(jet), "rhs": repr(e)})
+                    # the module's memoized terms (integer tableau, direct
+                    # row swaps) against PermTuple on the config's tableau
+                    term, pair = list(memo[idx:idx + 1]), (jet, sigma_eps)
+                    tally.check(term == [pair], "perm-action-vs-phi-set",
+                                lambda: {"input": f"E({l},{m}) term {sigma!r} at v+{z!r}",
+                                         "lhs": repr(term), "rhs": repr([pair])})
+                    if frame is None:
+                        continue
+                    if fixed:
+                        # pole-order bound, and smoothness off the special set
+                        tally.check(e.pole_order() <= 1, "pole-bound", lambda: {"input": repr(e)})
+                        if not (special and min(l, m) <= k < max(l, m)):
+                            tally.check(e.pole_order() == 0, "pole-smooth",
+                                        lambda: {"input": repr(e)})
+                    # point-operator exchange rules on this coefficient
+                    g = two_t * e
+                    tally.check(g.ev() == (two_t * g).d(), "ev-equals-d-shifted",
+                                lambda: {"input": repr(g)})
+                    if e.pole_order() == 0:
+                        if e == e.tau():
+                            tally.check(e.d() == 0, "symmetric-derivative-zero",
+                                        lambda: {"input": repr(e)})
+                        h = e.divided_difference()
+                        if h.pole_order() == 0:
+                            tally.check(h.ev() == 2 * e.d(), "divided-difference",
+                                        lambda: {"input": repr(e)})
+                    # parity across the swap
+                    if not special and l != m:
+                        d_t, ev_t = coeffs.coeff_e(l, m, sigma(line_tz)).d_ev()
+                        tally.check(ev_t == e.ev() and d_t == -e.d(),
+                                    "parity-plain", lambda: {"input": repr(e)})
+                    if twist is not None:
+                        star, sigma_tau = twist
+                        lhs = coeffs.coeff_ratfun(l, m, star(line_z))
+                        rhs = coeffs.coeff_ratfun(l, m, sigma_tau(line_z))
+                        tally.check(lhs == rhs, "parity-twisted",
+                                    lambda: {"lhs": repr(lhs), "rhs": repr(rhs)})
+                # the classical formulas divide by same-row differences,
+                # which vanish only at a frame's tau-fixed shifts
+                if abs(l - m) <= 1 and not fixed:
+                    classical = LinComb.sum_terms(
+                        (dz, c) for c, dz in coeffs.classical_action(l, m, plain))
+                    perm = LinComb.sum_terms(
+                        (dz, fn.const_value()) for fn, dz in coeffs.perm_action(l, m, plain))
+                    tally.check(classical == perm, "classical-vs-permutation",
+                                _action_exemplar(l, m, z, classical, perm))
+            if frame is None:
+                continue
 
-        # compatibility of the module action with the swap
-        for l in range(1, n + 1):
-            for m in range(1, n + 1):
-                reg = mod.act_on_regular(l, m, z)
-                reg_t = mod.act_on_regular(l, m, tz)
-                tally.check(reg == reg_t, "regular-action-tau-even",
-                            _action_exemplar(l, m, z, reg, reg_t))
-                if not fixed:
-                    der = mod.act_on_derivative(l, m, z)
-                    der_t = -mod.act_on_derivative(l, m, tz)
-                    tally.check(der == der_t, "derivative-action-tau-odd",
-                                _action_exemplar(l, m, z, der, der_t))
-                    ev_form = mod.act_on_regular_by_evaluation(l, m, z)
-                    tally.check(reg == ev_form, "regular-action-ev-crosscheck",
-                                _action_exemplar(l, m, z, reg, ev_form))
+            # compatibility of the module action with the swap
+            for l in range(1, n + 1):
+                for m in range(1, n + 1):
+                    reg = mod.act_on_regular(l, m, z)
+                    reg_t = mod.act_on_regular(l, m, tz)
+                    tally.check(reg == reg_t, "regular-action-tau-even",
+                                _action_exemplar(l, m, z, reg, reg_t))
+                    if not fixed:
+                        der = mod.act_on_derivative(l, m, z)
+                        der_t = -mod.act_on_derivative(l, m, tz)
+                        tally.check(der == der_t, "derivative-action-tau-odd",
+                                    _action_exemplar(l, m, z, der, der_t))
+                        ev_form = mod.act_on_regular_by_evaluation(l, m, z)
+                        tally.check(reg == ev_form, "regular-action-ev-crosscheck",
+                                    _action_exemplar(l, m, z, reg, ev_form))
+
+    in_chunks(list(window_shifts(n, cfg.window)), check, tally)
 
 
 # ---------------------------------------------------------------------------
@@ -539,23 +528,27 @@ def check_n3(cfg: Config, tally: Tally) -> None:
     Classification totality, layer monotonicity of the action, and growth
     of L7's weight multiplicities over the windows W - 2, W - 1 and W (no
     weight shows growth below W = 3); runs only on configs that pass
-    :func:`n3_precondition`."""
+    :func:`n3_precondition`.  The layer checks walk the module's ``sweep``
+    order cut into contiguous chunks, one per CPU (:mod:`gtmod.tallies`)."""
     mod = module_for(cfg)
 
     # classification is total and unambiguous; the action never climbs layers
-    for sym in mod.sweep(window_symbols(cfg)):
-        piece = classify_shift(sym.shift)  # raises InvariantViolation if not unique
-        layer = LOEWY_LAYERS[piece]
-        ok = True
-        worst = None
-        for l, m in _generators(3):
-            for out_sym, c in mod.act_symbol(l, m, sym).items():
-                out_layer = LOEWY_LAYERS[classify_shift(out_sym.shift)]
-                if out_layer > layer:
-                    ok = False
-                    worst = (l, m, out_sym, c)
-        tally.check(ok, "loewy-monotone",
-                    lambda: {"input": f"{sym!r} in {piece}", "violation": repr(worst)})
+    def check(symbols, tally):
+        for sym in mod.sweep(symbols):
+            piece = classify_shift(sym.shift)  # raises InvariantViolation if not unique
+            layer = LOEWY_LAYERS[piece]
+            ok = True
+            worst = None
+            for l, m in _generators(3):
+                for out_sym, c in mod.act_symbol(l, m, sym).items():
+                    out_layer = LOEWY_LAYERS[classify_shift(out_sym.shift)]
+                    if out_layer > layer:
+                        ok = False
+                        worst = (l, m, out_sym, c)
+            tally.check(ok, "loewy-monotone",
+                        lambda: {"input": f"{sym!r} in {piece}", "violation": repr(worst)})
+
+    in_chunks(sweep_order(window_symbols(cfg)), check, tally)
 
     # weight multiplicities inside L7 grow strictly up to the window
     low, mid, high = (
@@ -629,7 +622,9 @@ def run_suite(name: str, cfg: Config) -> VerificationReport:
     """Run one suite on cfg and report it.  ValueError, before anything
     runs, for an unknown suite or a config the suite cannot run on; an
     evaluation error that ends the sweep is one failed ``evaluation`` check,
-    whose exemplar names it and is kept even when the others are full."""
+    whose exemplar names it and is kept even when the others are full (an
+    error in a chunk of a chunked sweep ends it just the same, after the
+    checks of every earlier chunk)."""
     try:
         suite = SUITES[name]
     except KeyError:
@@ -643,4 +638,10 @@ def run_suite(name: str, cfg: Config) -> VerificationReport:
     except EVALUATION_ERRORS as exc:
         del tally.exemplars[MAX_EXEMPLARS - 1:]
         tally.check(False, "evaluation", lambda: {"detail": raised(exc)})
-    return tally.report(name, cfg.describe(), cfg.window, cfg.seed, started)
+    checked, failed = tally.checked, tally.failed
+    return VerificationReport(
+        suite=name, frame=cfg.describe(), window=cfg.window,
+        checked=checked, passed=checked - failed, failed=failed,
+        by_kind=tally.by_kind, exemplars=tally.exemplars, seed=cfg.seed,
+        elapsed_ms=int((time.perf_counter() - started) * 1000),
+    )

@@ -10,7 +10,6 @@ import re
 import subprocess
 import sys
 import textwrap
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -35,18 +34,9 @@ def _cfg(name, **overrides):
     return cfg.with_overrides(**overrides) if overrides else cfg
 
 
-def _count_checks(monkeypatch) -> Counter:
-    """Count every check from here on by (kind, passed), through a wrapper
-    around ``Tally.check``."""
-    counts = Counter()
-    check = Tally.check
-
-    def recording(self, ok, kind, detail):
-        counts[kind, bool(ok)] += 1
-        return check(self, ok, kind, detail)
-
-    monkeypatch.setattr(Tally, "check", recording)
-    return counts
+def _failing_kinds(by_kind: dict) -> set:
+    """The check kinds of a report's or a tally's ``by_kind`` that failed."""
+    return {kind for kind, counts in by_kind.items() if counts["failed"]}
 
 
 def test_fixture_files_are_the_reference_frames():
@@ -162,13 +152,12 @@ def test_action_matrices_are_pinned(name, window):
     assert got == dict(zip(got, want))
 
 
-def test_formulas_runs_parity_plain_on_the_row3_frame(monkeypatch):
+def test_formulas_runs_parity_plain_on_the_row3_frame():
     """On a row-2 frame every sigma is special, so only a row-3 pair leaves
     Phi_lm elements for the untwisted parity check."""
-    counts = _count_checks(monkeypatch)
     report = run_suite("formulas", _cfg("singular_n4_row3.json", window=0))
     assert report.ok and report.checked == 304
-    assert counts["parity-plain", True] == 20
+    assert report.by_kind["parity-plain"] == {"checked": 20, "failed": 0}
 
 
 def test_n3_suite_rejects_wrong_frame():
@@ -184,7 +173,8 @@ def test_report_schema_and_determinism(tmp_path):
     r2 = run_suite("gamma", cfg)
     d1, d2 = r1.to_dict(), r2.to_dict()
     assert set(d1) == {"suite", "frame", "window", "checked", "passed",
-                       "failed", "exemplars", "seed", "elapsed_ms"}
+                       "failed", "by_kind", "exemplars", "seed", "elapsed_ms"}
+    assert sum(counts["checked"] for counts in d1["by_kind"].values()) == d1["checked"]
     d1.pop("elapsed_ms")
     d2.pop("elapsed_ms")
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
@@ -422,9 +412,9 @@ GENERIC_N3 = ("generic_n3.json", 1)
         "commutators": {"bracket"},
         "gamma": JORDAN_EIGEN | {"connectivity", "witness-derivative-closed-form",
                                  "witness-step3"}}),
-    # the evaluation cross-check reads the same targets, so it cannot see this
     (_plant_move_on_wrong_row, SINGULAR_N3, {
-        "formulas": {"regular-action-tau-even", "derivative-action-tau-odd"},
+        "formulas": {"regular-action-tau-even", "derivative-action-tau-odd",
+                     "regular-action-ev-crosscheck"},
         "commutators": {"bracket"}, "gamma": JORDAN_EIGEN}),
     (_plant_gamma_d_negated, SINGULAR_N3, {
         "formulas": set(), "commutators": set(),
@@ -470,15 +460,13 @@ GENERIC_N3 = ("generic_n3.json", 1)
 def test_planted_kernel_defect_is_caught(monkeypatch, plant, config, kinds):
     """A planted defect fails exactly the recorded check kinds of each suite
     on the given fixture and window (a suite with none recorded passes)."""
-    counts = _count_checks(monkeypatch)
     plant(monkeypatch)
     name, window = config
     cfg = _cfg(name, window=window)
     seen = {}
     for suite in kinds:
-        counts.clear()
         report = run_suite(suite, cfg)
-        failing = {kind for kind, ok in counts if not ok}
+        failing = _failing_kinds(report.by_kind)
         assert (report.failed > 0) == bool(failing)
         # an error that ends a suite always shows among its exemplars
         assert ("evaluation" in failing) == any(
@@ -761,21 +749,21 @@ def test_finite_action_keeping_non_standard_targets_fails_the_span_check(monkeyp
 def test_planted_defect_fails_the_finite_dim_sweep(monkeypatch, plant, kinds):
     """The planted defects that the formulas suite caught only through the
     gl(3) regression, before it moved here, fail exactly these kinds of it."""
-    counts = _count_checks(monkeypatch)
     plant(monkeypatch)
-    sweep_finite_dim(Tally())
-    assert {kind for kind, ok in counts if not ok} == kinds
+    tally = Tally()
+    sweep_finite_dim(tally)
+    assert _failing_kinds(tally.by_kind) == kinds
 
 
-def test_formulas_on_a_rank_one_base_checks_e11(monkeypatch):
+def test_formulas_on_a_rank_one_base_checks_e11():
     """n = 1 has one basis tableau, whatever the window, and one generator:
     E_11's coefficient against its whole function, the memo and the
     classical formula."""
-    counts = _count_checks(monkeypatch)
     report = run_suite("formulas", Config.from_dict({"n": 1, "base": "(0)", "window": 0}))
     assert report.ok and report.checked == 3
-    assert set(counts) == {("jet-vs-ratfun", True), ("perm-action-vs-phi-set", True),
-                           ("classical-vs-permutation", True)}
+    once = {"checked": 1, "failed": 0}
+    assert report.by_kind == {"jet-vs-ratfun": once, "perm-action-vs-phi-set": once,
+                              "classical-vs-permutation": once}
 
 
 def test_overrides_are_checked_like_config_values(capsys):
@@ -803,14 +791,14 @@ def test_cli_n3_precondition_exits_2(tmp_path, capsys, name, match):
 
 
 @pytest.mark.parametrize("window, growth", [(0, 0), (2, 0), (3, 3)])
-def test_n3_growth_reads_the_configured_window(monkeypatch, window, growth):
+def test_n3_growth_reads_the_configured_window(window, growth):
     """``l7-weight-growth`` compares the windows W - 2, W - 1 and W: below
     W = 3 no L7 weight shows growth, and the suite rests on the layer order
     alone."""
-    counts = _count_checks(monkeypatch)
-    assert run_suite("n3", _cfg("all_equal_n3.json", window=window)).ok
-    assert counts["l7-weight-growth", True] == growth
-    assert counts["l7-weight-growth", False] == 0
+    report = run_suite("n3", _cfg("all_equal_n3.json", window=window))
+    assert report.ok
+    assert report.by_kind.get("l7-weight-growth", {"checked": 0, "failed": 0}) == {
+        "checked": growth, "failed": 0}
 
 
 def test_cli_error_inside_a_sweep_is_not_a_config_error(monkeypatch, capsys):
