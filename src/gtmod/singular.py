@@ -127,7 +127,7 @@ class SingularModule(core.TableauModule):
 
     # -- single-generator action ----------------------------------------------
 
-    def _phi_sum(self, l: int, m: int, z: ShiftVector, order: int, pole) -> LinComb:
+    def _phi_sum(self, l: int, m: int, z: ShiftVector, order: int) -> LinComb:
         """Sum over the permutation form of E_lm at v+z, on the regular line
         (``order`` 1) or the derivative line (``order`` 0): each term's
         (d, ev) of (x - y)^order * e = XY_SLOPE^order * t^order * e, read
@@ -135,13 +135,15 @@ class SingularModule(core.TableauModule):
         (Reg, Der) coefficients at its target z + sigma(eps_lm)
         (``perm_targets``); each symbol is interned in the module's symbol
         table.  A jet whose pole t^order does not cancel raises
-        :class:`InvariantViolation` with the message ``pole()``."""
+        :class:`InvariantViolation` naming the pole."""
         frame, symbols = self.frame, self._symbols
         slope = XY_SLOPE ** order
         terms = []
         for e, target in self.perm_targets(l, m, z):
             if e.v < -order:
-                raise InvariantViolation(pole())
+                raise InvariantViolation(
+                    f"pole of order >= 2 in e_{l}{m} over {frame.describe()} at z={z}"
+                    if order else f"unexpected pole in e_{l}{m} at tau-unfixed w={z}")
             (rn, rd), (dn, dd) = e.d_ev_ratios(order)
             if rn:
                 sign, sym = canonicalize(REG, target, frame)
@@ -155,15 +157,13 @@ class SingularModule(core.TableauModule):
     def act_on_regular(self, l: int, m: int, z: ShiftVector) -> LinComb:
         """E_{lm} on Reg(z), through d((x-y) * coefficient) and
         ev((x-y) * coefficient)."""
-        return self._phi_sum(l, m, z, 1, lambda: (
-            f"pole of order >= 2 in e_{l}{m} over {self.frame.describe()} at z={z}"))
+        return self._phi_sum(l, m, z, 1)
 
     def act_on_derivative(self, l: int, m: int, w: ShiftVector) -> LinComb:
         """E_{lm} on Der(w); requires tau(w) != w."""
         if self.frame.is_tau_fixed(w):
             raise ValueError("derivative symbols require a tau-unfixed shift")
-        return self._phi_sum(l, m, w, 0, lambda: (
-            f"unexpected pole in e_{l}{m} at tau-unfixed w={w}"))
+        return self._phi_sum(l, m, w, 0)
 
     def act_on_regular_by_evaluation(self, l: int, m: int,
                                      z: ShiftVector) -> LinComb:

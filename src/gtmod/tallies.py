@@ -7,9 +7,11 @@ window-wide sweeps (``commutators``, ``formulas`` and the layer checks of
 the affinity mask, runs chunk 0 in the calling process and each other chunk
 in an ``os.fork()`` child, and merges the chunks' tallies in chunk order
 (:meth:`Tally.merge`), so a report is the same for any number of CPUs.  A
-child sends its counts and exemplars back through a pipe by ``marshal``
-(they are plain data), and an error that ended its chunk, with the
-traceback text, by ``pickle``.
+child whose chunk ended cleanly sends its counts and exemplars back through
+a pipe by ``marshal`` (they are plain data).  A chunk that raised, or whose
+tally ``marshal`` cannot encode, sends nothing: the sweeps are
+deterministic, so the calling process runs that chunk again when the merge
+reaches it, and raises its error itself.
 
 Each child has its own caches, copied from those of the calling process at
 the fork, and its own memory: a process's peak RSS is that of its chunk, and
@@ -55,82 +57,38 @@ class Tally:
                 self.exemplars.append({"check": kind, **detail()})
         return ok
 
-    def merge(self, part: Tally, exc: Exception | None = None) -> None:
+    def merge(self, part: Tally) -> None:
         """Take in the tally of the next chunk of a sweep, as if its checks had
         been counted here: its counts add up, and its exemplars fill the free
-        slots in order.  Then raise ``exc``, the error that ended that chunk,
-        if one did, so that no later chunk is taken in."""
+        slots in order."""
         for kind, counts in part.by_kind.items():
             mine = self.by_kind.setdefault(kind, {"checked": 0, "failed": 0})
             mine["checked"] += counts["checked"]
             mine["failed"] += counts["failed"]
         self.exemplars.extend(part.exemplars[:MAX_EXEMPLARS - len(self.exemplars)])
-        if exc is not None:
-            raise exc
 
 
 def _run_chunk(work, chunk: list) -> tuple[Tally, Exception | None]:
     """``work(chunk, tally)`` on a fresh tally: the tally, and the error that
-    ended the chunk or None."""
+    ended the chunk or None.  Every chunk runs through this: in its child,
+    and here for chunk 0 and for a forked chunk whose child sent nothing."""
     part = Tally()
     try:
         work(chunk, part)
-    except Exception as exc:  # any error: merge re-raises it in chunk order
+    except Exception as exc:  # any error: in_chunks raises it in chunk order
         return part, exc
     return part, None
 
 
-class _ChunkTraceback(Exception):
-    """The traceback of an error raised in a forked chunk worker, set as the
-    ``__cause__`` of the error the parent re-raises, so that it points at
-    the child's frames rather than at the merge."""
-
-    def __str__(self) -> str:
-        return f'\n"""\n{self.args[0]}"""'
-
-
 def _chunk_bytes(part: Tally, exc: Exception | None) -> bytes:
-    """A chunk's result as bytes: its counts and exemplars by ``marshal``,
-    and the error that ended it, if any, by :func:`_error_bytes`.  A result
-    ``marshal`` cannot send (an exemplar field that is not plain data) is
-    sent as a RuntimeError naming it, so the parent never sees a bare exit
-    status."""
-    try:
-        blob = None if exc is None else _error_bytes(exc)
-        return marshal.dumps((part.by_kind, part.exemplars, blob))
-    except Exception as failure:  # a program fault: report it, not the counts
-        error = RuntimeError(f"a chunk's result cannot be sent back: {failure!r}")
-        error.__cause__ = failure
-        return marshal.dumps(({}, [], _error_bytes(error)))
-
-
-def _error_bytes(exc: Exception) -> bytes:
-    """``exc`` and its traceback text, by ``pickle``, which is imported only
-    when a chunk raised (loading it would add to every run's memory); an
-    error that does not load back is sent as a RuntimeError naming it."""
-    import pickle
-    import traceback
-    text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
-    try:
-        blob = pickle.dumps((exc, text))
-        pickle.loads(blob)
-    except Exception:
-        blob = pickle.dumps((RuntimeError(
-            f"a chunk's error cannot be sent back by pickle: {exc!r}"), text))
-    return blob
-
-
-def _chunk_result(data: bytes) -> tuple[Tally, Exception | None]:
-    """The chunk result :func:`_chunk_bytes` made, as a tally and an error
-    (these bytes come only from this program's own forked children)."""
-    part = Tally()
-    part.by_kind, part.exemplars, blob = marshal.loads(data)
-    if blob is None:
-        return part, None
-    import pickle
-    exc, text = pickle.loads(blob)
-    exc.__cause__ = _ChunkTraceback(text)
-    return part, exc
+    """A clean chunk's counts and exemplars by ``marshal``; nothing for a
+    chunk that raised or whose exemplars are not plain data."""
+    if exc is None:
+        try:
+            return marshal.dumps((part.by_kind, part.exemplars))
+        except ValueError:  # an exemplar field marshal cannot encode
+            pass
+    return b""
 
 
 def in_chunks(items: list, work, tally: Tally) -> None:
@@ -142,9 +100,13 @@ def in_chunks(items: list, work, tally: Tally) -> None:
 
     Chunk 0 runs here, and each later chunk in an ``os.fork()`` child, on
     the objects ``work`` closes over as they were at the fork; with one
-    chunk nothing is forked.  A child sends back its tally and error through
-    a pipe and exits.  Every child is read and reaped before this returns or
-    raises; one that ends without sending its result is a
+    chunk nothing is forked.  A child sends its tally back through a pipe
+    if its chunk ended cleanly and ``marshal`` can encode it, else nothing;
+    when the merge reaches a chunk whose child sent nothing, that chunk runs
+    again here (the sweeps are deterministic, and the first error ends the
+    merge, so at most one chunk that raised runs twice), and its error is
+    raised with this process's traceback.  Every child is read and reaped
+    before this returns or raises; one that exits nonzero is a
     ``ChildProcessError``.  A check a child makes is seen by no wrapper
     installed in this process."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -175,8 +137,14 @@ def in_chunks(items: list, work, tally: Tally) -> None:
             with os.fdopen(read, "rb") as pipe:
                 data = pipe.read()
             ends.append((data, os.waitpid(pid, 0)[1]))
-    tally.merge(*first)
-    for data, status in ends:
+    for chunk, (data, status) in zip(chunks, [(None, 0)] + ends):
         if status:
             raise ChildProcessError(f"a chunk worker ended with wait status {status}")
-        tally.merge(*_chunk_result(data))
+        if data:
+            part, exc = Tally(), None
+            part.by_kind, part.exemplars = marshal.loads(data)
+        else:  # chunk 0, or a forked chunk that raised or is not plain data
+            part, exc = first if data is None else _run_chunk(work, chunk)
+        tally.merge(part)
+        if exc is not None:
+            raise exc

@@ -10,6 +10,7 @@ generator words in one pass; the oracles here spell each word out as nested
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -19,11 +20,12 @@ from gtmod.lincomb import LinComb
 from gtmod.tableaux import Tableau
 from gtmod.verify import Config, module_for, window_symbols
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GENERATORS = [(a, b) for a in range(1, 4) for b in range(1, 4)]
 
 
 def _window_1(name):
-    cfg = Config.from_file(f"fixtures/{name}").with_overrides(window=1)
+    cfg = Config.from_file(FIXTURES / name).with_overrides(window=1)
     return module_for(cfg), window_symbols(cfg)
 
 
@@ -119,7 +121,7 @@ def test_word_sum_on_a_symbol_matches_its_single_term_combination():
     nested ``act`` formula, and both word sums miss on the same columns in
     the same order.  The symbols are a seeded sample of 16 of the 729; the
     whole window takes about 45 times as long."""
-    cfg = Config.from_file("fixtures/singular_n4.json").with_overrides(window=1)
+    cfg = Config.from_file(FIXTURES / "singular_n4.json").with_overrides(window=1)
     on_symbol, on_single = module_for(cfg), module_for(cfg)
     misses = _recording_misses(on_symbol), _recording_misses(on_single)
     symbols = random.Random(20240601).sample(window_symbols(cfg), N4_SAMPLE)
@@ -169,7 +171,7 @@ def test_sweep_drops_only_columns_no_later_symbol_reads(monkeypatch, name, windo
     most half of the unbounded act and term caches live (measured at
     window 2: 0.42 and 0.45 of them).  On all_equal_n3 at window 4 a term
     list one slab back is read again, so a lag of 0 would recompute."""
-    cfg = Config.from_file(f"fixtures/{name}").with_overrides(window=window)
+    cfg = Config.from_file(FIXTURES / name).with_overrides(window=window)
     calls, defects, live, _ = _bracket_loop(monkeypatch, cfg, swept=True)
     plain_calls, plain_defects, _, unbounded = _bracket_loop(monkeypatch, cfg, swept=False)
     assert calls == plain_calls and calls["act"] > 0 and calls["perm"] > 0
@@ -178,7 +180,7 @@ def test_sweep_drops_only_columns_no_later_symbol_reads(monkeypatch, name, windo
 
 
 def test_sweep_orders_by_row_one_and_takes_rank_one_and_empty_windows():
-    cfg = Config.from_file("fixtures/singular_n3.json").with_overrides(window=1)
+    cfg = Config.from_file(FIXTURES / "singular_n3.json").with_overrides(window=1)
     mod = module_for(cfg)
     symbols = window_symbols(cfg)
     assert list(mod.sweep(symbols)) == sorted(symbols, key=lambda sym: sym.shift.get(1, 1))

@@ -26,11 +26,11 @@ from gtmod.verify import Config, Tally, build_action_matrix, export_action, run_
 
 from conftest import sweep_finite_dim
 
-FIXTURES = "fixtures"
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _cfg(name, **overrides):
-    cfg = Config.from_file(f"{FIXTURES}/{name}")
+    cfg = Config.from_file(FIXTURES / name)
     return cfg.with_overrides(**overrides) if overrides else cfg
 
 
@@ -45,7 +45,7 @@ def test_fixture_files_are_the_reference_frames():
     frames = {"generic_n3": None, "singular_n3": fixtures.frame_n3(),
               "all_equal_n3": fixtures.frame_all_equal(), "singular_n4": fixtures.frame_n4(),
               "singular_n4_row3": fixtures.frame_n4_row3()}
-    assert sorted(path.stem for path in Path(FIXTURES).glob("*.json")) == sorted(frames)
+    assert sorted(path.stem for path in FIXTURES.glob("*.json")) == sorted(frames)
     for name, frame in frames.items():
         cfg = _cfg(f"{name}.json")
         assert cfg.frame == frame
@@ -544,7 +544,7 @@ def test_export_roundtrip(tmp_path):
 
 def test_cli_pass_and_fail_exit_codes(tmp_path, monkeypatch):
     out = tmp_path / "report.json"
-    code = cli_main(["commutators", "--config", f"{FIXTURES}/singular_n3.json",
+    code = cli_main(["commutators", "--config", str(FIXTURES / "singular_n3.json"),
                      "--window", "1", "--json", str(out)])
     assert code == 0
     data = json.loads(out.read_text())
@@ -558,14 +558,14 @@ def test_cli_pass_and_fail_exit_codes(tmp_path, monkeypatch):
         return -value if s == r + 1 else value
 
     monkeypatch.setattr(coeffs, "coeff_e", corrupted)
-    code = cli_main(["commutators", "--config", f"{FIXTURES}/singular_n3.json",
+    code = cli_main(["commutators", "--config", str(FIXTURES / "singular_n3.json"),
                      "--window", "1"])
     assert code == 1
 
 
 def test_cli_empty_window_is_not_a_pass(capsys, monkeypatch):
     monkeypatch.setattr(verify, "window_symbols", lambda cfg: [])
-    code = cli_main(["commutators", "--config", f"{FIXTURES}/singular_n3.json"])
+    code = cli_main(["commutators", "--config", str(FIXTURES / "singular_n3.json")])
     out = capsys.readouterr().out
     assert code == 1
     assert "checked=0" in out and out.rstrip().endswith("FAIL")
@@ -578,7 +578,7 @@ def test_cli_subprocess_smoke():
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "gtmod.cli", "gamma",
-         "--config", f"{FIXTURES}/singular_n3.json", "--window", "1"],
+         "--config", str(FIXTURES / "singular_n3.json"), "--window", "1"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "[gamma]" in proc.stdout and "PASS" in proc.stdout
@@ -641,7 +641,7 @@ def test_cli_bad_json_config_exits_2(tmp_path, capsys):
 
 
 def test_unknown_suite_in_config_is_rejected(tmp_path, capsys):
-    data = json.loads(open(f"{FIXTURES}/generic_n3.json", encoding="utf-8").read())
+    data = json.loads((FIXTURES / "generic_n3.json").read_text(encoding="utf-8"))
     data["suites"] = ["gamma", "bogus"]
     with pytest.raises(ValueError, match="bogus"):
         Config.from_dict(data)
@@ -653,7 +653,7 @@ def test_unknown_suite_in_config_is_rejected(tmp_path, capsys):
 def test_ragged_base_tableau_is_rejected(tmp_path, capsys):
     with pytest.raises(ValueError, match="row 3 has 2 entries"):
         Tableau.from_text("(0,1|2,3|4)")
-    data = json.loads(open(f"{FIXTURES}/generic_n3.json", encoding="utf-8").read())
+    data = json.loads((FIXTURES / "generic_n3.json").read_text(encoding="utf-8"))
     data["base"] = "(0,1|2,3|4)"
     path = tmp_path / "ragged.json"
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -662,8 +662,8 @@ def test_ragged_base_tableau_is_rejected(tmp_path, capsys):
 
 def test_cli_unwritable_json_fails_before_the_suite(tmp_path, capsys):
     out = tmp_path / "missing" / "r.json"
-    line = _cli_error(capsys, f"{FIXTURES}/generic_n3.json",
-                             "--window", "0", "--json", str(out))
+    line = _cli_error(capsys, FIXTURES / "generic_n3.json",
+                      "--window", "0", "--json", str(out))
     assert line.startswith(f"error: {out}: ")
     assert not out.parent.exists()
 
@@ -672,7 +672,7 @@ def test_cli_unwritable_json_fails_before_the_suite(tmp_path, capsys):
     ("window", -1),
 ], ids=["negative-window"])
 def test_config_range_is_checked(tmp_path, capsys, key, value):
-    data = json.loads(open(f"{FIXTURES}/generic_n3.json", encoding="utf-8").read())
+    data = json.loads((FIXTURES / "generic_n3.json").read_text(encoding="utf-8"))
     data[key] = value
     with pytest.raises(ValueError, match="out of range"):
         Config.from_dict(data)
@@ -702,7 +702,7 @@ def test_config_range_is_checked(tmp_path, capsys, key, value):
         "boolean-window", "float-n", "suites-string", "short-frame", "float-frame",
         "frameless-singular-base", "zero-denominator", "unknown-key"])
 def test_config_types_are_checked(tmp_path, capsys, patch, match):
-    data = patch(json.loads(open(f"{FIXTURES}/generic_n3.json", encoding="utf-8").read()))
+    data = patch(json.loads((FIXTURES / "generic_n3.json").read_text(encoding="utf-8")))
     with pytest.raises(ValueError, match=re.escape(match)):
         Config.from_dict(data)
     path = tmp_path / "bad.json"
@@ -775,7 +775,7 @@ def test_overrides_are_checked_like_config_values(capsys):
             cfg.with_overrides(window=window, seed=seed)
     ok = cfg.with_overrides(window=0, seed=7)
     assert (ok.window, ok.seed) == (0, 7)
-    line = _cli_error(capsys, f"{FIXTURES}/generic_n3.json", "--window", "-1")
+    line = _cli_error(capsys, FIXTURES / "generic_n3.json", "--window", "-1")
     assert line.endswith("out of range for n=3: window=-1")
 
 
@@ -785,8 +785,8 @@ def test_overrides_are_checked_like_config_values(capsys):
 ])
 def test_cli_n3_precondition_exits_2(tmp_path, capsys, name, match):
     out = tmp_path / "r.json"
-    line = _cli_error(capsys, f"{FIXTURES}/{name}", "--json", str(out), suite="n3")
-    assert line == f"error: {FIXTURES}/{name}: the ten-piece suite {match}"
+    line = _cli_error(capsys, FIXTURES / name, "--json", str(out), suite="n3")
+    assert line == f"error: {FIXTURES / name}: the ten-piece suite {match}"
     assert not out.exists()
 
 
@@ -806,7 +806,7 @@ def test_cli_error_inside_a_sweep_is_not_a_config_error(monkeypatch, capsys):
         raise ValueError("planted")
 
     monkeypatch.setattr(verify, "classify_shift", broken)
-    code = cli_main(["n3", "--config", f"{FIXTURES}/all_equal_n3.json", "--window", "3"])
+    code = cli_main(["n3", "--config", str(FIXTURES / "all_equal_n3.json"), "--window", "3"])
     out = capsys.readouterr().out
     assert code == 1
     assert "failed=1" in out and out.count("exemplar") == 1
